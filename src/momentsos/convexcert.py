@@ -578,10 +578,6 @@ def certify_convexity(
     half = K.half_degrees()
     records: List[ConstraintRecord] = []
     solver_failed = False
-    # the test programs typically have flat optimal faces (any measure on
-    # the contact set is optimal); the self-dual embedding with its pinned
-    # start converges there anyway and returns a reproducible face point
-    rho_solver = solver if solver is not None else SolverOptions(method="hsd")
     for j, g in enumerate(K.constraints, start=1):
         Q = _quadratic_part(g)
         if g.degree() <= 2 and min_eigenvalue(-Q) >= -1e-9 * (
@@ -615,7 +611,7 @@ def certify_convexity(
         )
         for d in schedule:
             prog = rho_program(K, j, d)
-            sol = prog.solve(rho_solver)
+            sol = prog.solve(solver)
             rec.d_j = d
             if not sol.is_optimal:
                 rec.note = f"solver status {sol.status.value} at d_j = {d}"

@@ -7,8 +7,10 @@ Standard form:
                 X >= 0  (blockwise PSD)
 
 The dual is max b'lam s.t. C - sum_i lam_i A_i = Z >= 0. The solver is a
-Mehrotra-style predictor-corrector on the central path with Nesterov-Todd
-scaling and a dense Schur complement; it starts infeasible and reports
+Mehrotra-style predictor-corrector on the central path of the homogeneous
+self-dual embedding, with Nesterov-Todd scaling and a dense Schur
+complement. It starts from a data-scaled identity point that is strictly
+feasible for the embedding (not for the problem itself) and reports
 primal/dual infeasibility through normalized improving rays instead of
 exceptions. Deterministic: no randomness anywhere in the iteration.
 """
@@ -26,7 +28,7 @@ from .poly import PreconditionFailure
 
 SYMMETRY_TOL = 1e-12
 DEFAULT_BLOCK_CAP = 512
-# times an HSD step is halved when its end point cannot be factored
+# times a step is halved when its end point cannot be factored
 STEP_HALVINGS = 20
 
 
@@ -141,17 +143,13 @@ class SdpProblem:
 
 @dataclass
 class SolverOptions:
-    feas_tol: float = 1e-8
+    # primal feasibility is reduced together with the gap, so it is asked
+    # one decade below gap_tol to leave A X = b accurate at the optimum
+    feas_tol: float = 1e-9
     gap_tol: float = 1e-8
     max_iterations: int = 200
     step_fraction: float = 0.98
     infeas_ray_tol: float = 1e-8
-    # "direct" is an infeasible-start path-follower; "hsd" embeds the
-    # problem in the homogeneous self-dual model, which keeps full steps
-    # available on problems whose optimal face is degenerate and whose
-    # central-path limit is then the canonical (data-scaled identity
-    # start) embedding limit
-    method: str = "direct"
     # fallback tolerances when the iteration stalls before the target
     # accuracy (strict complementarity failures cap the attainable
     # precision); a stall-accepted solution is OPTIMAL with a message
@@ -217,8 +215,8 @@ def _chol(M: np.ndarray) -> Optional[np.ndarray]:
         return np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
         # tiny symmetric jitter for borderline rounding; an iterate that still
-        # fails has left the cone through rounding: the HSD loop then
-        # shortens the step to it, the direct loop stops
+        # fails has left the cone through rounding, and the solver then
+        # shortens the step to it
         n = M.shape[0]
         jitter = 1e-14 * max(1.0, float(np.trace(M)) / max(n, 1))
         try:
@@ -387,8 +385,13 @@ def _accept_stalled(
     opts: SolverOptions,
     status: SdpStatus,
     message: str,
+    iterations: int,
 ) -> Optional[SdpSolution]:
-    """Best stalled iterate as OPTIMAL if it meets the fallback band."""
+    """Best stalled iterate as OPTIMAL if it meets the fallback band.
+
+    `iterations` is the number of iterations run, which exceeds the index
+    of the accepted iterate when the loop went on past it.
+    """
     if stall_best is None:
         return None
     res = stall_best["residuals"]
@@ -409,7 +412,7 @@ def _accept_stalled(
         dual_value=stall_best["dobj"],
         gap=abs(stall_best["pobj"] - stall_best["dobj"])
         / (1.0 + abs(stall_best["pobj"])),
-        iterations=stall_best["it"],
+        iterations=iterations,
         residuals=res,
         message=(
             f"stalled near optimum ({message or status.value}); "
@@ -420,251 +423,9 @@ def _accept_stalled(
 
 
 def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSolution:
-    """Run the interior-point method on a standard-form problem."""
-    opts = options or SolverOptions()
-    if opts.method not in ("direct", "hsd"):
-        raise PreconditionFailure("method is 'direct' or 'hsd'", repr(opts.method))
-    if opts.method == "hsd" and problem.num_constraints:
-        return _solve_hsd(problem, opts)
-    return _solve_direct(problem, opts)
+    """Run the interior-point method on a standard-form problem.
 
-
-def _solve_direct(problem: SdpProblem, opts: SolverOptions) -> SdpSolution:
-    """Infeasible-start path-following on the problem itself."""
-    ws = _Workspace(problem)
-    p, dims = ws.p, ws.dims
-
-    # infeasible start: scaled identity blocks
-    if p:
-        a_norms = np.array(
-            [
-                max(1.0, np.sqrt(sum(float(np.sum(Ab[i] ** 2)) for Ab in ws.A)))
-                for i in range(p)
-            ]
-        )
-        xi = max(10.0, np.sqrt(ws.N), float(np.max((1.0 + np.abs(ws.b)) / a_norms)) * ws.N)
-        eta = max(
-            10.0,
-            np.sqrt(ws.N),
-            max(np.sqrt(sum(float(np.sum(Cb ** 2)) for Cb in ws.C)), float(np.max(a_norms))),
-        )
-    else:
-        xi = eta = max(10.0, np.sqrt(ws.N))
-    X = [xi * np.eye(d) for d in dims]
-    Z = [eta * np.eye(d) for d in dims]
-    lam = np.zeros(p)
-
-    best: Optional[SdpSolution] = None
-    status = SdpStatus.MAX_ITERATIONS
-    message = ""
-    it = 0
-    # best iterate seen, kept for stall recovery
-    stall_best: Optional[dict] = None
-    stall_score = np.inf
-    since_improved = 0
-
-    for it in range(1, opts.max_iterations + 1):
-        pobj = _inner(ws.C, X)
-        dobj = float(ws.b @ lam)
-        rp = ws.b - ws.apply_A(X)
-        AtL = ws.apply_At(lam)
-        Rd = [Cb - Zb - Ab for Cb, Zb, Ab in zip(ws.C, Z, AtL)]
-        comp = _inner(X, Z)
-        mu = comp / ws.N
-
-        denom = 1.0 + abs(pobj) + abs(dobj)
-        err_p = float(np.max(np.abs(rp))) / ws.norm_b if p else 0.0
-        err_d = max(float(np.max(np.abs(R))) for R in Rd) / ws.norm_C
-        err_gap = abs(pobj - dobj) / denom
-        err_comp = comp / denom
-
-        if not np.isfinite(pobj) or not np.isfinite(dobj):
-            status, message = SdpStatus.NUMERICAL_FAILURE, "nonfinite iterate"
-            break
-
-        score = max(err_p, err_d, err_gap, 0.1 * err_comp)
-        if np.isfinite(score) and score < 0.9 * stall_score:
-            stall_score = score
-            since_improved = 0
-            stall_best = {
-                "X": [Xb.copy() for Xb in X],
-                "Z": [Zb.copy() for Zb in Z],
-                "lam": lam.copy(),
-                "pobj": pobj,
-                "dobj": dobj,
-                "residuals": {
-                    "primal": err_p,
-                    "dual": err_d,
-                    "gap": err_gap,
-                    "complementarity": err_comp,
-                },
-                "it": it - 1,
-            }
-        else:
-            since_improved += 1
-            if since_improved >= opts.stall_window:
-                status = SdpStatus.MAX_ITERATIONS
-                message = "no progress"
-                break
-
-        if (
-            err_p <= opts.feas_tol
-            and err_d <= opts.feas_tol
-            and err_gap <= opts.gap_tol
-            and err_comp <= 10 * opts.gap_tol
-        ):
-            status = SdpStatus.OPTIMAL
-            best = SdpSolution(
-                status=status,
-                X=[Xb.copy() for Xb in X],
-                dual=lam.copy(),
-                Z=[Zb.copy() for Zb in Z],
-                primal_value=pobj,
-                dual_value=dobj,
-                gap=abs(pobj - dobj) / (1.0 + abs(pobj)),
-                iterations=it - 1,
-                residuals={
-                    "primal": err_p,
-                    "dual": err_d,
-                    "gap": err_gap,
-                    "complementarity": err_comp,
-                },
-            )
-            break
-
-        # improving-ray infeasibility tests (scale invariant)
-        btl = float(ws.b @ lam)
-        if btl > 0.0 and p:
-            ray_res = max(
-                float(np.max(np.abs(Ab + Zb)))
-                for Ab, Zb in zip(AtL, Z)
-            )
-            if ray_res <= opts.infeas_ray_tol * btl:
-                status = SdpStatus.INFEASIBLE
-                message = "dual improving ray found"
-                best = SdpSolution(
-                    status=status,
-                    X=None,
-                    dual=None,
-                    Z=None,
-                    primal_value=np.inf,
-                    dual_value=np.inf,
-                    gap=np.inf,
-                    iterations=it - 1,
-                    ray_dual=(lam / btl, [Zb / btl for Zb in Z]),
-                    message=message,
-                )
-                break
-        ctx = -_inner(ws.C, X)
-        if ctx > 0.0:
-            ray_res = float(np.max(np.abs(ws.apply_A(X)))) if p else 0.0
-            if ray_res <= opts.infeas_ray_tol * ctx:
-                status = SdpStatus.UNBOUNDED
-                message = "primal improving ray found"
-                best = SdpSolution(
-                    status=status,
-                    X=None,
-                    dual=None,
-                    Z=None,
-                    primal_value=-np.inf,
-                    dual_value=-np.inf,
-                    gap=np.inf,
-                    iterations=it - 1,
-                    ray_primal=[Xb / ctx for Xb in X],
-                    message=message,
-                )
-                break
-
-        nt = _nt_scale(X, Z)
-        if nt is None:
-            status, message = SdpStatus.NUMERICAL_FAILURE, "Cholesky breakdown"
-            break
-        Ls_x, Ls_z, Gs, Gis, sigmas, Ws = nt
-
-        schur_solve = _schur_solver(_schur_matrix(ws, Ws), p)
-
-        def a_of(mats: List[np.ndarray]) -> np.ndarray:
-            return ws.apply_A(mats)
-
-        WRdW = [W @ R @ W for W, R in zip(Ws, Rd)]
-
-        # predictor: sigma = 0, Rc = -X
-        rhs_aff = ws.b + a_of(WRdW)
-        dlam_aff = schur_solve(rhs_aff)
-        if dlam_aff is None:
-            status, message = SdpStatus.NUMERICAL_FAILURE, "Schur solve failed"
-            break
-        dZ_aff = [R - Ab for R, Ab in zip(Rd, ws.apply_At(dlam_aff))]
-        dX_aff = [-Xb - W @ dZb @ W for Xb, W, dZb in zip(X, Ws, dZ_aff)]
-
-        ap_aff = min(
-            1.0, min(_max_step(L, dXb) for L, dXb in zip(Ls_x, dX_aff))
-        )
-        ad_aff = min(
-            1.0, min(_max_step(L, dZb) for L, dZb in zip(Ls_z, dZ_aff))
-        )
-        mu_aff = (
-            _inner(
-                [Xb + ap_aff * dXb for Xb, dXb in zip(X, dX_aff)],
-                [Zb + ad_aff * dZb for Zb, dZb in zip(Z, dZ_aff)],
-            )
-            / ws.N
-        )
-        sigma = float(np.clip((max(mu_aff, 0.0) / mu) ** 3, 1e-8, 1.0))
-
-        # corrector with the second-order term in scaled space
-        Rc = _corrector_rhs(Gs, Gis, sigmas, dX_aff, dZ_aff, sigma * mu)
-
-        rhs = rp - a_of(Rc) + a_of(WRdW)
-        dlam = schur_solve(rhs)
-        if dlam is None:
-            status, message = SdpStatus.NUMERICAL_FAILURE, "Schur solve failed"
-            break
-        dZ = [R - Ab for R, Ab in zip(Rd, ws.apply_At(dlam))]
-        dX = [Rcb - W @ dZb @ W for Rcb, W, dZb in zip(Rc, Ws, dZ)]
-
-        ap = min(1.0, opts.step_fraction * min(_max_step(L, d) for L, d in zip(Ls_x, dX)))
-        ad = min(1.0, opts.step_fraction * min(_max_step(L, d) for L, d in zip(Ls_z, dZ)))
-
-        X = [Xb + ap * dXb for Xb, dXb in zip(X, dX)]
-        Z = [Zb + ad * dZb for Zb, dZb in zip(Z, dZ)]
-        lam = lam + ad * dlam
-
-        if opts.verbose:
-            print(
-                f"  it {it:3d}  mu {mu:9.2e}  gap {err_gap:9.2e}  "
-                f"feasP {err_p:9.2e}  feasD {err_d:9.2e}  step {ap:5.3f}/{ad:5.3f}"
-            )
-
-    if best is None:
-        best = _accept_stalled(stall_best, opts, status, message)
-
-    if best is None:
-        pobj = _inner(ws.C, X)
-        dobj = float(ws.b @ lam)
-        rp = ws.b - ws.apply_A(X)
-        Rd = [Cb - Zb - Ab for Cb, Zb, Ab in zip(ws.C, Z, ws.apply_At(lam))]
-        best = SdpSolution(
-            status=status,
-            X=[Xb.copy() for Xb in X],
-            dual=lam.copy(),
-            Z=[Zb.copy() for Zb in Z],
-            primal_value=pobj,
-            dual_value=dobj,
-            gap=abs(pobj - dobj) / (1.0 + abs(pobj)),
-            iterations=it,
-            residuals={
-                "primal": float(np.max(np.abs(rp))) / ws.norm_b if p else 0.0,
-                "dual": max(float(np.max(np.abs(R))) for R in Rd) / ws.norm_C,
-            },
-            message=message or "iteration limit reached",
-        )
-    return best
-
-
-def _solve_hsd(problem: SdpProblem, opts: SolverOptions) -> SdpSolution:
-    """Path-following on the homogeneous self-dual embedding.
-
+    The method is path-following on the homogeneous self-dual embedding.
     Every iterate is strictly feasible for the embedding, so a degenerate
     optimal face of the original problem never forces vanishing steps; the
     embedding's tau variable separates optimality (tau bounded away from
@@ -678,6 +439,7 @@ def _solve_hsd(problem: SdpProblem, opts: SolverOptions) -> SdpSolution:
     cannot be Cholesky-factored is halved, up to STEP_HALVINGS times; the
     factors of the accepted point are reused by the next scaling.
     """
+    opts = options or SolverOptions()
     ws = _Workspace(problem)
     p, dims = ws.p, ws.dims
 
@@ -701,12 +463,13 @@ def _solve_hsd(problem: SdpProblem, opts: SolverOptions) -> SdpSolution:
     best: Optional[SdpSolution] = None
     status = SdpStatus.MAX_ITERATIONS
     message = ""
-    it = 0
+    # iterations run: Newton systems formed, whether or not a step follows
+    iterations = 0
     stall_best: Optional[dict] = None
     stall_score = np.inf
     since_improved = 0
 
-    for it in range(1, opts.max_iterations + 1):
+    for _ in range(opts.max_iterations):
         rp = ws.b * tau - ws.apply_A(X)
         Aty = ws.apply_At(y)
         Rd = [Cb * tau - Ab - Sb for Cb, Ab, Sb in zip(ws.C, Aty, S)]
@@ -744,7 +507,6 @@ def _solve_hsd(problem: SdpProblem, opts: SolverOptions) -> SdpSolution:
                     "gap": err_gap,
                     "complementarity": err_comp,
                 },
-                "it": it - 1,
             }
         else:
             since_improved += 1
@@ -768,7 +530,7 @@ def _solve_hsd(problem: SdpProblem, opts: SolverOptions) -> SdpSolution:
                 primal_value=pobj,
                 dual_value=dobj,
                 gap=abs(pobj - dobj) / (1.0 + abs(pobj)),
-                iterations=it - 1,
+                iterations=iterations,
                 residuals={
                     "primal": err_p,
                     "dual": err_d,
@@ -794,7 +556,7 @@ def _solve_hsd(problem: SdpProblem, opts: SolverOptions) -> SdpSolution:
                     primal_value=np.inf,
                     dual_value=np.inf,
                     gap=np.inf,
-                    iterations=it - 1,
+                    iterations=iterations,
                     ray_dual=(y / by, [Sb / by for Sb in S]),
                     message=message,
                 )
@@ -813,7 +575,7 @@ def _solve_hsd(problem: SdpProblem, opts: SolverOptions) -> SdpSolution:
                     primal_value=-np.inf,
                     dual_value=-np.inf,
                     gap=np.inf,
-                    iterations=it - 1,
+                    iterations=iterations,
                     ray_primal=[Xb / ctx for Xb in X],
                     message=message,
                 )
@@ -824,6 +586,7 @@ def _solve_hsd(problem: SdpProblem, opts: SolverOptions) -> SdpSolution:
             break
 
         nt = _nt_scale(X, S, factors)
+        iterations += 1
         if nt is None:
             status, message = SdpStatus.NUMERICAL_FAILURE, "Cholesky breakdown"
             break
@@ -864,6 +627,8 @@ def _solve_hsd(problem: SdpProblem, opts: SolverOptions) -> SdpSolution:
                 for Cb, Ab, R in zip(ws.C, Atdy, Rd)
             ]
             dX = [Rcb - W @ dSb @ W for Rcb, W, dSb in zip(Rc, Ws, dS)]
+            # rounding in W dS W leaves dX slightly skew; X stays symmetric
+            dX = [0.5 * (dXb + dXb.T) for dXb in dX]
             dkappa = (r5 - kappa * dtau) / tau
             return dX, dy, dS, dtau, dkappa
 
@@ -930,13 +695,13 @@ def _solve_hsd(problem: SdpProblem, opts: SolverOptions) -> SdpSolution:
 
         if opts.verbose:
             print(
-                f"  it {it:3d}  mu {mu:9.2e}  gap {err_gap:9.2e}  "
+                f"  it {iterations:3d}  mu {mu:9.2e}  gap {err_gap:9.2e}  "
                 f"feasP {err_p:9.2e}  feasD {err_d:9.2e}  "
                 f"tau {tau:8.2e}  step {a:5.3f}"
             )
 
     if best is None:
-        best = _accept_stalled(stall_best, opts, status, message)
+        best = _accept_stalled(stall_best, opts, status, message, iterations)
 
     if best is None:
         cx = _inner(ws.C, X)
@@ -955,7 +720,7 @@ def _solve_hsd(problem: SdpProblem, opts: SolverOptions) -> SdpSolution:
             primal_value=pobj,
             dual_value=dobj,
             gap=abs(pobj - dobj) / (1.0 + abs(pobj)),
-            iterations=it,
+            iterations=iterations,
             residuals={
                 "primal": float(np.max(np.abs(rp))) / (tau * ws.norm_b)
                 if p

@@ -14,7 +14,6 @@ import pytest
 from momentsos import (
     PolyOptProblem,
     Polynomial,
-    SolverOptions,
     build_qr,
     build_sdr,
     certify_convexity,
@@ -40,7 +39,6 @@ from helpers import (
     unit_disk,
 )
 
-HSD = SolverOptions(method="hsd")
 SEED = 20260825
 
 
@@ -68,7 +66,7 @@ def test_criterion_2_lens_moment_structure():
     """Frozen optimal pseudo-moments of the d = 3 test program and their
     two symmetries."""
     prog = rho_program(example_hyperbola_disk(), 1, 3)
-    sol = prog.solve(HSD)
+    sol = prog.solve()
     assert sol.is_optimal
     mv = prog.moment_vector(sol)
 

@@ -33,9 +33,7 @@ from momentsos.poly import (
     SemialgebraicSet,
     basis_size,
 )
-from momentsos.sdp import SolverOptions, min_eigenvalue
-
-HSD = SolverOptions(method="hsd")
+from momentsos.sdp import min_eigenvalue
 
 
 def hyperbola_branches() -> SemialgebraicSet:
@@ -157,13 +155,13 @@ def test_rho_block_labels_skip_own_y():
 
 def test_rho_first_order_negative():
     # d = 1 is admissible but too weak: the test value is exactly -3/4
-    sol = rho_program(example_hyperbola_disk(), 1, 1).solve(HSD)
+    sol = rho_program(example_hyperbola_disk(), 1, 1).solve()
     assert sol.is_optimal
     assert sol.value == pytest.approx(-0.75, abs=1e-6)
 
 
 def test_rho_closes_at_degree_three():
-    sol = rho_program(example_hyperbola_disk(), 1, 3).solve(HSD)
+    sol = rho_program(example_hyperbola_disk(), 1, 3).solve()
     assert sol.is_optimal
     assert abs(sol.value) <= 1e-6
 
@@ -177,7 +175,7 @@ def test_rho_never_positive_on_convex_fixtures():
         (unit_disk(), 1, (1, 2)),
     ):
         for d in orders:
-            sol = rho_program(K, j, d).solve(HSD)
+            sol = rho_program(K, j, d).solve()
             assert sol.is_optimal
             assert sol.value <= 1e-6
 
@@ -187,7 +185,7 @@ def test_rho_moment_reproduction():
     the embedding's canonical start pins which face point comes back.
     Frozen values for that point, plus its two symmetries."""
     prog = rho_program(example_hyperbola_disk(), 1, 3)
-    sol = prog.solve(HSD)
+    sol = prog.solve()
     assert sol.is_optimal
     mv = prog.moment_vector(sol)
 
@@ -225,7 +223,7 @@ def test_rho_moment_reproduction():
 
 
 def test_rho_negative_on_branch_pair():
-    sol = rho_program(hyperbola_branches(), 1, 1).solve(HSD)
+    sol = rho_program(hyperbola_branches(), 1, 1).solve()
     assert sol.is_optimal
     # bounded away from zero: the two branches violate the hyperplane test
     assert sol.value < -1.0
@@ -491,6 +489,22 @@ def test_sdr_support_sandwich_on_lens():
         # the projected point is (near) feasible and achieves the value
         assert K.contains(x, tol=1e-6)
         assert float(c @ x) == pytest.approx(val, abs=1e-8)
+
+    # higher-order lifts project into the order-3 one, so the same sandwich
+    # holds; these directions (of 40 from default_rng(0)) once ended in a
+    # Cholesky breakdown of the support solve
+    dirs = np.random.default_rng(0).standard_normal((40, 2))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    for d, ks in ((4, (5, 25, 27, 34)), (5, (5,))):
+        lift = build_sdr(K, cert, d=d)
+        for k in ks:
+            c = dirs[k]
+            f = Polynomial.make(2, {(1, 0): c[0], (0, 1): c[1]})
+            f_star, _ = grid_minimize(f, K, [0.0, 0.0], [1.3, 1.3])
+            val, x = sdr_support(lift, c)
+            assert f_star + rho1 - 1e-5 <= val <= f_star + 1e-5, (d, k)
+            assert K.contains(x, tol=1e-6), (d, k)
+            assert float(c @ x) == pytest.approx(val, abs=1e-8)
 
 
 def test_sdr_support_zero_direction():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from helpers import make_strictly_feasible_sdp
 
+from momentsos import sdp
 from momentsos.poly import PreconditionFailure
 from momentsos.sdp import (
     SdpProblem,
@@ -41,10 +42,10 @@ def kkt_residuals(problem, sol):
 # ---- known-answer problems -------------------------------------------------
 
 
-def test_lmi_min_x():
+def lmi_min_x() -> SdpProblem:
     # min x s.t. [[x,1],[1,x]] >= 0, eigenvalues x +- 1, optimum x = 1;
     # standard form: X11 = X22, X12 = 1, minimize (X11+X22)/2
-    P = SdpProblem.make(
+    return SdpProblem.make(
         [2],
         [np.diag([0.5, 0.5])],
         [
@@ -52,7 +53,10 @@ def test_lmi_min_x():
             ([np.array([[0.0, 0.5], [0.5, 0.0]])], 1.0),
         ],
     )
-    s = solve(P)
+
+
+def test_lmi_min_x():
+    s = solve(lmi_min_x())
     assert s.status is SdpStatus.OPTIMAL
     assert s.primal_value == pytest.approx(1.0, abs=1e-6)
 
@@ -158,29 +162,41 @@ def test_determinism():
     assert all(np.array_equal(a, b) for a, b in zip(s1.X, s2.X))
 
 
-# ---- self-dual embedding mode ------------------------------------------------
+# ---- self-dual embedding ----------------------------------------------------
 
 
-def test_hsd_matches_direct_on_known_answers():
-    P = SdpProblem.make(
-        [2],
-        [np.diag([0.5, 0.5])],
-        [
-            ([np.diag([1.0, -1.0])], 0.0),
-            ([np.array([[0.0, 0.5], [0.5, 0.0]])], 1.0),
-        ],
-    )
-    s = solve(P, SolverOptions(method="hsd"))
+def test_hsd_solution_is_interior():
+    # the de-embedded iterate stays strictly inside both cones
+    s = solve(lmi_min_x())
     assert s.status is SdpStatus.OPTIMAL
     assert s.primal_value == pytest.approx(1.0, abs=1e-6)
+    assert min_eigenvalue(s.X[0]) > 0.0
+    assert min_eigenvalue(s.Z[0]) > 0.0
+
+
+def test_stall_accept_counts_iterations_run(monkeypatch):
+    # tolerances no iterate can meet: the loop runs on until it stops
+    # making progress, then accepts its best iterate from the stall band;
+    # the reported count is every iteration run, not that iterate's index
+    calls = []
+    nt_scale = sdp._nt_scale
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return nt_scale(*args, **kwargs)
+
+    monkeypatch.setattr(sdp, "_nt_scale", counted)
+    s = solve(lmi_min_x(), SolverOptions(feas_tol=1e-30, gap_tol=1e-30))
+    assert s.status is SdpStatus.OPTIMAL
+    assert s.message.startswith("stalled near optimum")
+    assert s.iterations == len(calls)
 
 
 def test_hsd_random_suite_kkt():
     rng = np.random.default_rng(99)
-    opts = SolverOptions(method="hsd")
     for k in range(40):
         problem, _ = make_strictly_feasible_sdp(rng)
-        sol = solve(problem, opts)
+        sol = solve(problem)
         case = f"problem {k}: {sol.message!r}"
         assert sol.status is SdpStatus.OPTIMAL, case
         p_res, d_res, comp = kkt_residuals(problem, sol)
@@ -191,7 +207,7 @@ def test_hsd_random_suite_kkt():
 
 def test_hsd_detects_infeasible():
     P = SdpProblem.make([1], [np.zeros((1, 1))], [([np.eye(1)], -1.0)])
-    s = solve(P, SolverOptions(method="hsd"))
+    s = solve(P)
     assert s.status is SdpStatus.INFEASIBLE
     lam, Zs = s.ray_dual
     assert float(P.b_vector() @ lam) == pytest.approx(1.0)
@@ -201,15 +217,9 @@ def test_hsd_detects_unbounded():
     A = np.zeros((2, 2))
     A[1, 1] = 1.0
     P = SdpProblem.make([2], [np.diag([-1.0, 0.0])], [([A], 1.0)])
-    s = solve(P, SolverOptions(method="hsd"))
+    s = solve(P)
     assert s.status is SdpStatus.UNBOUNDED
     assert s.ray_primal is not None
-
-
-def test_rejects_unknown_method():
-    P = SdpProblem.make([1], [np.eye(1)], [([np.eye(1)], 1.0)])
-    with pytest.raises(PreconditionFailure):
-        solve(P, SolverOptions(method="simplex"))
 
 
 # ---- eigen utilities --------------------------------------------------------
