@@ -2,7 +2,7 @@
 
 A moment-form program is
 
-    minimize    c'z + c0
+    minimize    c'z
     subject to  E z = e                      (equality rows)
                 S_B(z) = sum_a z_a T_B[:,:,a] >= 0   per block B,
 
@@ -93,7 +93,6 @@ class MomentSdp:
     n: int  # ambient variable count of the monomials indexing z
     order: int  # z covers N^n_{2*order}
     objective: np.ndarray  # c, length s(2*order)
-    const_term: float
     blocks: List[BlockSpec]
     eq_rows: np.ndarray  # (q, s)
     eq_rhs: np.ndarray  # (q,)
@@ -175,7 +174,7 @@ class MomentSdp:
             )
 
         z = decode["z_part"] + decode["N"] @ sol.dual
-        value = float(self.objective @ z) + self.const_term
+        value = float(self.objective @ z)
 
         grams = []
         for B, Xb in zip(self.blocks, sol.X):
@@ -256,13 +255,6 @@ def coefficient_row(n: int, order: int, p: Polynomial) -> np.ndarray:
             )
         row[full_idx[alpha]] += c
     return row
-
-
-def objective_vector(n: int, order: int, f: Polynomial) -> Tuple[np.ndarray, float]:
-    """(c, c0) with c'z + c0 = L_z(f); the constant splits off because z0=1
-    is an equality row, keeping the compiled objective free of it."""
-    row = coefficient_row(n, order, f)
-    return row, 0.0
 
 
 def y0_row(n: int, order: int) -> Tuple[np.ndarray, float]:

@@ -46,15 +46,15 @@ from ._compile import (
     BlockSpec,
     MomentSdp,
     MomentSolution,
+    coefficient_row,
     equality_block_rows,
     kernel_deflation,
     localizing_tensor,
     moment_tensor,
-    objective_vector,
     scalar_row_tensor,
     y0_row,
 )
-from .moments import _basis_and_index
+from .moments import MomentVector
 from .poly import (
     Polynomial,
     PreconditionFailure,
@@ -166,12 +166,10 @@ def rho_program(K: SemialgebraicSet, j: int, d_j: int) -> MomentSdp:
 
     row0, rhs0 = y0_row(n2, d_j)
     eq_rows, eq_rhs = equality_block_rows(n2, d_j, d_j - rj, ideal)
-    c, c0 = objective_vector(n2, d_j, objective)
     return MomentSdp(
         n=n2,
         order=d_j,
-        objective=c,
-        const_term=c0,
+        objective=coefficient_row(n2, d_j, objective),
         blocks=blocks,
         eq_rows=np.vstack([row0[None, :], eq_rows]),
         eq_rhs=np.concatenate([[rhs0], eq_rhs]),
@@ -352,8 +350,35 @@ def _recover_rho_weights(
     return weights
 
 
-def _grad_norm_at(g: Polynomial, x: np.ndarray) -> float:
-    return float(np.linalg.norm([p.eval(x) for p in g.gradient()]))
+def _boundary_crossings(
+    g: Polynomial,
+    others: SemialgebraicSet,
+    cloud: np.ndarray,
+    starts: np.ndarray | bool,
+    rng: np.random.Generator,
+    limit: int,
+    band: float,
+) -> np.ndarray:
+    """Crossings of {g = 0} found by bisecting up to `limit` segments of a
+    point cloud, all at once. Segment t runs from the t-th cloud point with
+    g > band allowed by the `starts` mask (cycling) to a point with
+    g < -band drawn by `rng`, one scalar draw per segment. Keeps the
+    crossings with |g| <= band that lie in `others` to within band."""
+    vals = g.eval(cloud)
+    inside, outside = cloud[(vals > band) & starts], cloud[vals < -band]
+    count = min(limit, len(inside), len(outside))
+    a = inside[np.arange(count) % len(inside)]
+    b = outside[[int(rng.integers(0, len(outside))) for _ in range(count)]]
+    fa = g.eval(a)
+    for _ in range(80):
+        mid = 0.5 * (a + b)
+        fm = g.eval(mid)
+        same = (fm > 0) == (fa > 0)
+        a = np.where(same[:, None], mid, a)
+        fa = np.where(same, fm, fa)
+        b = np.where(same[:, None], b, mid)
+    x = 0.5 * (a + b)
+    return x[(np.abs(g.eval(x)) <= band) & others.contains(x, band)]
 
 
 def nondegeneracy_probe(
@@ -373,47 +398,16 @@ def nondegeneracy_probe(
     reports = []
     pts = rng.uniform(-half_width, half_width, size=(40 * samples, K.n))
     for j, g in enumerate(K.constraints, start=1):
-        vals = np.array([g.eval(x) for x in pts])
-        others_ok = np.array(
-            [
-                all(
-                    h.eval(x) >= -band for t, h in enumerate(K.constraints)
-                    if t != j - 1
-                )
-                for x in pts
-            ]
-        )
-        inside = pts[(vals > band) & others_ok]
-        outside = pts[vals < -band]
-        found = []
-        count = min(samples, len(inside), len(outside))
-        for t in range(count):
-            a = inside[t % len(inside)].copy()
-            b = outside[rng.integers(0, len(outside))].copy()
-            fa = g.eval(a)
-            for _ in range(80):
-                mid = 0.5 * (a + b)
-                fm = g.eval(mid)
-                if (fm > 0) == (fa > 0):
-                    a, fa = mid, fm
-                else:
-                    b = mid
-            x = 0.5 * (a + b)
-            if abs(g.eval(x)) > band:
-                continue
-            if not all(
-                h.eval(x) >= -band
-                for t2, h in enumerate(K.constraints)
-                if t2 != j - 1
-            ):
-                continue
-            found.append(_grad_norm_at(g, x))
-        if not found:
+        others = SemialgebraicSet(K.n, K.constraints[: j - 1] + K.constraints[j:])
+        starts = others.contains(pts, band)
+        found = _boundary_crossings(g, others, pts, starts, rng, samples, band)
+        if not len(found):
             reports.append(
                 ProbeReport(j, 0, None, False, note="no active samples")
             )
             continue
-        mn = float(min(found))
+        grads = np.stack([p.eval(found) for p in g.gradient()], axis=1)
+        mn = float(np.linalg.norm(grads, axis=1).min())
         reports.append(
             ProbeReport(j, len(found), mn, degenerate=mn < 1e-6)
         )
@@ -433,14 +427,16 @@ def slater_heuristic(
     half_width = box if box is not None else (K.ball_bound or 2.0)
 
     def worst(x):
-        return min(g.eval(x) for g in K.constraints) if K.m else np.inf
+        return np.min([g.eval(x) for g in K.constraints], axis=0, initial=np.inf)
 
     best_x = np.zeros(K.n)
     best = worst(best_x)
-    for x in rng.uniform(-half_width, half_width, size=(starts, K.n)):
-        v = worst(x)
-        if v > best:
-            best, best_x = v, x
+    pts = rng.uniform(-half_width, half_width, size=(starts, K.n))
+    if starts and K.m:
+        vals = worst(pts)
+        k = int(np.argmax(vals))
+        if vals[k] > best:
+            best, best_x = vals[k], pts[k]
     step = 0.25 * half_width
     for _ in range(300):
         cand = best_x + rng.normal(0.0, step, size=K.n)
@@ -457,14 +453,6 @@ def slater_heuristic(
     }
 
 
-def _sample_in_set(
-    K: SemialgebraicSet, rng: np.random.Generator, count: int, box: float
-) -> np.ndarray:
-    pts = rng.uniform(-box, box, size=(60 * count, K.n))
-    keep = [x for x in pts if K.contains(x)]
-    return np.array(keep[:count])
-
-
 def sample_supporting_hyperplane(
     K: SemialgebraicSet,
     pairs: int = 2000,
@@ -477,65 +465,41 @@ def sample_supporting_hyperplane(
     None when every sampled pair passes at tolerance 1e-4."""
     rng = np.random.default_rng(seed)
     half_width = box if box is not None else (K.ball_bound or 2.0)
-    xs = _sample_in_set(K, rng, max(pairs // 4, 50), half_width)
+    count = max(pairs // 4, 50)
+    cloud = rng.uniform(-half_width, half_width, size=(60 * count, K.n))
+    xs = cloud[K.contains(cloud)][:count]
     if len(xs) == 0:
         return None
     worst: Optional[dict] = None
     for j, g in enumerate(K.constraints, start=1):
-        ys = _boundary_points(K, j, rng, max(pairs // 4, 50), band, half_width)
+        others = SemialgebraicSet(K.n, K.constraints[: j - 1] + K.constraints[j:])
+        cloud = rng.uniform(-half_width, half_width, size=(40 * count, K.n))
+        ys = _boundary_crossings(g, others, cloud, True, rng, count, band)
         if len(ys) == 0:
             continue
-        done = 0
-        while done < pairs:
-            x = xs[rng.integers(0, len(xs))]
-            y = ys[rng.integers(0, len(ys))]
-            done += 1
-            grad = np.array([p.eval(y) for p in g.gradient()])
-            val = float(grad @ (x - y))
-            slack = -1e-4 * (1.0 + float(np.linalg.norm(grad)))
-            if val < slack and (worst is None or val < worst["violation"]):
-                worst = {
-                    "j": j,
-                    "x": [float(v) for v in x],
-                    "y": [float(v) for v in y],
-                    "violation": val,
-                }
+        # one scalar draw for x, then one for y, per pair
+        draws = np.array(
+            [
+                (rng.integers(0, len(xs)), rng.integers(0, len(ys)))
+                for _ in range(pairs)
+            ]
+        ).reshape(-1, 2)
+        x, y = xs[draws[:, 0]], ys[draws[:, 1]]
+        grad = np.stack([p.eval(ys) for p in g.gradient()], axis=1)[draws[:, 1]]
+        val = (grad * (x - y)).sum(axis=1)
+        slack = -1e-4 * (1.0 + np.linalg.norm(grad, axis=1))
+        bad = np.flatnonzero(val < slack)
+        if len(bad) == 0:
+            continue
+        t = bad[np.argmin(val[bad])]
+        if worst is None or val[t] < worst["violation"]:
+            worst = {
+                "j": j,
+                "x": [float(v) for v in x[t]],
+                "y": [float(v) for v in y[t]],
+                "violation": float(val[t]),
+            }
     return worst
-
-
-def _boundary_points(
-    K: SemialgebraicSet,
-    j: int,
-    rng: np.random.Generator,
-    count: int,
-    band: float,
-    box: float,
-) -> np.ndarray:
-    g = K.constraints[j - 1]
-    pts = rng.uniform(-box, box, size=(40 * count, K.n))
-    vals = np.array([g.eval(x) for x in pts])
-    inside = pts[vals > band]
-    outside = pts[vals < -band]
-    out = []
-    for t in range(min(count, len(inside), len(outside))):
-        a = inside[t % len(inside)].copy()
-        b = outside[rng.integers(0, len(outside))].copy()
-        fa = g.eval(a)
-        for _ in range(80):
-            mid = 0.5 * (a + b)
-            fm = g.eval(mid)
-            if (fm > 0) == (fa > 0):
-                a, fa = mid, fm
-            else:
-                b = mid
-        y = 0.5 * (a + b)
-        if abs(g.eval(y)) <= band and all(
-            h.eval(y) >= -band
-            for t2, h in enumerate(K.constraints)
-            if t2 != j - 1
-        ):
-            out.append(y)
-    return np.array(out)
 
 
 def certify_convexity(
@@ -618,6 +582,11 @@ def certify_convexity(
                 solver_failed = True
                 break
             rec.rho_j = sol.value
+            if sol.sdp_solution.accuracy == "stall_band":
+                # a value accepted short of the target tolerances does not
+                # close the record; the next order may solve to target
+                rec.note = f"stall-band solve at d_j = {d}"
+                continue
             if abs(sol.value) <= tol:
                 rec.closed = True
                 if recover_weights:
@@ -672,7 +641,6 @@ class SdrRepresentation:
             n=self.n,
             order=self.d,
             objective=objective,
-            const_term=0.0,
             blocks=self.blocks,
             eq_rows=row[None, :],
             eq_rhs=np.array([rhs]),
@@ -680,9 +648,7 @@ class SdrRepresentation:
 
     def lift_point(self, x: Sequence[float]) -> np.ndarray:
         """Dirac moments of x: the canonical lift of a point of K."""
-        basis, _ = _basis_and_index(self.n, 2 * self.d)
-        x = np.asarray(x, dtype=float)
-        return np.array([np.prod(x**np.array(a)) for a in basis])
+        return MomentVector.from_point(x, self.d).values
 
     def satisfies(self, y: np.ndarray, tol: float = 1e-8) -> bool:
         """Membership of a lift vector: y_0 = 1 and every block PSD."""

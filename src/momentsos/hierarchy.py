@@ -20,13 +20,15 @@ from ._compile import (
     MomentSdp,
     MomentSolution,
     MomentStatus,
+    coefficient_row,
     localizing_tensor,
     moment_tensor,
-    objective_vector,
     scalar_row_tensor,
     y0_row,
     BlockSpec,
 )
+# moment_matrix is unused here but kept: the layer trace in perfbench patches
+# it by name in this module
 from .moments import MomentVector, flatness, mean_point, moment_matrix
 from .poly import (
     Polynomial,
@@ -158,13 +160,11 @@ def build_qr(problem: PolyOptProblem, r: int) -> MomentSdp:
         blocks.append(
             BlockSpec(f"localizing[{j}]", localizing_tensor(n, r, r - rj, g))
         )
-    c, c0 = objective_vector(n, r, f)
     row, rhs = y0_row(n, r)
     return MomentSdp(
         n=n,
         order=r,
-        objective=c,
-        const_term=c0,
+        objective=coefficient_row(n, r, f),
         blocks=blocks,
         eq_rows=row[None, :],
         eq_rhs=np.array([rhs]),
@@ -180,13 +180,11 @@ def build_qhat(problem: PolyOptProblem) -> MomentSdp:
     blocks = [BlockSpec("moment", moment_tensor(n, d, d))]
     for j, g in enumerate(K.constraints, start=1):
         blocks.append(BlockSpec(f"scalar[{j}]", scalar_row_tensor(n, d, g)))
-    c, c0 = objective_vector(n, d, f)
     row, rhs = y0_row(n, d)
     return MomentSdp(
         n=n,
         order=d,
-        objective=c,
-        const_term=c0,
+        objective=coefficient_row(n, d, f),
         blocks=blocks,
         eq_rows=row[None, :],
         eq_rhs=np.array([rhs]),
@@ -291,14 +289,13 @@ def _sampled_convexity(
     """Min-eigenvalue spot check of every Hessian over a box; a failed point
     disproves convexity, success is only sampled evidence."""
     rng = np.random.default_rng(seed)
-    hessians = [p.hessian() for p in polys]
     pts = rng.uniform(-box, box, size=(samples, n))
-    for x in pts:
-        for H in hessians:
-            Hx = np.array([[h.eval(x) for h in row] for row in H])
-            scale = 1.0 + float(np.max(np.abs(Hx)))
-            if min_eigenvalue(0.5 * (Hx + Hx.T)) < -1e-7 * scale:
-                return False
+    for p in polys:
+        H = p.hessian_at(pts)
+        scale = 1.0 + np.abs(H).max(axis=(1, 2))
+        low = np.linalg.eigvalsh(0.5 * (H + H.transpose(0, 2, 1)))[:, 0]
+        if np.any(low < -1e-7 * scale):
+            return False
     return True
 
 
@@ -309,16 +306,14 @@ def strict_convexity_probe(
     K = problem.feasible_set
     box = K.ball_bound if K.ball_bound is not None else 2.0
     rng = np.random.default_rng(seed)
-    hess = problem.objective.hessian()
-    delta = np.inf
-    kept = 0
-    for x in rng.uniform(-box, box, size=(samples, K.n)):
-        if not K.contains(x):
-            continue
-        kept += 1
-        Hx = np.array([[h.eval(x) for h in row] for row in hess])
-        delta = min(delta, min_eigenvalue(0.5 * (Hx + Hx.T)))
-    return {"delta_estimate": float(delta), "samples_in_set": float(kept)}
+    pts = rng.uniform(-box, box, size=(samples, K.n))
+    pts = pts[K.contains(pts)]
+    H = problem.objective.hessian_at(pts)
+    low = np.linalg.eigvalsh(0.5 * (H + H.transpose(0, 2, 1)))[:, 0]
+    return {
+        "delta_estimate": float(low.min(initial=np.inf)),
+        "samples_in_set": float(len(pts)),
+    }
 
 
 def _attach_minimizer(

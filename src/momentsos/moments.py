@@ -17,6 +17,7 @@ from .poly import (
     Monomial,
     Polynomial,
     PreconditionFailure,
+    _monomial_values,
     basis_size,
     monomial_basis,
 )
@@ -56,11 +57,7 @@ class MomentVector:
     @staticmethod
     def from_point(x: Sequence[float], order: int) -> "MomentVector":
         """Moments of the Dirac measure at x."""
-        x = np.asarray(x, dtype=float)
-        n = x.shape[0]
-        basis, _ = _basis_and_index(n, 2 * order)
-        vals = np.array([np.prod(x ** np.array(a)) for a in basis])
-        return MomentVector(n, order, vals, provenance="measure")
+        return MomentVector.from_mixture([x], [1.0], order)
 
     @staticmethod
     def from_mixture(
@@ -69,11 +66,14 @@ class MomentVector:
         order: int,
     ) -> "MomentVector":
         """Moments of sum_k w_k * Dirac(x_k); weights need not sum to 1."""
+        points = np.asarray(points, dtype=float)
         if len(points) == 0:
             raise PreconditionFailure("at least one atom")
-        vecs = [MomentVector.from_point(x, order).values for x in points]
-        vals = sum(w * v for w, v in zip(weights, vecs))
-        n = len(points[0])
+        n = points.shape[1]
+        basis, _ = _basis_and_index(n, 2 * order)
+        atoms = _monomial_values(points, np.array(basis))
+        # a numpy sum, not a BLAS product: independent of the thread count
+        vals = (np.asarray(weights, dtype=float)[:, None] * atoms).sum(axis=0)
         return MomentVector(n, order, vals, provenance="measure")
 
     # ---- indexing --------------------------------------------------------

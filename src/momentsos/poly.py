@@ -9,12 +9,13 @@ revisited.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 Monomial = Tuple[int, ...]
 
@@ -67,6 +68,27 @@ def monomial_basis(n: int, d: int) -> List[Monomial]:
 def basis_size(n: int, d: int) -> int:
     """s(d) = C(n+d, d), the dimension of R[X]_d."""
     return math.comb(n + d, d)
+
+
+def _monomial_values(points: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    """out[k, t] = prod_i points[k, i] ** exponents[t, i] for points (N, n)
+    and exponents (T, n).
+
+    Powers come from a table built by repeated multiplication: numpy's
+    array `**` is not bit-identical to libm `pow`. Products run over the
+    variables in order and no BLAS call is made, so a value depends neither
+    on the batch size nor on the BLAS thread count.
+    """
+    out = np.ones((len(points), len(exponents)))
+    for i, column in enumerate(exponents.T):
+        top = int(column.max(initial=0))
+        if top == 0:
+            continue
+        powers = np.ones((top + 1, len(points)))
+        for e in range(1, top + 1):
+            powers[e] = powers[e - 1] * points[:, i]
+        out *= powers[column].T
+    return out
 
 
 @dataclass(frozen=True)
@@ -144,17 +166,23 @@ class Polynomial:
     def __call__(self, x: Sequence[float]) -> float:
         return self.eval(x)
 
-    def eval(self, x: Sequence[float]) -> float:
-        if len(x) != self.n:
-            raise PreconditionFailure("dim(x) = n", f"{len(x)} vs {self.n}")
-        total = 0.0
-        for alpha, c in self.terms.items():
-            v = c
-            for xi, e in zip(x, alpha):
-                if e:
-                    v *= xi ** e
-            total += v
-        return total
+    def eval(self, x: Sequence[float] | np.ndarray) -> float | np.ndarray:
+        """Value at one point x of shape (n,), as a float, or at a batch of
+        points of shape (N, n), as an array of shape (N,).
+
+        Terms are summed in stored order; a point's value does not depend
+        on the batch it comes in.
+        """
+        pts = np.asarray(x, dtype=float)
+        if pts.ndim not in (1, 2) or pts.shape[-1] != self.n:
+            raise PreconditionFailure("dim(x) = n", f"{pts.shape} vs {self.n}")
+        batch = pts.reshape(-1, self.n)
+        exponents = np.array(list(self.terms), dtype=int).reshape(-1, self.n)
+        values = _monomial_values(batch, exponents)
+        total = np.zeros(len(batch))
+        for t, c in enumerate(self.terms.values()):
+            total += c * values[:, t]
+        return total if pts.ndim == 2 else float(total[0])
 
     # ---- ring operations ----------------------------------------------
 
@@ -251,6 +279,11 @@ class Polynomial:
                 hess[j][i] = hij
         return hess
 
+    def hessian_at(self, x: np.ndarray) -> np.ndarray:
+        """Hessian matrices at a batch of points (N, n), as (N, n, n)."""
+        H = [[h.eval(x) for h in row] for row in self.hessian()]
+        return np.moveaxis(np.array(H), -1, 0)
+
     def compose_univariate(self, inner: "Polynomial") -> "Polynomial":
         """Substitute `inner` for the single variable of this polynomial.
 
@@ -345,8 +378,13 @@ class SemialgebraicSet:
         """r_j = ceil(deg g_j / 2) for each constraint."""
         return [(g.degree() + 1) // 2 for g in self.constraints]
 
-    def contains(self, x: Sequence[float], tol: float = 0.0) -> bool:
-        return all(g.eval(x) >= -tol for g in self.constraints)
+    def contains(self, x: Sequence[float] | np.ndarray, tol: float = 0.0):
+        """Membership of one point (a bool) or of each point of an (N, n)
+        batch (a bool array)."""
+        inside = np.ones(np.shape(x)[:-1], dtype=bool)
+        for g in self.constraints:
+            inside &= g.eval(x) >= -tol
+        return inside if inside.ndim else bool(inside)
 
     def to_json(self) -> dict:
         out = {
@@ -481,10 +519,3 @@ def taylor_remainder_identity(
         for j in range(n):
             recon = recon + xu[i] * F[i][j] * xu[j]
     return f - recon
-
-
-def poly_list_to_json_file(n: int, polys: Mapping[str, Polynomial]) -> str:
-    """Serialize named polynomials sharing one variable count."""
-    return json.dumps(
-        {"n": n, **{k: p.to_json() for k, p in polys.items()}}, indent=2
-    )

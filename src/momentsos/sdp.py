@@ -174,6 +174,8 @@ class SdpSolution:
     ray_dual: Optional[Tuple[np.ndarray, List[np.ndarray]]] = None
     ray_primal: Optional[List[np.ndarray]] = None
     message: str = ""
+    # "target", or "stall_band" when accepted inside the stall tolerances
+    accuracy: str = "target"
 
     @property
     def is_optimal(self) -> bool:
@@ -419,6 +421,7 @@ def _accept_stalled(
             f"accepted at feas {max(res['primal'], res['dual']):.1e}, "
             f"gap {res['gap']:.1e}"
         ),
+        accuracy="stall_band",
     )
 
 

@@ -244,18 +244,20 @@ def _w_linear_basis(n: int, x_degree: int) -> List[Monomial]:
 
 def _hessian_counterexample(f: Polynomial, rng_seed: int = 0) -> Optional[dict]:
     rng = np.random.default_rng(rng_seed)
-    hess = f.hessian()
-    pts = [np.zeros(f.n)] + [rng.uniform(-2.0, 2.0, size=f.n) for _ in range(200)]
-    for x in pts:
-        H = np.array([[h.eval(x) for h in row] for row in hess])
-        w, V = np.linalg.eigh(0.5 * (H + H.T))
-        if w[0] < -1e-9 * (1.0 + abs(w[-1])):
-            return {
-                "point": [float(v) for v in x],
-                "direction": [float(v) for v in V[:, 0]],
-                "hessian_eigenvalue": float(w[0]),
-            }
-    return None
+    pts = np.array(
+        [np.zeros(f.n)] + [rng.uniform(-2.0, 2.0, size=f.n) for _ in range(200)]
+    )
+    H = f.hessian_at(pts)
+    w, V = np.linalg.eigh(0.5 * (H + H.transpose(0, 2, 1)))
+    bad = np.flatnonzero(w[:, 0] < -1e-9 * (1.0 + np.abs(w[:, -1])))
+    if len(bad) == 0:
+        return None
+    k = bad[0]
+    return {
+        "point": [float(v) for v in pts[k]],
+        "direction": [float(v) for v in V[k][:, 0]],
+        "hessian_eigenvalue": float(w[k, 0]),
+    }
 
 
 def is_sos_convex(
@@ -380,10 +382,9 @@ def univariate_convexity_witness(f_uni: Polynomial) -> Optional[float]:
     if dec.is_sos:
         return None
     # grid search for a concrete witness
-    for t in np.linspace(-20, 20, 20001):
-        if fpp.eval([t]) < 0:
-            return float(t)
-    return 0.0
+    grid = np.linspace(-20, 20, 20001)
+    negative = np.flatnonzero(fpp.eval(grid[:, None]) < 0)
+    return float(grid[negative[0]]) if len(negative) else 0.0
 
 
 def jensen_composed_check(

@@ -7,11 +7,11 @@ from momentsos._compile import (
     BlockSpec,
     MomentSdp,
     MomentStatus,
+    coefficient_row,
     equality_block_rows,
     kernel_deflation,
     localizing_tensor,
     moment_tensor,
-    objective_vector,
     scalar_row_tensor,
     y0_row,
 )
@@ -22,13 +22,12 @@ from momentsos.poly import Polynomial
 def interval_program(f):
     """min L_y(f) over M_1(y) >= 0, M_0((1-X^2) y) >= 0, y0 = 1."""
     g = Polynomial.make(1, {(0,): 1.0, (2,): -1.0})
-    c, c0 = objective_vector(1, 1, f)
+    c = coefficient_row(1, 1, f)
     row, rhs = y0_row(1, 1)
     return MomentSdp(
         n=1,
         order=1,
         objective=c,
-        const_term=c0,
         blocks=[
             BlockSpec("moment", moment_tensor(1, 1, 1)),
             BlockSpec("loc", localizing_tensor(1, 1, 0, g)),
@@ -58,13 +57,12 @@ def test_scalar_row_blocks():
     # same program with the localizing block written as a 1x1 scalar row
     f = Polynomial.variable(1, 0)
     g = Polynomial.make(1, {(0,): 1.0, (2,): -1.0})
-    c, c0 = objective_vector(1, 1, f)
+    c = coefficient_row(1, 1, f)
     row, rhs = y0_row(1, 1)
     ms = MomentSdp(
         n=1,
         order=1,
         objective=c,
-        const_term=c0,
         blocks=[
             BlockSpec("moment", moment_tensor(1, 1, 1)),
             BlockSpec("row", scalar_row_tensor(1, 1, g)),
@@ -80,13 +78,12 @@ def test_infeasible_moment_program():
     # X >= 1 and -X >= 0 cannot both hold
     g1 = Polynomial.make(1, {(1,): 1.0, (0,): -1.0})
     g2 = Polynomial.make(1, {(1,): -1.0})
-    c, c0 = objective_vector(1, 1, Polynomial.variable(1, 0))
+    c = coefficient_row(1, 1, Polynomial.variable(1, 0))
     row, rhs = y0_row(1, 1)
     ms = MomentSdp(
         n=1,
         order=1,
         objective=c,
-        const_term=c0,
         blocks=[
             BlockSpec("moment", moment_tensor(1, 1, 1)),
             BlockSpec("g1", scalar_row_tensor(1, 1, g1)),
@@ -103,13 +100,12 @@ def test_infeasible_moment_program():
 def test_unbounded_moment_program():
     # min -L_y(X^2) with only the moment matrix: y2 recedes to +inf along a
     # genuine improving ray
-    c, c0 = objective_vector(1, 1, Polynomial.make(1, {(2,): -1.0}))
+    c = coefficient_row(1, 1, Polynomial.make(1, {(2,): -1.0}))
     row, rhs = y0_row(1, 1)
     ms = MomentSdp(
         n=1,
         order=1,
         objective=c,
-        const_term=c0,
         blocks=[BlockSpec("moment", moment_tensor(1, 1, 1))],
         eq_rows=np.array([row]),
         eq_rhs=np.array([rhs]),

@@ -33,7 +33,7 @@ from momentsos.poly import (
     SemialgebraicSet,
     basis_size,
 )
-from momentsos.sdp import min_eigenvalue
+from momentsos.sdp import SolverOptions, min_eigenvalue
 
 
 def hyperbola_branches() -> SemialgebraicSet:
@@ -252,6 +252,18 @@ def test_certify_lens_unpinned_closes_at_two():
     assert abs(cert.records[0].rho_j) <= 1e-6
 
 
+def test_certify_does_not_close_on_stall_band_solves():
+    # tolerances below what double precision reaches: every rho solve is
+    # accepted from the stall band, and no record may close on one
+    tight = SolverOptions(feas_tol=1e-30, gap_tol=1e-30)
+    cert = certify_convexity(example_hyperbola_disk(), d_max=2, solver=tight)
+    assert cert.status != "certified_numerically"
+    rec = cert.records[0]
+    assert not rec.closed and rec.d_j == 2
+    assert abs(rec.rho_j) <= 1e-6
+    assert rec.note == "stall-band solve at d_j = 2"
+
+
 def test_certify_rejects_inadmissible_pin():
     with pytest.raises(PreconditionFailure):
         certify_convexity(example_hyperbola_disk(), d_fixed={1: 0})
@@ -350,6 +362,52 @@ def test_probe_reports_inactive_constraint():
     assert rep.boundary_samples == 0
     assert rep.note == "no active samples"
     assert not rep.degenerate  # explicitly not a pass either
+
+
+# boundary_samples, min ||grad g_j|| (None where it is rounding noise) and the
+# degenerate flag per constraint, as the per-point probe reported them;
+# batching the evaluation must not move a sampled point
+PROBE_PINS = {
+    "disk": (
+        unit_disk,
+        [[(200, 1.9999999999999996, False)]] * 4,
+    ),
+    "lens": (
+        example_hyperbola_disk,
+        [
+            [(174, 0.7071068269828592, False), (49, 1.4142135623730945, False)],
+            [(178, 0.7071365936374209, False), (52, 1.4142135623730945, False)],
+            [(171, 0.7071281613615562, False), (47, 1.4142135623730943, False)],
+            [(181, 0.7071122082679835, False), (45, 1.4142135623730945, False)],
+        ],
+    ),
+    "cube": (
+        example_degenerate_cube,
+        [
+            [(189, None, True), (118, 6.324555320336757, False)],
+            [(174, None, True), (111, 6.324555320336757, False)],
+            [(182, None, True), (112, 6.324555320336757, False)],
+            [(173, None, True), (109, 6.324555320336757, False)],
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROBE_PINS))
+def test_samplers_pinned_on_fixtures(name):
+    make, pins = PROBE_PINS[name]
+    K = make()
+    for seed, expected in enumerate(pins):
+        reports = nondegeneracy_probe(K, seed=seed)
+        for rep, (count, norm, degenerate) in zip(reports, expected):
+            assert rep.boundary_samples == count, (seed, rep.j)
+            assert rep.degenerate == degenerate, (seed, rep.j)
+            if norm is None:
+                assert rep.min_gradient_norm < 1e-12
+            else:
+                assert rep.min_gradient_norm == pytest.approx(norm, rel=1e-9)
+        assert slater_heuristic(K, seed=seed)["passed"]
+        assert sample_supporting_hyperplane(K, seed=seed) is None
 
 
 def test_probe_validates_samples():

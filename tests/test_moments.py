@@ -117,6 +117,17 @@ def test_localizing_degree_overflow():
         localizing_matrix(y, g, 1)
 
 
+def test_mixture_is_weighted_sum_of_points():
+    rng = np.random.default_rng(4)
+    for n, order in [(1, 3), (2, 2), (3, 2)]:
+        pts = rng.normal(size=(5, n))
+        w = rng.uniform(0.1, 1.0, size=5)
+        mix = MomentVector.from_mixture(pts, w, order)
+        ref = sum(wk * MomentVector.from_point(x, order).values for wk, x in zip(w, pts))
+        assert mix.values == pytest.approx(ref, rel=1e-13, abs=1e-15)
+        assert mix.provenance == "measure"
+
+
 def test_principal_submatrix_nesting():
     y = MomentVector.from_mixture(
         [[0.2, 0.3], [-0.5, 0.8], [0.9, -0.1]], [0.5, 0.25, 0.25], order=3

@@ -94,6 +94,41 @@ def test_eval_dimension_mismatch():
     p = Polynomial.variable(2, 0)
     with pytest.raises(PreconditionFailure):
         p.eval([1.0])
+    for bad in (np.zeros((5, 1)), np.zeros((5, 3)), np.zeros((2, 2, 2)), 1.0):
+        with pytest.raises(PreconditionFailure):
+            p.eval(bad)
+
+
+def reference_eval(p, x):
+    """Term-by-term evaluation with Python floats and `**`."""
+    total = 0.0
+    for alpha, c in p.terms.items():
+        v = c
+        for xi, e in zip(x, alpha):
+            v *= float(xi) ** e
+        total += v
+    return total
+
+
+def test_batch_eval_matches_pointwise():
+    rng = np.random.default_rng(2024)
+    for n in range(1, 5):
+        polys = [Polynomial.zero(n), Polynomial.constant(n, -2.5)]
+        polys += [random_polynomial(rng, n, int(rng.integers(1, 9))) for _ in range(6)]
+        for p in polys:
+            X = rng.uniform(-1.5, 1.5, size=(40, n))
+            batch = p.eval(X)
+            assert batch.shape == (40,)
+            for x, v in zip(X, batch):
+                assert isinstance(p.eval(x), float)
+                assert v == pytest.approx(p.eval(x), rel=1e-12, abs=0.0)
+                # rounding differs from the reference only in the last bits
+                scale = sum(
+                    abs(c) * float(np.prod(np.abs(x) ** np.array(a)))
+                    for a, c in p.terms.items()
+                )
+                assert abs(v - reference_eval(p, x)) <= 1e-12 * scale
+        assert Polynomial.zero(n).eval(np.zeros((0, n))).shape == (0,)
 
 
 @settings(max_examples=60, deadline=None)

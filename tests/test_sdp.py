@@ -59,6 +59,7 @@ def test_lmi_min_x():
     s = solve(lmi_min_x())
     assert s.status is SdpStatus.OPTIMAL
     assert s.primal_value == pytest.approx(1.0, abs=1e-6)
+    assert s.accuracy == "target"
 
 
 def test_min_trace_unit():
@@ -189,6 +190,7 @@ def test_stall_accept_counts_iterations_run(monkeypatch):
     s = solve(lmi_min_x(), SolverOptions(feas_tol=1e-30, gap_tol=1e-30))
     assert s.status is SdpStatus.OPTIMAL
     assert s.message.startswith("stalled near optimum")
+    assert s.accuracy == "stall_band"
     assert s.iterations == len(calls)
 
 
