@@ -13,18 +13,25 @@ recovers u (hence z) and its primal blocks are exactly the Gram matrices of
 the dual certificate. Blocks may carry a deflation map P (facial reduction)
 when equality rows force a known kernel; Gram matrices are re-inflated as
 P G P' on decode.
+
+The builders at the end (block tensors, entrywise equality rows, coefficient
+rows, deflation kernels) all scatter the one index pattern of S(g z) from
+`moments._moment_pattern`; the y0 = 1 row is the coefficient row of the
+constant 1, and a scalar row L_z(g) >= 0 is the localizing tensor at d = 0.
+`relaxation_blocks` assembles the blocks shared by Q_r, Q-hat and the lift,
+and `moment_program` adds the normalization z_0 = 1 to every program.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .poly import Monomial, Polynomial, PreconditionFailure, monomial_basis
-from .moments import MomentVector, _basis_and_index
+from .poly import Polynomial, PreconditionFailure, SemialgebraicSet, basis_size
+from .moments import MomentVector, _basis_and_index, _moment_pattern
 from .sdp import SdpProblem, SdpSolution, SdpStatus, SolverOptions, solve
 
 
@@ -217,21 +224,16 @@ class MomentSdp:
 
 def localizing_tensor(n: int, order: int, d: int, g: Polynomial) -> np.ndarray:
     """T with S(z)_{ab} = sum_gamma g_gamma z_{alpha_a + alpha_b + gamma},
-    rows/cols over monomial_basis(n, d), z over monomial_basis(n, 2*order)."""
+    rows/cols over monomial_basis(n, d), z over monomial_basis(n, 2*order).
+    With d = 0 it is the 1x1 block L_z(g) >= 0."""
     if 2 * d + g.degree() > 2 * order:
         raise PreconditionFailure(
             "2d + deg g <= 2*order", f"{2 * d + g.degree()} > {2 * order}"
         )
     basis, _ = _basis_and_index(n, d)
-    _, full_idx = _basis_and_index(n, 2 * order)
-    s_d = len(basis)
-    s = len(full_idx)
-    T = np.zeros((s_d, s_d, s))
-    for i, a in enumerate(basis):
-        for j, b in enumerate(basis):
-            for gamma, c in g.terms.items():
-                key = tuple(x + y + w for x, y, w in zip(a, b, gamma))
-                T[i, j, full_idx[key]] += c
+    pattern = _moment_pattern(basis, g)
+    T = np.zeros((len(basis), len(basis), basis_size(n, 2 * order)))
+    np.add.at(T, (pattern.row, pattern.col, pattern.index), pattern.coef)
     return T
 
 
@@ -239,49 +241,56 @@ def moment_tensor(n: int, order: int, d: int) -> np.ndarray:
     return localizing_tensor(n, order, d, Polynomial.constant(n, 1.0))
 
 
-def scalar_row_tensor(n: int, order: int, g: Polynomial) -> np.ndarray:
-    """1x1 block L_z(g) >= 0."""
-    return localizing_tensor(n, order, 0, g)
+def moment_program(
+    n: int, order: int, objective: np.ndarray, blocks: List[BlockSpec],
+    eq_rows: Optional[np.ndarray] = None,
+) -> MomentSdp:
+    """min objective'z over `blocks` subject to z_0 = 1, the first
+    equality row, and eq_rows z = 0 when given."""
+    E = coefficient_row(n, order, Polynomial.constant(n, 1.0))[None, :]
+    if eq_rows is not None:
+        E = np.vstack([E, eq_rows])
+    rhs = np.r_[1.0, np.zeros(len(E) - 1)]
+    return MomentSdp(n, order, objective, blocks, E, rhs)
+
+
+def relaxation_blocks(K: SemialgebraicSet, order: int, form: str) -> List[BlockSpec]:
+    """M_order(z) >= 0 and, for each g_j of K, M_{order - r_j}(g_j z) >= 0
+    (form "localizing") or the scalar row L_z(g_j) >= 0 (form "scalar")."""
+    blocks = [BlockSpec("moment", moment_tensor(K.n, order, order))]
+    for j, (g, rj) in enumerate(zip(K.constraints, K.half_degrees()), start=1):
+        d = order - rj if form == "localizing" else 0
+        T = localizing_tensor(K.n, order, d, g)
+        blocks.append(BlockSpec(f"{form}[{j}]", T))
+    return blocks
 
 
 def coefficient_row(n: int, order: int, p: Polynomial) -> np.ndarray:
-    """Row vector r with r'z = L_z(p)."""
-    _, full_idx = _basis_and_index(n, 2 * order)
-    row = np.zeros(len(full_idx))
-    for alpha, c in p.terms.items():
-        if alpha not in full_idx:
-            raise PreconditionFailure(
-                "deg p <= 2*order", f"{alpha} outside N^{n}_{2 * order}"
-            )
-        row[full_idx[alpha]] += c
+    """Row vector r with r'z = L_z(p); the y0 row is that of the constant 1."""
+    outside = [a for a in p.terms if len(a) != n or sum(a) > 2 * order]
+    if outside:
+        raise PreconditionFailure(
+            "deg p <= 2*order", f"{outside[0]} outside N^{n}_{2 * order}"
+        )
+    pattern = _moment_pattern(np.zeros((1, n), dtype=int), p)
+    row = np.zeros(basis_size(n, 2 * order))
+    np.add.at(row, pattern.index, pattern.coef)
     return row
-
-
-def y0_row(n: int, order: int) -> Tuple[np.ndarray, float]:
-    _, full_idx = _basis_and_index(n, 2 * order)
-    row = np.zeros(len(full_idx))
-    row[0] = 1.0
-    return row, 1.0
 
 
 def equality_block_rows(
     n: int, order: int, d: int, g: Polynomial
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Entrywise rows for M_d(g z) = 0, upper triangle: s(d)(s(d)+1)/2 rows."""
+    """Entrywise rows for M_d(g z) = 0, upper triangle: s(d)(s(d)+1)/2 rows,
+    the pair (a, b), a <= b, at its row-major position."""
     basis, _ = _basis_and_index(n, d)
-    _, full_idx = _basis_and_index(n, 2 * order)
-    s_d = len(basis)
-    rows = []
-    for i in range(s_d):
-        for j in range(i, s_d):
-            row = np.zeros(len(full_idx))
-            for gamma, c in g.terms.items():
-                key = tuple(
-                    x + y + w for x, y, w in zip(basis[i], basis[j], gamma)
-                )
-                row[full_idx[key]] += c
-            rows.append(row)
-    return np.array(rows), np.zeros(len(rows))
+    pattern = _moment_pattern(basis, g, upper=True)
+    count = len(basis) * (len(basis) + 1) // 2
+    E = np.zeros((count, basis_size(n, 2 * order)))
+    # the pattern lists each pair's terms together, pairs in row order
+    pair = np.repeat(np.arange(count), len(g.terms))
+    np.add.at(E, (pair, pattern.index), pattern.coef)
+    return E, np.zeros(count)
 
 
 def kernel_deflation(
@@ -310,15 +319,13 @@ def kernel_deflation(
     )
     if max_p_deg < 0:
         return None
-    basis, idx = _basis_and_index(n, D)
-    kernel = []
-    for p_alpha in monomial_basis(n, max_p_deg):
-        vec = np.zeros(len(basis))
-        for gamma, c in h.terms.items():
-            key = tuple(x + y for x, y in zip(p_alpha, gamma))
-            vec[idx[key]] += c
-        kernel.append(vec)
-    K = np.array(kernel).T  # (dim, k)
+    p_basis, _ = _basis_and_index(n, max_p_deg)
+    # column 0 of the pattern of S(h z) pairs each p with the constant
+    # monomial, so its entries are the coefficients of h p
+    pattern = _moment_pattern(p_basis, h)
+    first = pattern.col == 0
+    K = np.zeros((basis_size(n, D), len(p_basis)))
+    np.add.at(K, (pattern.index[first], pattern.row[first]), pattern.coef[first])
     # orthonormal complement of span(K)
     U, sv, _ = np.linalg.svd(K, full_matrices=True)
     tol = max(K.shape) * np.finfo(float).eps * (sv[0] if sv.size else 0.0)

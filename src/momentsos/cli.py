@@ -382,6 +382,8 @@ def cmd_probe(args) -> int:
     print(" j   boundary samples  min ||grad g_j||   flag")
     for rep in reports:
         mn = "-" if rep.min_gradient_norm is None else _fmt(rep.min_gradient_norm)
+        if rep.degenerate:  # below the threshold the norm is rounding noise
+            mn = f"< {rep.degenerate_below:g}"
         flag = "DEGENERATE" if rep.degenerate else (rep.note or "ok")
         print(f"{rep.j:^3d}  {rep.boundary_samples:^16d}  {mn:<17s}  {flag}")
     _emit(args, {"probe": [rep.to_json() for rep in reports]})

@@ -36,9 +36,8 @@ single SDP solves.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,11 +49,10 @@ from ._compile import (
     equality_block_rows,
     kernel_deflation,
     localizing_tensor,
-    moment_tensor,
-    scalar_row_tensor,
-    y0_row,
+    moment_program,
+    relaxation_blocks,
 )
-from .moments import MomentVector
+from .moments import MomentVector, _collect_terms, _moment_pattern
 from .poly import (
     Polynomial,
     PreconditionFailure,
@@ -137,43 +135,21 @@ def rho_program(K: SemialgebraicSet, j: int, d_j: int) -> MomentSdp:
     ideal = lift_to_xy(g_j, "y")
     budget = 2 * (d_j - rj)
 
-    def deflate(order: int, weight_degree: int) -> Optional[np.ndarray]:
-        return kernel_deflation(n2, order, weight_degree, ideal, budget)
+    def block(label: str, g: Polynomial, r: int) -> BlockSpec:
+        T = localizing_tensor(n2, d_j, d_j - r, g)
+        P = kernel_deflation(n2, d_j - r, g.degree(), ideal, budget)
+        return BlockSpec(label, T, P)
 
-    blocks = [
-        BlockSpec("moment", moment_tensor(n2, d_j, d_j), deflate(d_j, 0))
+    pairs = list(enumerate(zip(K.constraints, half), start=1))
+    blocks = [block("moment", Polynomial.constant(n2, 1.0), 0)]
+    blocks += [block(f"g{k}(X)", lift_to_xy(g, "x"), rk) for k, (g, rk) in pairs]
+    blocks += [
+        block(f"g{k}(Y)", lift_to_xy(g, "y"), rk) for k, (g, rk) in pairs if k != j
     ]
-    for k, (g, rk) in enumerate(zip(K.constraints, half), start=1):
-        gx = lift_to_xy(g, "x")
-        blocks.append(
-            BlockSpec(
-                f"g{k}(X)",
-                localizing_tensor(n2, d_j, d_j - rk, gx),
-                deflate(d_j - rk, gx.degree()),
-            )
-        )
-    for k, (g, rk) in enumerate(zip(K.constraints, half), start=1):
-        if k == j:
-            continue
-        gy = lift_to_xy(g, "y")
-        blocks.append(
-            BlockSpec(
-                f"g{k}(Y)",
-                localizing_tensor(n2, d_j, d_j - rk, gy),
-                deflate(d_j - rk, gy.degree()),
-            )
-        )
 
-    row0, rhs0 = y0_row(n2, d_j)
-    eq_rows, eq_rhs = equality_block_rows(n2, d_j, d_j - rj, ideal)
-    return MomentSdp(
-        n=n2,
-        order=d_j,
-        objective=coefficient_row(n2, d_j, objective),
-        blocks=blocks,
-        eq_rows=np.vstack([row0[None, :], eq_rows]),
-        eq_rhs=np.concatenate([[rhs0], eq_rhs]),
-    )
+    eq_rows, _ = equality_block_rows(n2, d_j, d_j - rj, ideal)
+    c = coefficient_row(n2, d_j, objective)
+    return moment_program(n2, d_j, c, blocks, eq_rows)
 
 
 # ---- certificates ------------------------------------------------------------
@@ -231,6 +207,8 @@ class ProbeReport:
     min_gradient_norm: Optional[float]
     degenerate: bool
     note: str = ""
+    # the min ||grad g_j|| below which a boundary is flagged degenerate
+    degenerate_below: ClassVar[float] = 1e-6
 
     def to_json(self) -> dict:
         return {
@@ -315,34 +293,22 @@ def _recover_rho_weights(
     """Dual weights from the Gram blocks and equality multipliers."""
     n2 = 2 * K.n
     half = K.half_degrees()
-    sigma: Dict[int, SosWitness] = {}
-    psi: Dict[int, SosWitness] = {}
-    idx = 0
-    sigma[0] = SosWitness(monomial_basis(n2, d_j), sol.gram_blocks[idx], 0.0)
-    idx += 1
-    for k in range(1, K.m + 1):
-        basis = monomial_basis(n2, d_j - half[k - 1])
-        sigma[k] = SosWitness(basis, sol.gram_blocks[idx], 0.0)
-        idx += 1
-    for k in range(1, K.m + 1):
-        if k == j:
-            continue
-        basis = monomial_basis(n2, d_j - half[k - 1])
-        psi[k] = SosWitness(basis, sol.gram_blocks[idx], 0.0)
-        idx += 1
+    # the Gram blocks in rho_program's order: moment, g_k(X), g_k(Y) (k != j)
+    grams = iter(sol.gram_blocks)
+
+    def witness(order: int) -> SosWitness:
+        return SosWitness(monomial_basis(n2, order), next(grams), 0.0)
+
+    sigma = {0: witness(d_j)}
+    sigma.update({k: witness(d_j - half[k - 1]) for k in range(1, K.m + 1)})
+    psi = {k: witness(d_j - half[k - 1]) for k in range(1, K.m + 1) if k != j}
 
     # psi_j from the multipliers of the entrywise equality rows, which are
     # enumerated over the upper triangle of M_{d_j - r_j}
     mu = sol.eq_multipliers
-    basis = monomial_basis(n2, d_j - half[j - 1])
-    terms: Dict[tuple, float] = {}
-    pos = 1  # mu[0] belongs to z_0 = 1
-    for a in range(len(basis)):
-        for b in range(a, len(basis)):
-            key = tuple(x + y for x, y in zip(basis[a], basis[b]))
-            terms[key] = terms.get(key, 0.0) + float(mu[pos])
-            pos += 1
-    psi_free = Polynomial.make(n2, terms)
+    pattern = _moment_pattern(monomial_basis(n2, d_j - half[j - 1]), upper=True)
+    # mu[0] belongs to z_0 = 1
+    psi_free = _collect_terms(n2, pattern, mu[1 : 1 + len(pattern.row)])
 
     rho = float(mu[0])
     weights = RhoWeights(sigma=sigma, psi=psi, psi_free=psi_free, residual=0.0)
@@ -390,7 +356,7 @@ def nondegeneracy_probe(
 ) -> List[ProbeReport]:
     """Boundary gradient probe: bisect segments crossing {g_j = 0}, keep
     crossings that stay in K, and report min ||grad g_j|| over them.
-    Flags DEGENERATE below 1e-6."""
+    Flags DEGENERATE below ProbeReport.degenerate_below."""
     if samples < 1:
         raise PreconditionFailure("samples >= 1", str(samples))
     rng = np.random.default_rng(seed)
@@ -408,9 +374,8 @@ def nondegeneracy_probe(
             continue
         grads = np.stack([p.eval(found) for p in g.gradient()], axis=1)
         mn = float(np.linalg.norm(grads, axis=1).min())
-        reports.append(
-            ProbeReport(j, len(found), mn, degenerate=mn < 1e-6)
-        )
+        degenerate = mn < ProbeReport.degenerate_below
+        reports.append(ProbeReport(j, len(found), mn, degenerate))
     return reports
 
 
@@ -635,17 +600,6 @@ class SdrRepresentation:
     def lift_dimension(self) -> int:
         return basis_size(self.n, 2 * self.d)
 
-    def _moment_sdp(self, objective: np.ndarray) -> MomentSdp:
-        row, rhs = y0_row(self.n, self.d)
-        return MomentSdp(
-            n=self.n,
-            order=self.d,
-            objective=objective,
-            blocks=self.blocks,
-            eq_rows=row[None, :],
-            eq_rhs=np.array([rhs]),
-        )
-
     def lift_point(self, x: Sequence[float]) -> np.ndarray:
         """Dirac moments of x: the canonical lift of a point of K."""
         return MomentVector.from_point(x, self.d).values
@@ -726,19 +680,7 @@ def build_sdr(
     if form not in ("localizing", "scalar"):
         raise PreconditionFailure('form in {"localizing", "scalar"}', form)
 
-    n = K.n
-    blocks = [BlockSpec("moment", moment_tensor(n, order, order))]
-    for k, (g, rk) in enumerate(zip(K.constraints, half), start=1):
-        if form == "localizing":
-            blocks.append(
-                BlockSpec(
-                    f"localizing[{k}]",
-                    localizing_tensor(n, order, order - rk, g),
-                )
-            )
-        else:
-            blocks.append(BlockSpec(f"scalar[{k}]", scalar_row_tensor(n, order, g)))
-    return SdrRepresentation(order, K, form, blocks)
+    return SdrRepresentation(order, K, form, relaxation_blocks(K, order, form))
 
 
 def sdr_support(
@@ -752,7 +694,7 @@ def sdr_support(
         raise PreconditionFailure("dim(c) = n", f"{c.shape}")
     objective = np.zeros(sdr.lift_dimension)
     objective[1 : sdr.n + 1] = c
-    sol = sdr._moment_sdp(objective).solve(solver)
+    sol = moment_program(sdr.n, sdr.d, objective, sdr.blocks).solve(solver)
     if not sol.is_optimal:
         raise RuntimeError(f"support solve failed: {sol.status.value}")
     return float(sol.value), np.array(sol.z[1 : sdr.n + 1])

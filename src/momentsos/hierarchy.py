@@ -12,20 +12,16 @@ data, which solve_hierarchy detects and reports as a single-shot stop.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ._compile import (
     MomentSdp,
     MomentSolution,
-    MomentStatus,
     coefficient_row,
-    localizing_tensor,
-    moment_tensor,
-    scalar_row_tensor,
-    y0_row,
-    BlockSpec,
+    moment_program,
+    relaxation_blocks,
 )
 # moment_matrix is unused here but kept: the layer trace in perfbench patches
 # it by name in this module
@@ -148,47 +144,23 @@ def build_qr(problem: PolyOptProblem, r: int) -> MomentSdp:
     """Order-r moment relaxation: min L_y(f), M_r(y) >= 0,
     M_{r-r_j}(g_j y) >= 0, y_0 = 1."""
     f, K = problem.objective, problem.feasible_set
-    n = K.n
     half = list(K.half_degrees())
     if 2 * r < max([f.degree()] + [2 * rj for rj in half]):
         raise PreconditionFailure(
             "2r >= max(deg f, max_j 2 r_j)",
             f"r = {r}, deg f = {f.degree()}, r_j = {half}",
         )
-    blocks = [BlockSpec("moment", moment_tensor(n, r, r))]
-    for j, (g, rj) in enumerate(zip(K.constraints, half), start=1):
-        blocks.append(
-            BlockSpec(f"localizing[{j}]", localizing_tensor(n, r, r - rj, g))
-        )
-    row, rhs = y0_row(n, r)
-    return MomentSdp(
-        n=n,
-        order=r,
-        objective=coefficient_row(n, r, f),
-        blocks=blocks,
-        eq_rows=row[None, :],
-        eq_rhs=np.array([rhs]),
-    )
+    blocks = relaxation_blocks(K, r, "localizing")
+    return moment_program(K.n, r, coefficient_row(K.n, r, f), blocks)
 
 
 def build_qhat(problem: PolyOptProblem) -> MomentSdp:
     """Simplified convex relaxation: min L_y(f), M_d(y) >= 0,
     L_y(g_j) >= 0 as scalar rows, y_0 = 1; d is the minimal order."""
     f, K = problem.objective, problem.feasible_set
-    n = K.n
     d = problem.min_order()
-    blocks = [BlockSpec("moment", moment_tensor(n, d, d))]
-    for j, g in enumerate(K.constraints, start=1):
-        blocks.append(BlockSpec(f"scalar[{j}]", scalar_row_tensor(n, d, g)))
-    row, rhs = y0_row(n, d)
-    return MomentSdp(
-        n=n,
-        order=d,
-        objective=coefficient_row(n, d, f),
-        blocks=blocks,
-        eq_rows=row[None, :],
-        eq_rhs=np.array([rhs]),
-    )
+    blocks = relaxation_blocks(K, d, "scalar")
+    return moment_program(K.n, d, coefficient_row(K.n, d, f), blocks)
 
 
 def recover_dual_certificate(
@@ -340,6 +312,14 @@ def _attach_minimizer(
     return True
 
 
+def _stall_band(result: RelaxationResult, solution: MomentSolution) -> bool:
+    """A solve accepted from the stall band grants no exactness tag; note it."""
+    if solution.sdp_solution.accuracy != "stall_band":
+        return False
+    result.note = (result.note + " stall-band solve, no exactness test;").strip()
+    return True
+
+
 def solve_hierarchy(
     problem: PolyOptProblem,
     r_max: int = 5,
@@ -351,7 +331,8 @@ def solve_hierarchy(
     -g_j carry SOS-convexity certificates (single-shot exactness; the
     minimizer is the mean point). Otherwise ascends r, applying in order the
     flatness test and the sampled-convexity mean-point test, stopping when
-    one fires. Solver failures are recorded per order and the loop continues.
+    one fires. Solver failures are recorded per order and the loop continues;
+    a solve accepted from the stall band gets a note and no exactness test.
     """
     opts = options if options is not None else HierarchyOptions()
     K = problem.feasible_set
@@ -380,14 +361,15 @@ def solve_hierarchy(
             )
         except CertificateRejected as exc:
             res.note = (res.note + f" {exc};").strip()
-        conv_all = is_sos_convex(problem.objective).is_sos_convex and all(
-            is_sos_convex(-1.0 * g).is_sos_convex for g in K.constraints
-        )
-        if conv_all and _attach_minimizer(
-            res, problem, mean_point(res.moments), "sos_convex_single_shot",
-            opts.tol,
-        ):
-            return results
+        if not _stall_band(res, sol):
+            conv_all = is_sos_convex(problem.objective).is_sos_convex and all(
+                is_sos_convex(-1.0 * g).is_sos_convex for g in K.constraints
+            )
+            if conv_all and _attach_minimizer(
+                res, problem, mean_point(res.moments), "sos_convex_single_shot",
+                opts.tol,
+            ):
+                return results
 
     box = K.ball_bound if K.ball_bound is not None else 2.0
     convex_by_sampling = _sampled_convexity(
@@ -426,6 +408,8 @@ def solve_hierarchy(
             res.dual_certificate = recover_dual_certificate(problem, sol, r)
         except CertificateRejected as exc:
             res.note = (res.note + f" {exc};").strip()
+        if _stall_band(res, sol):
+            continue
 
         x_candidate = mean_point(res.moments)
         flat = flatness(res.moments, r, opts.rank_tau)

@@ -7,9 +7,10 @@ downstream relaxations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,9 +26,78 @@ from .sdp import numeric_rank
 
 
 @lru_cache(maxsize=None)
-def _basis_and_index(n: int, d: int) -> Tuple[Tuple[Monomial, ...], Dict[Monomial, int]]:
-    basis = tuple(monomial_basis(n, d))
-    return basis, {alpha: i for i, alpha in enumerate(basis)}
+def _basis_and_index(n: int, d: int) -> Tuple[np.ndarray, Dict[Monomial, int]]:
+    """monomial_basis(n, d) as a read-only (s(d), n) exponent array, and the
+    map from exponent tuple to position."""
+    basis = monomial_basis(n, d)
+    exponents = np.array(basis, dtype=int).reshape(-1, n)
+    exponents.flags.writeable = False
+    return exponents, {alpha: i for i, alpha in enumerate(basis)}
+
+
+def _grlex_index(exponents: np.ndarray) -> np.ndarray:
+    """Position of each exponent row in the graded-lex order of
+    monomial_basis, the same for every degree bound: the sum over variables
+    j of C(t_j + n-j-1, n-j), with t_j the row's degree in variables j..n-1
+    (monomials of lower degree for j = 0, then those of equal degree that
+    agree with the row before variable j-1 and exceed it there)."""
+    n = exponents.shape[1]
+    tails = np.cumsum(exponents[:, ::-1], axis=1)[:, ::-1]
+    v = np.arange(n, 0, -1)
+    rows = range(int(tails.max(initial=0)) + n)
+    binom = np.array([[math.comb(a, b) for b in range(n + 1)] for a in rows])
+    return binom[tails + v - 1, v].sum(axis=1)
+
+
+class MomentPattern(NamedTuple):
+    """S(g z)[row, col] = sum of coef * z[index] over the entries, one per
+    (row, col, term gamma of g) in that lexicographic order; `index` is the
+    graded-lex position of exponent = alpha_row + alpha_col + gamma."""
+
+    row: np.ndarray
+    col: np.ndarray
+    exponent: np.ndarray
+    index: np.ndarray
+    coef: np.ndarray
+
+
+def _moment_pattern(
+    basis, g: Optional[Polynomial] = None, upper: bool = False
+) -> MomentPattern:
+    """The pattern of S(g z), or of S(z) when g is None, over the exponent
+    rows `basis`; with `upper`, only its entries with row <= col. Every
+    moment, localizing, Gram and equality-row builder reads it, summing in
+    entry order (`np.add.at`, `np.bincount`) as the loops it replaced did."""
+    basis = np.asarray(basis, dtype=int)
+    s, n = basis.shape
+    if upper:
+        rows, cols = np.triu_indices(s)
+    else:
+        rows, cols = np.divmod(np.arange(s * s), s)
+    if g is None:
+        gammas, coefs = np.zeros((1, n), dtype=int), np.ones(1)
+    else:
+        gammas, coefs = g.term_arrays
+    exponent = (basis[rows, None] + basis[cols, None] + gammas).reshape(-1, n)
+    return MomentPattern(
+        np.repeat(rows, len(coefs)),
+        np.repeat(cols, len(coefs)),
+        exponent,
+        _grlex_index(exponent),
+        np.tile(coefs, len(rows)),
+    )
+
+
+def _collect_terms(n: int, pattern: MomentPattern, weights) -> Polynomial:
+    """sum_k weights[k] X^exponent[k] over the pattern's entries; equal
+    monomials are summed in entry order, and terms keep first appearance."""
+    _, first, inverse = np.unique(
+        pattern.index, return_index=True, return_inverse=True
+    )
+    sums = np.bincount(inverse, weights=weights)
+    keys = pattern.exponent[first].tolist()
+    order = np.argsort(first)
+    return Polynomial.make(n, {tuple(keys[k]): sums[k] for k in order})
 
 
 @dataclass(frozen=True)
@@ -71,7 +141,7 @@ class MomentVector:
             raise PreconditionFailure("at least one atom")
         n = points.shape[1]
         basis, _ = _basis_and_index(n, 2 * order)
-        atoms = _monomial_values(points, np.array(basis))
+        atoms = _monomial_values(points, basis)
         # a numpy sum, not a BLAS product: independent of the thread count
         vals = (np.asarray(weights, dtype=float)[:, None] * atoms).sum(axis=0)
         return MomentVector(n, order, vals, provenance="measure")
@@ -125,17 +195,16 @@ def moment_matrix(y: MomentVector, d: int) -> np.ndarray:
     """M_d(y)(alpha, beta) = y_{alpha+beta} over the graded-lex basis."""
     if d > y.order:
         raise PreconditionFailure("d <= order(y)", f"{d} > {y.order}")
-    basis, idx = _basis_and_index(y.n, d)
-    _, full_idx = _basis_and_index(y.n, 2 * y.order)
-    s = len(basis)
-    M = np.empty((s, s))
-    for i, a in enumerate(basis):
-        for j in range(i, s):
-            b = basis[j]
-            v = y.values[full_idx[tuple(x + z for x, z in zip(a, b))]]
-            M[i, j] = v
-            M[j, i] = v
-    return M
+    return y.values[_moment_matrix_index(y.n, d)]
+
+
+@lru_cache(maxsize=None)
+def _moment_matrix_index(n: int, d: int) -> np.ndarray:
+    """The moment index of each entry of M_d, read-only."""
+    basis, _ = _basis_and_index(n, d)
+    index = _moment_pattern(basis).index.reshape(len(basis), len(basis))
+    index.flags.writeable = False
+    return index
 
 
 def localizing_matrix(y: MomentVector, g: Polynomial, d: int) -> np.ndarray:
@@ -147,18 +216,10 @@ def localizing_matrix(y: MomentVector, g: Polynomial, d: int) -> np.ndarray:
             "2d + deg g <= 2*order(y)", f"{2 * d + g.degree()} > {2 * y.order}"
         )
     basis, _ = _basis_and_index(y.n, d)
-    _, full_idx = _basis_and_index(y.n, 2 * y.order)
-    s = len(basis)
-    M = np.zeros((s, s))
-    for i, a in enumerate(basis):
-        for j in range(i, s):
-            b = basis[j]
-            v = 0.0
-            for gamma, c in g.terms.items():
-                key = tuple(x + z + w for x, z, w in zip(a, b, gamma))
-                v += c * y.values[full_idx[key]]
-            M[i, j] = v
-            M[j, i] = v
+    pattern = _moment_pattern(basis, g)
+    M = np.zeros((len(basis), len(basis)))
+    values = pattern.coef * y.values[pattern.index]
+    np.add.at(M, (pattern.row, pattern.col), values)
     return M
 
 

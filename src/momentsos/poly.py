@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations_with_replacement
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -30,14 +31,6 @@ class PreconditionFailure(ValueError):
         self.clause = clause
         msg = clause if not detail else f"{clause}: {detail}"
         super().__init__(msg)
-
-
-def monomial_degree(alpha: Monomial) -> int:
-    return sum(alpha)
-
-
-def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def grlex_key(alpha: Monomial) -> tuple:
@@ -154,6 +147,16 @@ class Polynomial:
             return 0
         return max(sum(a) for a in self.terms)
 
+    @cached_property
+    def term_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The exponent matrix (T, n) and the coefficient vector (T,) of the
+        terms, in stored order; computed once and read-only."""
+        exponents = np.array(list(self.terms), dtype=int).reshape(-1, self.n)
+        coefficients = np.array(list(self.terms.values()), dtype=float)
+        exponents.flags.writeable = False
+        coefficients.flags.writeable = False
+        return exponents, coefficients
+
     def l1_norm(self) -> float:
         return sum(abs(c) for c in self.terms.values())
 
@@ -177,8 +180,7 @@ class Polynomial:
         if pts.ndim not in (1, 2) or pts.shape[-1] != self.n:
             raise PreconditionFailure("dim(x) = n", f"{pts.shape} vs {self.n}")
         batch = pts.reshape(-1, self.n)
-        exponents = np.array(list(self.terms), dtype=int).reshape(-1, self.n)
-        values = _monomial_values(batch, exponents)
+        values = _monomial_values(batch, self.term_arrays[0])
         total = np.zeros(len(batch))
         for t, c in enumerate(self.terms.values()):
             total += c * values[:, t]
@@ -225,7 +227,7 @@ class Polynomial:
         out: Dict[Monomial, float] = {}
         for a, ca in self.terms.items():
             for b, cb in other.terms.items():
-                key = monomial_mul(a, b)
+                key = tuple(x + y for x, y in zip(a, b))
                 out[key] = out.get(key, 0.0) + ca * cb
         return Polynomial.make(self.n, out)
 

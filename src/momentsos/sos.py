@@ -10,19 +10,20 @@ the basis of monomials with W-degree exactly one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .moments import MomentVector, mean_point, moment_matrix, riesz
-from .poly import (
-    Monomial,
-    Polynomial,
-    PreconditionFailure,
-    monomial_basis,
-    monomial_mul,
+from .moments import (
+    MomentVector,
+    _collect_terms,
+    _moment_pattern,
+    mean_point,
+    moment_matrix,
+    riesz,
 )
+from .poly import Monomial, Polynomial, PreconditionFailure, monomial_basis
 from .sdp import (
     SdpProblem,
     SdpStatus,
@@ -41,12 +42,8 @@ class SosWitness:
     residual: float
 
     def reconstruct(self, n: int) -> Polynomial:
-        terms: Dict[Monomial, float] = {}
-        for i, a in enumerate(self.basis):
-            for j, b in enumerate(self.basis):
-                key = monomial_mul(a, b)
-                terms[key] = terms.get(key, 0.0) + self.gram[i, j]
-        return Polynomial.make(n, terms)
+        pattern = _moment_pattern(self.basis)
+        return _collect_terms(n, pattern, self.gram.reshape(-1))
 
     def to_json(self) -> dict:
         return {
@@ -78,14 +75,18 @@ class SosDecomposition:
 
 def _gram_constraint_index(
     basis: Sequence[Monomial],
-) -> Dict[Monomial, List[Tuple[int, int]]]:
-    sums: Dict[Monomial, List[Tuple[int, int]]] = {}
-    for i, a in enumerate(basis):
-        for j, b in enumerate(basis):
-            if j < i:
-                continue
-            sums.setdefault(monomial_mul(a, b), []).append((i, j))
-    return sums
+) -> Tuple[List[Monomial], np.ndarray, np.ndarray, np.ndarray]:
+    """The upper-triangle Gram pairs (i, j) over `basis`, grouped by the
+    monomial basis[i] + basis[j]: the monomials in sorted order, and per
+    pair, in row-major order, its row, column and monomial's position."""
+    pattern = _moment_pattern(basis, upper=True)
+    _, first, inverse = np.unique(
+        pattern.index, return_index=True, return_inverse=True
+    )
+    keys = pattern.exponent[first]
+    order = np.lexsort(keys.T[::-1])  # sorted as exponent tuples
+    monomials = [tuple(k) for k in keys[order].tolist()]
+    return monomials, pattern.row, pattern.col, np.argsort(order)[inverse]
 
 
 def sos_decompose(
@@ -109,27 +110,24 @@ def sos_decompose(
     if basis is None:
         basis = monomial_basis(p.n, deg // 2)
     basis = [tuple(a) for a in basis]
-    sums = _gram_constraint_index(basis)
+    monomials, rows, cols, group = _gram_constraint_index(basis)
+    span = set(monomials)
     for alpha in p.terms:
-        if alpha not in sums:
+        if alpha not in span:
             return SosDecomposition(
                 status="infeasible",
                 reason=f"monomial {alpha} outside the basis product span",
             )
 
     k = len(basis)
-    index_list = sorted(sums.keys())
-    constraints = []
-    for alpha in index_list:
-        # E_alpha has a unit entry wherever basis products hit alpha, so
-        # <E_alpha, G> is the alpha-coefficient of z'Gz and the dual slack
-        # of an infeasibility ray is itself a moment matrix
-        A = np.zeros((k, k))
-        for i, j in sums[alpha]:
-            A[i, j] += 1.0
-            if i != j:
-                A[j, i] += 1.0
-        constraints.append(([A], p.coeff(alpha)))
+    # E_alpha has a unit entry wherever basis products hit alpha, so
+    # <E_alpha, G> is the alpha-coefficient of z'Gz and the dual slack
+    # of an infeasibility ray is itself a moment matrix
+    E = np.zeros((len(monomials), k, k))
+    E[group, rows, cols] = 1.0
+    E[group, cols, rows] = 1.0
+    target = np.array([p.coeff(alpha) for alpha in monomials])
+    constraints = [([A], c) for A, c in zip(E, target)]
     problem = SdpProblem.make([k], [np.eye(k)], constraints)
     sol = solve(problem, options)
 
@@ -137,14 +135,13 @@ def sos_decompose(
         G = 0.5 * (sol.X[0] + sol.X[0].T)
         # feasibility polish: the E_alpha have disjoint supports, so the
         # least-squares correction onto the equality set splits per monomial
-        for alpha, pairs in sums.items():
-            lin = sum(G[i, j] * (1.0 if i == j else 2.0) for i, j in pairs)
-            weight = sum(1.0 if i == j else 2.0 for i, j in pairs)
-            shift = (p.coeff(alpha) - lin) / weight
-            for i, j in pairs:
-                G[i, j] += shift
-                if i != j:
-                    G[j, i] += shift
+        mult = np.where(rows == cols, 1.0, 2.0)
+        lin = np.bincount(group, weights=G[rows, cols] * mult)
+        weight = np.bincount(group, weights=mult)
+        shift = ((target - lin) / weight)[group]
+        G[rows, cols] += shift
+        off = rows != cols
+        G[cols[off], rows[off]] += shift[off]
         witness = SosWitness(basis, G, 0.0)
         recon = witness.reconstruct(p.n)
         witness.residual = (p - recon).l1_norm()
@@ -160,7 +157,7 @@ def sos_decompose(
         return SosDecomposition(status="numerical_failure", reason=sol.message)
     if sol.status is SdpStatus.INFEASIBLE:
         lam, _ = sol.ray_dual
-        direction = {alpha: -float(v) for alpha, v in zip(index_list, lam)}
+        direction = {alpha: -float(v) for alpha, v in zip(monomials, lam)}
         return SosDecomposition(
             status="infeasible",
             certificate_direction=direction,
@@ -174,11 +171,13 @@ def ray_moment_matrix(
 ) -> np.ndarray:
     """Assemble M(y_bar) over `basis` from an infeasibility direction."""
     k = len(basis)
-    M = np.empty((k, k))
-    for i, a in enumerate(basis):
-        for j, b in enumerate(basis):
-            M[i, j] = direction[monomial_mul(a, b)]
-    return M
+    pattern = _moment_pattern(basis)
+    _, first, inverse = np.unique(
+        pattern.index, return_index=True, return_inverse=True
+    )
+    keys = pattern.exponent[first].tolist()
+    values = np.array([direction[tuple(key)] for key in keys])
+    return values[inverse].reshape(k, k)
 
 
 # ---- SOS-convexity ----------------------------------------------------------

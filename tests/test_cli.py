@@ -296,11 +296,21 @@ def test_sos_check_motzkin(tmp_path, capsys):
 
 def test_probe_prints_degenerate_row(tmp_path, capsys):
     prob = write(tmp_path, "cube.json", CUBE)
-    code, out, _ = run(["probe", prob], capsys)
+    out_path = tmp_path / "probe.json"
+    code, out, _ = run(["probe", prob, "--out", str(out_path)], capsys)
     assert code == 0
     assert "DEGENERATE" in out
     lines = [ln for ln in out.splitlines() if ln.strip().startswith("2")]
     assert lines and "ok" in lines[0]
+    # the degenerate row prints the threshold that flagged it, not the
+    # sampled norm, whose digits there are rounding noise
+    flagged = [ln for ln in out.splitlines() if "DEGENERATE" in ln]
+    assert len(flagged) == 1
+    assert flagged[0].split()[2:] == ["<", "1e-06", "DEGENERATE"]
+    assert "e-1" not in out
+    # the artifact keeps the sampled value
+    rep = json.loads(out_path.read_text())["probe"][0]
+    assert rep["degenerate"] and 0.0 <= rep["min_gradient_norm"] < 1e-6
 
 
 # ---- determinism and SDPA dump ----

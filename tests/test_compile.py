@@ -12,18 +12,19 @@ from momentsos._compile import (
     kernel_deflation,
     localizing_tensor,
     moment_tensor,
-    scalar_row_tensor,
-    y0_row,
 )
 from momentsos.moments import mean_point
 from momentsos.poly import Polynomial
+
+# the y0 = 1 row
+ONE = Polynomial.constant(1, 1.0)
 
 
 def interval_program(f):
     """min L_y(f) over M_1(y) >= 0, M_0((1-X^2) y) >= 0, y0 = 1."""
     g = Polynomial.make(1, {(0,): 1.0, (2,): -1.0})
     c = coefficient_row(1, 1, f)
-    row, rhs = y0_row(1, 1)
+    row = coefficient_row(1, 1, ONE)
     return MomentSdp(
         n=1,
         order=1,
@@ -33,7 +34,7 @@ def interval_program(f):
             BlockSpec("loc", localizing_tensor(1, 1, 0, g)),
         ],
         eq_rows=np.array([row]),
-        eq_rhs=np.array([rhs]),
+        eq_rhs=np.array([1.0]),
     )
 
 
@@ -58,17 +59,17 @@ def test_scalar_row_blocks():
     f = Polynomial.variable(1, 0)
     g = Polynomial.make(1, {(0,): 1.0, (2,): -1.0})
     c = coefficient_row(1, 1, f)
-    row, rhs = y0_row(1, 1)
+    row = coefficient_row(1, 1, ONE)
     ms = MomentSdp(
         n=1,
         order=1,
         objective=c,
         blocks=[
             BlockSpec("moment", moment_tensor(1, 1, 1)),
-            BlockSpec("row", scalar_row_tensor(1, 1, g)),
+            BlockSpec("row", localizing_tensor(1, 1, 0, g)),
         ],
         eq_rows=np.array([row]),
-        eq_rhs=np.array([rhs]),
+        eq_rhs=np.array([1.0]),
     )
     sol = ms.solve()
     assert sol.value == pytest.approx(-1.0, abs=1e-6)
@@ -79,18 +80,18 @@ def test_infeasible_moment_program():
     g1 = Polynomial.make(1, {(1,): 1.0, (0,): -1.0})
     g2 = Polynomial.make(1, {(1,): -1.0})
     c = coefficient_row(1, 1, Polynomial.variable(1, 0))
-    row, rhs = y0_row(1, 1)
+    row = coefficient_row(1, 1, ONE)
     ms = MomentSdp(
         n=1,
         order=1,
         objective=c,
         blocks=[
             BlockSpec("moment", moment_tensor(1, 1, 1)),
-            BlockSpec("g1", scalar_row_tensor(1, 1, g1)),
-            BlockSpec("g2", scalar_row_tensor(1, 1, g2)),
+            BlockSpec("g1", localizing_tensor(1, 1, 0, g1)),
+            BlockSpec("g2", localizing_tensor(1, 1, 0, g2)),
         ],
         eq_rows=np.array([row]),
-        eq_rhs=np.array([rhs]),
+        eq_rhs=np.array([1.0]),
     )
     sol = ms.solve()
     assert sol.status is MomentStatus.INFEASIBLE
@@ -101,14 +102,14 @@ def test_unbounded_moment_program():
     # min -L_y(X^2) with only the moment matrix: y2 recedes to +inf along a
     # genuine improving ray
     c = coefficient_row(1, 1, Polynomial.make(1, {(2,): -1.0}))
-    row, rhs = y0_row(1, 1)
+    row = coefficient_row(1, 1, ONE)
     ms = MomentSdp(
         n=1,
         order=1,
         objective=c,
         blocks=[BlockSpec("moment", moment_tensor(1, 1, 1))],
         eq_rows=np.array([row]),
-        eq_rhs=np.array([rhs]),
+        eq_rhs=np.array([1.0]),
     )
     sol = ms.solve()
     assert sol.status is MomentStatus.UNBOUNDED

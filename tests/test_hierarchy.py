@@ -18,6 +18,7 @@ from momentsos.hierarchy import (
 )
 from momentsos.moments import mean_point
 from momentsos.poly import Polynomial, PreconditionFailure, SemialgebraicSet
+from momentsos.sdp import SolverOptions
 
 from helpers import example_hyperbola_disk, grid_minimize, unit_disk
 
@@ -264,6 +265,25 @@ class TestSolveHierarchy:
         qr = [r for r in results if r.kind == "qr" and r.status == "optimal"]
         assert qr
         assert abs(qr[-1].lower_bound - (-0.25)) <= 1e-6
+
+    def test_no_exactness_on_stall_band_solves(self):
+        # tolerances below what double precision reaches: every solve is
+        # accepted from the stall band, and none may grant an exactness tag
+        # (at target accuracy the disk stops single-shot at Q-hat and the
+        # double well is flat at r = 2)
+        tight = HierarchyOptions(
+            solver=SolverOptions(feas_tol=1e-30, gap_tol=1e-30)
+        )
+        double_well = PolyOptProblem(
+            poly1([0.0, 0.3, -1.0, 0.0, 1.0]), interval_set()
+        )
+        for prob, count in ((disk_problem(), 4), (double_well, 3)):
+            results = solve_hierarchy(prob, r_max=3, options=tight)
+            assert len(results) == count
+            for res in results:
+                assert res.status == "optimal"
+                assert res.exactness == "none" and res.minimizer is None
+                assert "stall-band solve, no exactness test;" in res.note
 
     def test_infeasible_set_reported(self):
         K = SemialgebraicSet(

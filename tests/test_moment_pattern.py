@@ -1,0 +1,262 @@
+"""The pattern-derived builders against the entry-by-entry loops they
+replaced, kept here as the reference.
+
+Every form must agree bit for bit (`np.array_equal`, and the same term
+order for polynomials): term order reaches `eval` and `l1_norm`, and the
+CLI reports are byte-identical across versions.
+"""
+
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from momentsos._compile import (
+    coefficient_row,
+    equality_block_rows,
+    kernel_deflation,
+    localizing_tensor,
+    moment_tensor,
+)
+from momentsos.convexcert import _recover_rho_weights, lift_to_xy
+from momentsos.moments import MomentVector, localizing_matrix, moment_matrix
+from momentsos.poly import Polynomial, PreconditionFailure, monomial_basis
+from momentsos.sos import SosWitness, _gram_constraint_index, _w_linear_basis
+
+from helpers import example_degenerate_cube, example_hyperbola_disk, unit_disk
+
+# ---- reference loops ----------------------------------------------------------
+
+
+def full_index(n, order):
+    return {a: i for i, a in enumerate(monomial_basis(n, 2 * order))}
+
+
+def add(*monomials):
+    return tuple(sum(e) for e in zip(*monomials))
+
+
+def ref_localizing_tensor(n, order, d, g):
+    basis, idx = monomial_basis(n, d), full_index(n, order)
+    T = np.zeros((len(basis), len(basis), len(idx)))
+    for i, a in enumerate(basis):
+        for j, b in enumerate(basis):
+            for gamma, c in g.terms.items():
+                T[i, j, idx[add(a, b, gamma)]] += c
+    return T
+
+
+def ref_equality_block_rows(n, order, d, g):
+    basis, idx = monomial_basis(n, d), full_index(n, order)
+    rows = []
+    for i in range(len(basis)):
+        for j in range(i, len(basis)):
+            row = np.zeros(len(idx))
+            for gamma, c in g.terms.items():
+                row[idx[add(basis[i], basis[j], gamma)]] += c
+            rows.append(row)
+    return np.array(rows), np.zeros(len(rows))
+
+
+def ref_coefficient_row(n, order, p):
+    idx = full_index(n, order)
+    row = np.zeros(len(idx))
+    for alpha, c in p.terms.items():
+        row[idx[alpha]] += c
+    return row
+
+
+def ref_localizing_matrix(y, g, d):
+    basis, idx = monomial_basis(y.n, d), full_index(y.n, y.order)
+    M = np.zeros((len(basis), len(basis)))
+    for i, a in enumerate(basis):
+        for j in range(i, len(basis)):
+            v = 0.0
+            for gamma, c in g.terms.items():
+                v += c * y.values[idx[add(a, basis[j], gamma)]]
+            M[i, j] = v
+            M[j, i] = v
+    return M
+
+
+def ref_kernel(n, D, max_p_deg, h):
+    idx = {a: i for i, a in enumerate(monomial_basis(n, D))}
+    kernel = []
+    for p_alpha in monomial_basis(n, max_p_deg):
+        vec = np.zeros(len(idx))
+        for gamma, c in h.terms.items():
+            vec[idx[add(p_alpha, gamma)]] += c
+        kernel.append(vec)
+    return np.array(kernel).T
+
+
+def ref_gram_constraint_index(basis):
+    sums = {}
+    for i, a in enumerate(basis):
+        for j, b in enumerate(basis):
+            if j >= i:
+                sums.setdefault(add(a, b), []).append((i, j))
+    return sums
+
+
+def ref_reconstruct(basis, gram, n):
+    terms = {}
+    for i, a in enumerate(basis):
+        for j, b in enumerate(basis):
+            terms[add(a, b)] = terms.get(add(a, b), 0.0) + gram[i, j]
+    return Polynomial.make(n, terms)
+
+
+def ref_psi_free(basis, mu, n):
+    terms = {}
+    pos = 1
+    for a in range(len(basis)):
+        for b in range(a, len(basis)):
+            key = add(basis[a], basis[b])
+            terms[key] = terms.get(key, 0.0) + float(mu[pos])
+            pos += 1
+    return Polynomial.make(n, terms)
+
+
+# ---- fixtures -------------------------------------------------------------------
+
+
+def weights(K):
+    """Each constraint of K in its n variables, and lifted to (X, Y)."""
+    out = [(K.n, g) for g in K.constraints]
+    for side in ("x", "y"):
+        out += [(2 * K.n, lift_to_xy(g, side)) for g in K.constraints]
+    return out
+
+
+FIXTURES = {
+    "disk": unit_disk(),
+    "lens": example_hyperbola_disk(),
+    "cube": example_degenerate_cube(),
+}
+
+
+def same_terms(p, q):
+    return p.n == q.n and list(p.terms.items()) == list(q.terms.items())
+
+
+@pytest.fixture(params=sorted(FIXTURES))
+def K(request):
+    return FIXTURES[request.param]
+
+
+# ---- comparisons ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("order", [3, 4])
+def test_tensors_rows_and_coefficients(K, order):
+    for n, g in weights(K):
+        r = (g.degree() + 1) // 2
+        for d in sorted({0, order - r}):
+            assert np.array_equal(
+                localizing_tensor(n, order, d, g),
+                ref_localizing_tensor(n, order, d, g),
+            )
+            rows, rhs = equality_block_rows(n, order, d, g)
+            ref_rows, ref_rhs = ref_equality_block_rows(n, order, d, g)
+            assert np.array_equal(rows, ref_rows)
+            assert np.array_equal(rhs, ref_rhs)
+        assert np.array_equal(
+            coefficient_row(n, order, g), ref_coefficient_row(n, order, g)
+        )
+        one = Polynomial.constant(n, 1.0)
+        assert np.array_equal(
+            moment_tensor(n, order, order),
+            ref_localizing_tensor(n, order, order, one),
+        )
+        expected = np.zeros(len(full_index(n, order)))
+        expected[0] = 1.0
+        assert np.array_equal(coefficient_row(n, order, one), expected)
+
+
+def test_coefficient_row_rejects_high_degree():
+    p = Polynomial.make(2, {(1, 0): 1.0, (3, 2): 2.0})
+    with pytest.raises(PreconditionFailure, match=r"\(3, 2\) outside N\^2_4"):
+        coefficient_row(2, 2, p)
+
+
+def test_moment_and_localizing_matrices(K):
+    rng = np.random.default_rng(5)
+    for n in (K.n, 2 * K.n):
+        order = 4 if n == K.n else 3
+        y = MomentVector.from_mixture(
+            rng.normal(size=(12, n)), rng.uniform(size=12), order
+        )
+        y = MomentVector(n, order, y.values + 1e-3 * rng.normal(size=len(y.values)))
+        idx = full_index(n, order)
+        for d in range(order + 1):
+            basis = monomial_basis(n, d)
+            ref = np.array([[y.values[idx[add(a, b)]] for b in basis] for a in basis])
+            assert np.array_equal(moment_matrix(y, d), ref)
+        for m, g in weights(K):
+            if m == n and g.degree() <= 2 * order:
+                d = order - (g.degree() + 1) // 2
+                assert np.array_equal(
+                    localizing_matrix(y, g, d), ref_localizing_matrix(y, g, d)
+                )
+
+
+def test_kernel_deflation_matches_reference_kernel(K):
+    for n, h in weights(K):
+        for D in (2, 3):
+            budget = 2 * D
+            max_p_deg = min(D - h.degree(), budget - D)
+            P = kernel_deflation(n, D, 0, h, budget)
+            if max_p_deg < 0:
+                assert P is None
+                continue
+            U, sv, _ = np.linalg.svd(ref_kernel(n, D, max_p_deg, h))
+            K_shape = (len(monomial_basis(n, D)), len(monomial_basis(n, max_p_deg)))
+            tol = max(K_shape) * np.finfo(float).eps * sv[0]
+            assert np.array_equal(P, U[:, int(np.sum(sv > tol)) :])
+
+
+def gram_bases(n):
+    return [monomial_basis(n, 2), monomial_basis(2 * n, 1), _w_linear_basis(n, 1)]
+
+
+def test_gram_constraint_index_and_reconstruct(K):
+    rng = np.random.default_rng(7)
+    for basis in gram_bases(K.n):
+        m = len(basis[0])
+        ref = ref_gram_constraint_index(basis)
+        monomials, rows, cols, group = _gram_constraint_index(np.array(basis))
+        # constraint order: the sorted monomials; pairs in row-major order
+        assert monomials == sorted(ref)
+        for k, alpha in enumerate(monomials):
+            pairs = list(zip(rows[group == k].tolist(), cols[group == k].tolist()))
+            assert pairs == ref[alpha]
+        G = rng.normal(size=(len(basis), len(basis)))
+        G[0, 1] = 1e-14  # pruned unless summed with another entry
+        assert same_terms(
+            SosWitness(basis, G, 0.0).reconstruct(m), ref_reconstruct(basis, G, m)
+        )
+
+
+def test_psi_free_matches_reference(K):
+    rng = np.random.default_rng(11)
+    n2, half = 2 * K.n, K.half_degrees()
+    for j in range(1, K.m + 1):
+        d_j = max(half) + 1
+        sizes = [len(monomial_basis(n2, d_j))]
+        sizes += [len(monomial_basis(n2, d_j - r)) for r in half]
+        sizes += [
+            len(monomial_basis(n2, d_j - r))
+            for k, r in enumerate(half, 1)
+            if k != j
+        ]
+        basis = monomial_basis(n2, d_j - half[j - 1])
+        rows = len(basis) * (len(basis) + 1) // 2
+        sol = SimpleNamespace(
+            gram_blocks=[rng.normal(size=(s, s)) for s in sizes],
+            eq_multipliers=rng.normal(size=1 + rows),
+        )
+        weights_j = _recover_rho_weights(K, j, d_j, sol)
+        assert same_terms(
+            weights_j.psi_free, ref_psi_free(basis, sol.eq_multipliers, n2)
+        )
