@@ -143,18 +143,13 @@ class MomentSdp:
         Returns the problem and the decode map {z_part, N, ...}.
         """
         z_part, N = self._eliminate()
-        p = N.shape[1]
-        c_red = N.T @ self.objective
-        Cs, As = [], [[] for _ in range(p)]
+        Cs, As = [], []
         for B in self.blocks:
             T = B.reduced_tensor()
             Cs.append(np.tensordot(T, z_part, axes=(2, 0)))
-            F = np.tensordot(T, N, axes=(2, 0))  # (dim, dim, p)
-            for k in range(p):
-                As[k].append(-F[:, :, k])
-        constraints = [(tuple(As[k]), -float(c_red[k])) for k in range(p)]
+            As.append(-np.moveaxis(np.tensordot(T, N, axes=(2, 0)), 2, 0))
         problem = SdpProblem.make(
-            [B.reduced_dim for B in self.blocks], Cs, constraints
+            [B.reduced_dim for B in self.blocks], Cs, As, -(N.T @ self.objective)
         )
         return problem, {"z_part": z_part, "N": N}
 
@@ -211,12 +206,12 @@ class MomentSdp:
             block_labels=[B.label for B in self.blocks],
         )
 
-    def moment_vector(
-        self, solution: MomentSolution, provenance: str = "interior_point"
-    ) -> MomentVector:
+    def moment_vector(self, solution: MomentSolution) -> MomentVector:
         if solution.z is None:
             raise PreconditionFailure("solution has moments")
-        return MomentVector(self.n, self.order, solution.z, provenance=provenance)
+        return MomentVector(
+            self.n, self.order, solution.z, provenance="interior_point"
+        )
 
 
 # ---- builders --------------------------------------------------------------

@@ -316,6 +316,14 @@ def _recover_rho_weights(
     return weights
 
 
+# the sampling probes treat |g_j| <= BOUNDARY_BAND as on {g_j = 0}; they
+# sample the box [-b, b]^n with b the set's ball bound, else 2
+BOUNDARY_BAND = 1e-4
+# interior margin the Slater heuristic asks for, and its sample count
+SLATER_MARGIN = 1e-6
+SLATER_STARTS = 200
+
+
 def _boundary_crossings(
     g: Polynomial,
     others: SemialgebraicSet,
@@ -323,13 +331,14 @@ def _boundary_crossings(
     starts: np.ndarray | bool,
     rng: np.random.Generator,
     limit: int,
-    band: float,
 ) -> np.ndarray:
     """Crossings of {g = 0} found by bisecting up to `limit` segments of a
     point cloud, all at once. Segment t runs from the t-th cloud point with
-    g > band allowed by the `starts` mask (cycling) to a point with
-    g < -band drawn by `rng`, one scalar draw per segment. Keeps the
-    crossings with |g| <= band that lie in `others` to within band."""
+    g > BOUNDARY_BAND allowed by the `starts` mask (cycling) to a point with
+    g < -BOUNDARY_BAND drawn by `rng`, one scalar draw per segment. Keeps
+    the crossings with |g| <= BOUNDARY_BAND that lie in `others` to within
+    the same band."""
+    band = BOUNDARY_BAND
     vals = g.eval(cloud)
     inside, outside = cloud[(vals > band) & starts], cloud[vals < -band]
     count = min(limit, len(inside), len(outside))
@@ -348,11 +357,7 @@ def _boundary_crossings(
 
 
 def nondegeneracy_probe(
-    K: SemialgebraicSet,
-    samples: int = 200,
-    seed: int = 0,
-    band: float = 1e-4,
-    box: Optional[float] = None,
+    K: SemialgebraicSet, samples: int = 200, seed: int = 0
 ) -> List[ProbeReport]:
     """Boundary gradient probe: bisect segments crossing {g_j = 0}, keep
     crossings that stay in K, and report min ||grad g_j|| over them.
@@ -360,13 +365,13 @@ def nondegeneracy_probe(
     if samples < 1:
         raise PreconditionFailure("samples >= 1", str(samples))
     rng = np.random.default_rng(seed)
-    half_width = box if box is not None else (K.ball_bound or 2.0)
+    half_width = K.ball_bound or 2.0
     reports = []
     pts = rng.uniform(-half_width, half_width, size=(40 * samples, K.n))
     for j, g in enumerate(K.constraints, start=1):
         others = SemialgebraicSet(K.n, K.constraints[: j - 1] + K.constraints[j:])
-        starts = others.contains(pts, band)
-        found = _boundary_crossings(g, others, pts, starts, rng, samples, band)
+        starts = others.contains(pts, BOUNDARY_BAND)
+        found = _boundary_crossings(g, others, pts, starts, rng, samples)
         if not len(found):
             reports.append(
                 ProbeReport(j, 0, None, False, note="no active samples")
@@ -379,25 +384,20 @@ def nondegeneracy_probe(
     return reports
 
 
-def slater_heuristic(
-    K: SemialgebraicSet,
-    margin: float = 1e-6,
-    starts: int = 200,
-    seed: int = 0,
-    box: Optional[float] = None,
-) -> dict:
-    """Search for x0 with min_j g_j(x0) >= margin by sampling plus local
-    random ascent; heuristic evidence only."""
+def slater_heuristic(K: SemialgebraicSet, seed: int = 0) -> dict:
+    """Search for x0 with min_j g_j(x0) >= SLATER_MARGIN by sampling
+    SLATER_STARTS points plus local random ascent; heuristic evidence
+    only."""
     rng = np.random.default_rng(seed)
-    half_width = box if box is not None else (K.ball_bound or 2.0)
+    half_width = K.ball_bound or 2.0
 
     def worst(x):
         return np.min([g.eval(x) for g in K.constraints], axis=0, initial=np.inf)
 
     best_x = np.zeros(K.n)
     best = worst(best_x)
-    pts = rng.uniform(-half_width, half_width, size=(starts, K.n))
-    if starts and K.m:
+    pts = rng.uniform(-half_width, half_width, size=(SLATER_STARTS, K.n))
+    if K.m:
         vals = worst(pts)
         k = int(np.argmax(vals))
         if vals[k] > best:
@@ -411,25 +411,21 @@ def slater_heuristic(
         else:
             step *= 0.99
     return {
-        "passed": bool(best >= margin),
-        "margin": margin,
+        "passed": bool(best >= SLATER_MARGIN),
+        "margin": SLATER_MARGIN,
         "best_value": float(best),
         "point": [float(v) for v in best_x],
     }
 
 
 def sample_supporting_hyperplane(
-    K: SemialgebraicSet,
-    pairs: int = 2000,
-    seed: int = 0,
-    band: float = 1e-4,
-    box: Optional[float] = None,
+    K: SemialgebraicSet, pairs: int = 2000, seed: int = 0
 ) -> Optional[dict]:
     """Search for a sampled violation of <grad g_j(y), x-y> >= 0 with
     x in K and y in K near {g_j = 0}. Returns the worst violating pair or
     None when every sampled pair passes at tolerance 1e-4."""
     rng = np.random.default_rng(seed)
-    half_width = box if box is not None else (K.ball_bound or 2.0)
+    half_width = K.ball_bound or 2.0
     count = max(pairs // 4, 50)
     cloud = rng.uniform(-half_width, half_width, size=(60 * count, K.n))
     xs = cloud[K.contains(cloud)][:count]
@@ -439,7 +435,7 @@ def sample_supporting_hyperplane(
     for j, g in enumerate(K.constraints, start=1):
         others = SemialgebraicSet(K.n, K.constraints[: j - 1] + K.constraints[j:])
         cloud = rng.uniform(-half_width, half_width, size=(40 * count, K.n))
-        ys = _boundary_crossings(g, others, cloud, True, rng, count, band)
+        ys = _boundary_crossings(g, others, cloud, True, rng, count)
         if len(ys) == 0:
             continue
         # one scalar draw for x, then one for y, per pair

@@ -246,7 +246,6 @@ class HierarchyOptions:
     tol: float = 1e-6
     rank_tau: float = 1e-6
     archimedean_waiver: bool = False
-    convexity_samples: int = 500
     seed: int = 0
     solver: SolverOptions = field(default_factory=SolverOptions)
 
@@ -255,13 +254,18 @@ def _feasible_within(K: SemialgebraicSet, x: np.ndarray, tol: float) -> bool:
     return all(g.eval(x) >= -tol * (1.0 + g.l1_norm()) for g in K.constraints)
 
 
+# points of the Hessian spot check behind the convex_mean_point tag
+CONVEXITY_SAMPLES = 500
+
+
 def _sampled_convexity(
-    polys: Sequence[Polynomial], n: int, box: float, samples: int, seed: int
+    polys: Sequence[Polynomial], n: int, box: float, seed: int
 ) -> bool:
-    """Min-eigenvalue spot check of every Hessian over a box; a failed point
-    disproves convexity, success is only sampled evidence."""
+    """Min-eigenvalue spot check of every Hessian at CONVEXITY_SAMPLES points
+    of a box; a failed point disproves convexity, success is only sampled
+    evidence."""
     rng = np.random.default_rng(seed)
-    pts = rng.uniform(-box, box, size=(samples, n))
+    pts = rng.uniform(-box, box, size=(CONVEXITY_SAMPLES, n))
     for p in polys:
         H = p.hessian_at(pts)
         scale = 1.0 + np.abs(H).max(axis=(1, 2))
@@ -376,7 +380,6 @@ def solve_hierarchy(
         [problem.objective] + [-1.0 * g for g in K.constraints],
         K.n,
         box,
-        opts.convexity_samples,
         opts.seed,
     )
 

@@ -13,11 +13,16 @@ complement. It starts from a data-scaled identity point that is strictly
 feasible for the embedding (not for the problem itself) and reports
 primal/dual infeasibility through normalized improving rays instead of
 exceptions. Deterministic: no randomness anywhere in the iteration.
+
+`SdpProblem` stores the constraint matrices once, as one dense
+(p, n_b, n_b) stack per block; the solver, the Schur complement and the
+SDPA rendering all read those stacks. `SolverOptions` holds the two
+target tolerances; every other setting of the iteration is a module
+constant.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -27,7 +32,20 @@ import numpy as np
 from .poly import PreconditionFailure
 
 SYMMETRY_TOL = 1e-12
-DEFAULT_BLOCK_CAP = 512
+# symmetry tolerance of the eigenvalue utilities' inputs
+EIG_SYMMETRY_TOL = 1e-9
+BLOCK_CAP = 512
+MAX_ITERATIONS = 200
+# fraction of the largest feasible step that is taken
+STEP_FRACTION = 0.98
+INFEAS_RAY_TOL = 1e-8
+# fallback tolerances when the iteration stalls before the target accuracy
+# (strict complementarity failures cap the attainable precision); a
+# stall-accepted solution is OPTIMAL with a message
+STALL_FEAS_TOL = 2e-6
+STALL_GAP_TOL = 2e-6
+# iterations without a 10% better residual score before the loop stops
+STALL_WINDOW = 8
 # times a step is halved when its end point cannot be factored
 STEP_HALVINGS = 20
 
@@ -55,29 +73,31 @@ def _as_sym(M: np.ndarray, what: str, tol: float = SYMMETRY_TOL) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SdpProblem:
-    """Block-diagonal standard-form SDP data.
+    """Block-diagonal standard-form SDP data, each coefficient stored once.
 
-    `C` is one symmetric matrix per block; each constraint is a tuple
-    (A, b_i) with A a list of per-block symmetric matrices.
+    `C` is one symmetric (n_b, n_b) matrix per block. `A` is one
+    C-contiguous (p, n_b, n_b) stack per block, so that `A[k][i]` is the
+    matrix of constraint i in block k, and `b` is the (p,) right-hand side.
     """
 
     block_dims: Tuple[int, ...]
     C: Tuple[np.ndarray, ...]
-    constraints: Tuple[Tuple[Tuple[np.ndarray, ...], float], ...]
+    A: Tuple[np.ndarray, ...]
+    b: np.ndarray
 
     @staticmethod
     def make(
         block_dims: Sequence[int],
         C: Sequence[np.ndarray],
-        constraints: Sequence[Tuple[Sequence[np.ndarray], float]],
-        block_cap: int = DEFAULT_BLOCK_CAP,
+        A: Sequence[np.ndarray],
+        b: Sequence[float],
     ) -> "SdpProblem":
         dims = tuple(int(d) for d in block_dims)
         if any(d < 1 for d in dims):
             raise PreconditionFailure("block dims >= 1", str(dims))
-        if any(d > block_cap for d in dims):
+        if any(d > BLOCK_CAP for d in dims):
             raise PreconditionFailure(
-                "block dimension within cap", f"{max(dims)} > {block_cap}"
+                "block dimension within cap", f"{max(dims)} > {BLOCK_CAP}"
             )
         if len(C) != len(dims):
             raise PreconditionFailure("one objective matrix per block")
@@ -89,56 +109,74 @@ class SdpProblem:
                     "objective block dims consistent", f"C[{k}]: {M.shape}"
                 )
             Cs.append(M)
-        rows = []
-        for i, (mats, bi) in enumerate(constraints):
-            if len(mats) != len(dims):
+        b = np.array(b, dtype=float)
+        if b.ndim != 1:
+            raise PreconditionFailure("right-hand side a vector", f"b: {b.shape}")
+        if len(A) != len(dims):
+            raise PreconditionFailure("one coefficient stack per block")
+        stacks = [np.asarray(Ab, dtype=float) for Ab in A]
+        skewed = []
+        for k, (Ab, d) in enumerate(zip(stacks, dims)):
+            if Ab.shape != (len(b), d, d):
                 raise PreconditionFailure(
-                    "one coefficient matrix per block", f"constraint {i}"
+                    "constraint block dims consistent", f"A[:][{k}]: {Ab.shape}"
                 )
-            row = []
-            for k, (M, d) in enumerate(zip(mats, dims)):
-                M = _as_sym(M, f"A[{i}][{k}]")
-                if M.shape != (d, d):
-                    raise PreconditionFailure(
-                        "constraint block dims consistent", f"A[{i}][{k}]"
-                    )
-                row.append(M)
-            rows.append((tuple(row), float(bi)))
-        return SdpProblem(dims, tuple(Cs), tuple(rows))
+            # each matrix against its own scale, as _as_sym does
+            skew = np.abs(Ab - Ab.transpose(0, 2, 1)).max(axis=(1, 2))
+            scale = np.maximum(1.0, np.abs(Ab).max(axis=(1, 2)))
+            bad = np.flatnonzero(skew > SYMMETRY_TOL * scale)
+            skewed += [(int(i), k, float(skew[i])) for i in bad]
+        if skewed:
+            i, k, skew = min(skewed)
+            raise PreconditionFailure(
+                "coefficient matrices symmetric", f"A[{i}][{k}]: skew {skew:.3e}"
+            )
+        A = tuple(
+            np.ascontiguousarray(0.5 * (Ab + Ab.transpose(0, 2, 1))) for Ab in stacks
+        )
+        return SdpProblem(dims, tuple(Cs), A, b)
 
     @property
     def num_constraints(self) -> int:
-        return len(self.constraints)
+        return len(self.b)
 
-    def b_vector(self) -> np.ndarray:
-        return np.array([bi for _, bi in self.constraints])
+    @property
+    def constraints(self) -> Tuple[Tuple[Tuple[np.ndarray, ...], float], ...]:
+        """(per-block matrices, b_i) of each constraint, as views of the
+        stacks. Kept only for the benchmark's layer trace, which reads it
+        until solves carry their own trace (ROADMAP direction 5)."""
+        return tuple(
+            (tuple(Ab[i] for Ab in self.A), float(bi))
+            for i, bi in enumerate(self.b)
+        )
 
     def dump_sdpa(self) -> str:
-        """Sparse SDPA rendering: one line per nonzero
-        "constraint block row col value" (constraint 0 is the objective).
+        """Sparse SDPA rendering: one line per nonzero upper-triangle entry,
+        "constraint block row col value" (constraint 0 is the objective),
+        ordered by constraint, block, row and column.
 
         Convention: the emitted file encodes max <F0,Y> s.t. <Fi,Y>=c_i,
         Y >= 0 with F0 = -C, Fi = A_i, c = b, i.e. this problem's exact
         negated-objective image in SDPA's dual slot.
         """
-        out = io.StringIO()
-        p = self.num_constraints
-        out.write(f"{p}\n{len(self.block_dims)}\n")
-        out.write(" ".join(str(d) for d in self.block_dims) + "\n")
-        out.write(" ".join(repr(bi) for _, bi in self.constraints) + "\n")
-
-        def emit(idx: int, mats: Sequence[np.ndarray], flip: bool) -> None:
-            for blk, M in enumerate(mats, start=1):
-                for r in range(M.shape[0]):
-                    for c in range(r, M.shape[1]):
-                        v = float(-M[r, c] if flip else M[r, c])
-                        if v != 0.0:
-                            out.write(f"{idx} {blk} {r + 1} {c + 1} {v!r}\n")
-
-        emit(0, self.C, flip=True)
-        for i, (mats, _) in enumerate(self.constraints, start=1):
-            emit(i, mats, flip=False)
-        return out.getvalue()
+        head = [
+            str(self.num_constraints),
+            str(len(self.block_dims)),
+            " ".join(str(d) for d in self.block_dims),
+            " ".join(repr(bi) for bi in self.b.tolist()),
+        ]
+        entries = []
+        for blk, (Cb, Ab) in enumerate(zip(self.C, self.A), start=1):
+            r, c = np.triu_indices(Cb.shape[0])
+            vals = np.vstack([-Cb[r, c], Ab[:, r, c]])  # row 0: objective
+            idx, t = np.nonzero(vals)
+            blks = np.full(len(idx), blk)
+            entries.append((idx, blks, r[t] + 1, c[t] + 1, vals[idx, t]))
+        cols = [np.concatenate(col) for col in zip(*entries)]
+        order = np.argsort(cols[0], kind="stable")  # blocks stay in order
+        body = zip(*(col[order].tolist() for col in cols))
+        lines = head + [f"{i} {blk} {r} {c} {v!r}" for i, blk, r, c, v in body]
+        return "\n".join(lines) + "\n"
 
 
 @dataclass
@@ -147,16 +185,6 @@ class SolverOptions:
     # one decade below gap_tol to leave A X = b accurate at the optimum
     feas_tol: float = 1e-9
     gap_tol: float = 1e-8
-    max_iterations: int = 200
-    step_fraction: float = 0.98
-    infeas_ray_tol: float = 1e-8
-    # fallback tolerances when the iteration stalls before the target
-    # accuracy (strict complementarity failures cap the attainable
-    # precision); a stall-accepted solution is OPTIMAL with a message
-    stall_feas_tol: float = 2e-6
-    stall_gap_tol: float = 2e-6
-    stall_window: int = 8
-    verbose: bool = False
 
 
 @dataclass
@@ -182,12 +210,12 @@ class SdpSolution:
         return self.status is SdpStatus.OPTIMAL
 
 
-def min_eigenvalue(M: np.ndarray, sym_tol: float = 1e-9) -> float:
+def min_eigenvalue(M: np.ndarray) -> float:
     """Smallest eigenvalue of a symmetric matrix."""
     M = np.asarray(M, dtype=float)
     if M.size == 0:
         return 0.0
-    M = _as_sym(M, "min_eigenvalue input", tol=sym_tol)
+    M = _as_sym(M, "min_eigenvalue input", tol=EIG_SYMMETRY_TOL)
     return float(np.linalg.eigvalsh(M)[0])
 
 
@@ -196,7 +224,7 @@ def numeric_rank(M: np.ndarray, tau: float = 1e-6) -> int:
     M = np.asarray(M, dtype=float)
     if M.size == 0:
         return 0
-    M = _as_sym(M, "numeric_rank input", tol=1e-9)
+    M = _as_sym(M, "numeric_rank input", tol=EIG_SYMMETRY_TOL)
     w = np.linalg.eigvalsh(M)
     lam_max = float(w[-1])
     norm = max(abs(float(w[0])), lam_max)
@@ -238,40 +266,17 @@ def _max_step(L: np.ndarray, dM: np.ndarray) -> float:
     return 1.0 / (-w_min)
 
 
-class _Workspace:
-    """Per-solve state: stacked constraint tensors and scaling data."""
+def _apply_A(A: Sequence[np.ndarray], X: List[np.ndarray]) -> np.ndarray:
+    """(<A_i, X>)_i, summed over the blocks in block order."""
+    out = np.zeros(len(A[0]))
+    for Ab, Xb in zip(A, X):
+        out += np.tensordot(Ab, Xb, axes=([1, 2], [0, 1]))
+    return out
 
-    def __init__(self, problem: SdpProblem):
-        self.dims = problem.block_dims
-        self.nblocks = len(self.dims)
-        self.p = problem.num_constraints
-        self.b = problem.b_vector()
-        self.C = [np.array(Cb) for Cb in problem.C]
-        # A[b] has shape (p, n_b, n_b)
-        self.A = [
-            np.stack([problem.constraints[i][0][b] for i in range(self.p)])
-            if self.p
-            else np.zeros((0, d, d))
-            for b, d in enumerate(self.dims)
-        ]
-        self.N = sum(self.dims)
-        self.norm_b = max(1.0, float(np.max(np.abs(self.b))) if self.p else 0.0)
-        self.norm_C = max(
-            1.0, max((float(np.max(np.abs(Cb))) if Cb.size else 0.0) for Cb in self.C)
-        )
 
-    def apply_A(self, X: List[np.ndarray]) -> np.ndarray:
-        out = np.zeros(self.p)
-        for Ab, Xb in zip(self.A, X):
-            if self.p:
-                out += np.tensordot(Ab, Xb, axes=([1, 2], [0, 1]))
-        return out
-
-    def apply_At(self, lam: np.ndarray) -> List[np.ndarray]:
-        return [
-            np.tensordot(lam, Ab, axes=(0, 0)) if self.p else np.zeros((d, d))
-            for Ab, d in zip(self.A, self.dims)
-        ]
+def _apply_At(A: Sequence[np.ndarray], lam: np.ndarray) -> List[np.ndarray]:
+    """sum_i lam_i A_i, per block."""
+    return [np.tensordot(lam, Ab, axes=(0, 0)) for Ab in A]
 
 
 def _inner(Xs: List[np.ndarray], Ys: List[np.ndarray]) -> float:
@@ -337,12 +342,11 @@ def _corrector_rhs(
     return Rc
 
 
-def _schur_matrix(ws: _Workspace, Ws: List[np.ndarray]) -> np.ndarray:
+def _schur_matrix(A: Sequence[np.ndarray], Ws: List[np.ndarray]) -> np.ndarray:
     """M_ij = sum over blocks of tr(A_i W A_j W)."""
-    M = np.zeros((ws.p, ws.p))
-    for Ab, W in zip(ws.A, Ws):
-        if not ws.p:
-            continue
+    p = len(A[0])
+    M = np.zeros((p, p))
+    for Ab, W in zip(A, Ws):
         TW = np.einsum("ij,kjl,lm->kim", W, Ab, W, optimize=True)
         M += np.tensordot(TW, Ab, axes=([1, 2], [1, 2]))
     return 0.5 * (M + M.T)
@@ -384,7 +388,6 @@ def _schur_solver(M: np.ndarray, p: int):
 
 def _accept_stalled(
     stall_best: Optional[dict],
-    opts: SolverOptions,
     status: SdpStatus,
     message: str,
     iterations: int,
@@ -398,9 +401,9 @@ def _accept_stalled(
         return None
     res = stall_best["residuals"]
     if not (
-        res["primal"] <= opts.stall_feas_tol
-        and res["dual"] <= opts.stall_feas_tol
-        and res["gap"] <= opts.stall_gap_tol
+        res["primal"] <= STALL_FEAS_TOL
+        and res["dual"] <= STALL_FEAS_TOL
+        and res["gap"] <= STALL_GAP_TOL
     ):
         return None
     # stalled short of the target tolerances but within the declared
@@ -443,15 +446,17 @@ def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSo
     factors of the accepted point are reused by the next scaling.
     """
     opts = options or SolverOptions()
-    ws = _Workspace(problem)
-    p, dims = ws.p, ws.dims
+    A, b, C = problem.A, problem.b, problem.C
+    p, dims = problem.num_constraints, problem.block_dims
+    norm_b = max(1.0, float(np.max(np.abs(b))) if p else 0.0)
+    norm_C = max(1.0, max(float(np.max(np.abs(Cb))) for Cb in C))
 
     eta = 1.0
     if p:
         eta = max(
             1.0,
             max(
-                float(np.sqrt(sum(float(np.sum(Ab[i] ** 2)) for Ab in ws.A)))
+                float(np.sqrt(sum(float(np.sum(Ab[i] ** 2)) for Ab in A)))
                 for i in range(p)
             ),
         )
@@ -459,7 +464,7 @@ def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSo
     S = [eta * np.eye(d) for d in dims]
     y = np.zeros(p)
     tau, kappa = 1.0, 1.0
-    nu = ws.N + 1.0
+    nu = sum(dims) + 1.0
     # Cholesky factors of (X, S), carried over from the accepted step
     factors = None
 
@@ -472,12 +477,12 @@ def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSo
     stall_score = np.inf
     since_improved = 0
 
-    for _ in range(opts.max_iterations):
-        rp = ws.b * tau - ws.apply_A(X)
-        Aty = ws.apply_At(y)
-        Rd = [Cb * tau - Ab - Sb for Cb, Ab, Sb in zip(ws.C, Aty, S)]
-        cx = _inner(ws.C, X)
-        by = float(ws.b @ y)
+    for _ in range(MAX_ITERATIONS):
+        rp = b * tau - _apply_A(A, X)
+        Aty = _apply_At(A, y)
+        Rd = [Cb * tau - Ab - Sb for Cb, Ab, Sb in zip(C, Aty, S)]
+        cx = _inner(C, X)
+        by = float(b @ y)
         rg = kappa + cx - by
         mu = (_inner(X, S) + tau * kappa) / nu
 
@@ -485,8 +490,8 @@ def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSo
         pobj = cx / tau
         dobj = by / tau
         denom = 1.0 + abs(pobj) + abs(dobj)
-        err_p = float(np.max(np.abs(rp))) / (tau * ws.norm_b) if p else 0.0
-        err_d = max(float(np.max(np.abs(R))) for R in Rd) / (tau * ws.norm_C)
+        err_p = float(np.max(np.abs(rp))) / (tau * norm_b) if p else 0.0
+        err_d = max(float(np.max(np.abs(R))) for R in Rd) / (tau * norm_C)
         err_gap = abs(pobj - dobj) / denom
         err_comp = _inner(X, S) / (tau * tau) / denom
 
@@ -513,7 +518,7 @@ def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSo
             }
         else:
             since_improved += 1
-            if since_improved >= opts.stall_window:
+            if since_improved >= STALL_WINDOW:
                 status = SdpStatus.MAX_ITERATIONS
                 message = "no progress"
                 break
@@ -548,7 +553,7 @@ def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSo
             ray_res = max(
                 float(np.max(np.abs(Ab + Sb))) for Ab, Sb in zip(Aty, S)
             )
-            if ray_res <= opts.infeas_ray_tol * by:
+            if ray_res <= INFEAS_RAY_TOL * by:
                 status = SdpStatus.INFEASIBLE
                 message = "dual improving ray found"
                 best = SdpSolution(
@@ -566,8 +571,8 @@ def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSo
                 break
         ctx = -cx
         if ctx > 0.0:
-            ray_res = float(np.max(np.abs(ws.apply_A(X)))) if p else 0.0
-            if ray_res <= opts.infeas_ray_tol * ctx:
+            ray_res = float(np.max(np.abs(_apply_A(A, X)))) if p else 0.0
+            if ray_res <= INFEAS_RAY_TOL * ctx:
                 status = SdpStatus.UNBOUNDED
                 message = "primal improving ray found"
                 best = SdpSolution(
@@ -595,26 +600,26 @@ def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSo
             break
         Ls_x, Ls_s, Gs, Gis, sigmas, Ws = nt
 
-        msolve = _schur_solver(_schur_matrix(ws, Ws), p)
+        msolve = _schur_solver(_schur_matrix(A, Ws), p)
 
-        WCW = [W @ Cb @ W for W, Cb in zip(Ws, ws.C)]
-        u = ws.apply_A(WCW)
-        q = _inner(ws.C, WCW)
-        v_rhs = ws.b + u
+        WCW = [W @ Cb @ W for W, Cb in zip(Ws, C)]
+        u = _apply_A(A, WCW)
+        q = _inner(C, WCW)
+        v_rhs = b + u
         Mi_v = msolve(v_rhs)
         WRdW = [W @ R @ W for W, R in zip(Ws, Rd)]
-        A_WRdW = ws.apply_A(WRdW)
-        C_WRdW = _inner(ws.C, WRdW)
-        diff = u - ws.b
+        A_WRdW = _apply_A(A, WRdW)
+        C_WRdW = _inner(C, WRdW)
+        diff = u - b
 
         def direction(sigma: float, Rc: List[np.ndarray], r5: float):
             """Solve the embedding's Newton system by eliminating dS, dX,
             dkappa and bordering the Schur system with the dtau column."""
             one_m = 1.0 - sigma
-            r1 = -ws.apply_A(Rc) + one_m * (A_WRdW + rp)
+            r1 = -_apply_A(A, Rc) + one_m * (A_WRdW + rp)
             r2 = (
                 (sigma - 1.0) * rg
-                - _inner(ws.C, Rc)
+                - _inner(C, Rc)
                 + one_m * C_WRdW
                 - r5 / tau
             )
@@ -624,10 +629,10 @@ def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSo
             den = float(diff @ Mi_v) - q - kappa / tau
             dtau = (r2 - float(diff @ Mi_r1)) / den
             dy = dtau * Mi_v + Mi_r1
-            Atdy = ws.apply_At(dy)
+            Atdy = _apply_At(A, dy)
             dS = [
                 Cb * dtau - Ab + one_m * R
-                for Cb, Ab, R in zip(ws.C, Atdy, Rd)
+                for Cb, Ab, R in zip(C, Atdy, Rd)
             ]
             dX = [Rcb - W @ dSb @ W for Rcb, W, dSb in zip(Rc, Ws, dS)]
             # rounding in W dS W leaves dX slightly skew; X stays symmetric
@@ -674,7 +679,7 @@ def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSo
 
         # one step length for the whole embedding keeps it self-dual; it is
         # halved while its end point is not finite or cannot be factored
-        a = min(1.0, opts.step_fraction * max_step(dX, dS, dtau, dkappa))
+        a = min(1.0, STEP_FRACTION * max_step(dX, dS, dtau, dkappa))
         for _ in range(STEP_HALVINGS + 1):
             X_t = [Xb + a * dXb for Xb, dXb in zip(X, dX)]
             S_t = [Sb + a * dSb for Sb, dSb in zip(S, dS)]
@@ -696,24 +701,17 @@ def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSo
         X, S, y, tau, kappa = X_t, S_t, y_t, tau_t, kappa_t
         factors = (Ls_x, Ls_s)
 
-        if opts.verbose:
-            print(
-                f"  it {iterations:3d}  mu {mu:9.2e}  gap {err_gap:9.2e}  "
-                f"feasP {err_p:9.2e}  feasD {err_d:9.2e}  "
-                f"tau {tau:8.2e}  step {a:5.3f}"
-            )
+    if best is None:
+        best = _accept_stalled(stall_best, status, message, iterations)
 
     if best is None:
-        best = _accept_stalled(stall_best, opts, status, message, iterations)
-
-    if best is None:
-        cx = _inner(ws.C, X)
-        by = float(ws.b @ y)
+        cx = _inner(C, X)
+        by = float(b @ y)
         pobj, dobj = cx / tau, by / tau
-        rp = ws.b * tau - ws.apply_A(X)
+        rp = b * tau - _apply_A(A, X)
         Rd = [
             Cb * tau - Ab - Sb
-            for Cb, Ab, Sb in zip(ws.C, ws.apply_At(y), S)
+            for Cb, Ab, Sb in zip(C, _apply_At(A, y), S)
         ]
         best = SdpSolution(
             status=status,
@@ -725,11 +723,11 @@ def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSo
             gap=abs(pobj - dobj) / (1.0 + abs(pobj)),
             iterations=iterations,
             residuals={
-                "primal": float(np.max(np.abs(rp))) / (tau * ws.norm_b)
+                "primal": float(np.max(np.abs(rp))) / (tau * norm_b)
                 if p
                 else 0.0,
                 "dual": max(float(np.max(np.abs(R))) for R in Rd)
-                / (tau * ws.norm_C),
+                / (tau * norm_C),
             },
             message=message or "iteration limit reached",
         )

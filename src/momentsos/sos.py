@@ -127,8 +127,7 @@ def sos_decompose(
     E[group, rows, cols] = 1.0
     E[group, cols, rows] = 1.0
     target = np.array([p.coeff(alpha) for alpha in monomials])
-    constraints = [([A], c) for A, c in zip(E, target)]
-    problem = SdpProblem.make([k], [np.eye(k)], constraints)
+    problem = SdpProblem.make([k], [np.eye(k)], [E], target)
     sol = solve(problem, options)
 
     if sol.status is SdpStatus.OPTIMAL:
@@ -241,8 +240,8 @@ def _w_linear_basis(n: int, x_degree: int) -> List[Monomial]:
     return out
 
 
-def _hessian_counterexample(f: Polynomial, rng_seed: int = 0) -> Optional[dict]:
-    rng = np.random.default_rng(rng_seed)
+def _hessian_counterexample(f: Polynomial) -> Optional[dict]:
+    rng = np.random.default_rng(0)
     pts = np.array(
         [np.zeros(f.n)] + [rng.uniform(-2.0, 2.0, size=f.n) for _ in range(200)]
     )
@@ -322,14 +321,19 @@ class JensenReport(NamedTuple):
     holds: bool
 
 
-def _require_admissible(y: MomentVector, clause_prefix: str = "") -> None:
+def _jensen_report(lhs: float, rhs: float) -> JensenReport:
+    # a Python bool, so that the report serializes to JSON
+    return JensenReport(lhs, rhs, bool(lhs >= rhs - 1e-7 * (1.0 + abs(rhs))))
+
+
+def _require_admissible(y: MomentVector) -> None:
     if abs(y.y0 - 1.0) > 1e-9:
-        raise PreconditionFailure(clause_prefix + "y0 = 1", f"y0 = {y.y0!r}")
+        raise PreconditionFailure("y0 = 1", f"y0 = {y.y0!r}")
     M = moment_matrix(y, y.order)
     w_min = min_eigenvalue(M)
     if w_min < -1e-7 * (1.0 + float(np.max(np.abs(M)))):
         raise PreconditionFailure(
-            clause_prefix + "M_d(y) PSD within 1e-7", f"min eig {w_min:.3e}"
+            "M_d(y) PSD within 1e-7", f"min eig {w_min:.3e}"
         )
 
 
@@ -351,9 +355,7 @@ def jensen_check(
             "deg f <= 2*order(y)", f"{f.degree()} > {2 * y.order}"
         )
     _require_admissible(y)
-    lhs = riesz(y, f)
-    rhs = f.eval(mean_point(y))
-    return JensenReport(lhs=lhs, rhs=rhs, holds=lhs >= rhs - 1e-7 * (1.0 + abs(rhs)))
+    return _jensen_report(riesz(y, f), f.eval(mean_point(y)))
 
 
 def univariate_convexity_witness(f_uni: Polynomial) -> Optional[float]:
@@ -402,12 +404,15 @@ def jensen_composed_check(
             f"{composed.degree()} > {2 * y.order}",
         )
     _require_admissible(y)
-    lhs = riesz(y, composed)
-    rhs = f_uni.eval([riesz(y, g)])
-    return JensenReport(lhs=lhs, rhs=rhs, holds=lhs >= rhs - 1e-7 * (1.0 + abs(rhs)))
+    return _jensen_report(riesz(y, composed), f_uni.eval([riesz(y, g)]))
 
 
 # ---- random generators for the property suites ------------------------------
+
+# candidates drawn before a generator gives up; the first half of
+# random_sos_convex's are integrated Hessians, the rest powers of affine forms
+SOS_CONVEX_TRIES = 60
+ADMISSIBLE_TRIES = 200
 
 
 def _integrated_quadratic_form(H: List[List[Polynomial]]) -> Polynomial:
@@ -429,7 +434,7 @@ def _integrated_quadratic_form(H: List[List[Polynomial]]) -> Polynomial:
 
 
 def random_sos_convex(
-    rng: np.random.Generator, n: int, deg: int, max_tries: int = 60
+    rng: np.random.Generator, n: int, deg: int
 ) -> Tuple[Polynomial, SosConvexity]:
     """A random certified SOS-convex polynomial with deg f <= deg.
 
@@ -442,8 +447,8 @@ def random_sos_convex(
     if deg < 2 or deg % 2 == 1:
         raise PreconditionFailure("even degree >= 2", str(deg))
     half = (deg - 2) // 2
-    for attempt in range(max_tries):
-        if attempt < max_tries // 2:
+    for attempt in range(SOS_CONVEX_TRIES):
+        if attempt < SOS_CONVEX_TRIES // 2:
             k = int(rng.integers(1, n + 2))
             L = [
                 [
@@ -497,7 +502,7 @@ def random_sos_convex(
 
 
 def random_admissible_moments(
-    rng: np.random.Generator, n: int, order: int, max_tries: int = 200
+    rng: np.random.Generator, n: int, order: int
 ) -> MomentVector:
     """Pseudo-moment vector with y0 = 1 and M_d(y) >= 0 that is generally
     not the moment vector of any measure: a Dirac mixture plus noise,
@@ -505,7 +510,7 @@ def random_admissible_moments(
     # at least s(n, d) atoms so M_d of the base mixture is generically
     # strictly PSD, which leaves slack for the non-measure perturbation
     s = len(monomial_basis(n, order))
-    for _ in range(max_tries):
+    for _ in range(ADMISSIBLE_TRIES):
         k = int(rng.integers(s, s + 4))
         pts = rng.normal(0.0, 0.8, size=(k, n))
         w = rng.uniform(0.2, 1.0, size=k)

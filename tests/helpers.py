@@ -33,7 +33,26 @@ def make_strictly_feasible_sdp(rng) -> Tuple[SdpProblem, List[np.ndarray]]:
         Zb + sum(lam0[i] * As[i][k] for i in range(p))
         for k, Zb in enumerate(Z0)
     ]
-    return SdpProblem.make(dims, C, list(zip(As, b))), X0
+    A = [np.array([row[k] for row in As]) for k in range(len(dims))]
+    return SdpProblem.make(dims, C, A, b), X0
+
+
+def kkt_residuals(problem: SdpProblem, sol) -> Tuple[float, float, float]:
+    """Relative primal, dual and complementarity residuals of a solution."""
+    b = problem.b
+    ax = sum(
+        np.tensordot(Ab, Xb, axes=([1, 2], [0, 1]))
+        for Ab, Xb in zip(problem.A, sol.X)
+    )
+    primal = float(np.max(np.abs(ax - b))) / max(1.0, float(np.max(np.abs(b))))
+    dual = max(
+        float(np.max(np.abs(Cb - Zb - np.tensordot(sol.dual, Ab, axes=(0, 0)))))
+        for Cb, Zb, Ab in zip(problem.C, sol.Z, problem.A)
+    )
+    dual /= max(1.0, max(float(np.max(np.abs(Cb))) for Cb in problem.C))
+    comp = sum(float(np.sum(Xb * Zb)) for Xb, Zb in zip(sol.X, sol.Z))
+    comp /= 1.0 + abs(sol.primal_value) + abs(sol.dual_value)
+    return primal, dual, comp
 
 
 def example_hyperbola_disk() -> SemialgebraicSet:

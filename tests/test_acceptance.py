@@ -35,6 +35,7 @@ from helpers import (
     example_degenerate_cube,
     example_hyperbola_disk,
     grid_minimize,
+    kkt_residuals,
     make_strictly_feasible_sdp,
     unit_disk,
 )
@@ -265,29 +266,6 @@ def test_criterion_6_sos_suite():
     )
 
 
-def _kkt(problem, sol):
-    b = problem.b_vector()
-    ax = np.array(
-        [
-            sum(float(np.sum(Ab * Xb)) for Ab, Xb in zip(mats, sol.X))
-            for mats, _ in problem.constraints
-        ]
-    )
-    primal = float(np.max(np.abs(ax - b))) / max(1.0, float(np.max(np.abs(b))))
-    dual = 0.0
-    comp = 0.0
-    for k, (Cb, Zb, Xb) in enumerate(zip(problem.C, sol.Z, sol.X)):
-        atl = sum(
-            sol.dual[i] * problem.constraints[i][0][k]
-            for i in range(problem.num_constraints)
-        )
-        dual = max(dual, float(np.max(np.abs(Cb - Zb - atl))))
-        comp += float(np.sum(Xb * Zb))
-    dual /= max(1.0, max(float(np.max(np.abs(Cb))) for Cb in problem.C))
-    comp /= 1.0 + abs(sol.primal_value) + abs(sol.dual_value)
-    return primal, dual, comp
-
-
 def test_criterion_7_sdp_random_suite():
     """200 strictly feasible SDPs: KKT residuals, gap, and weak duality
     all within 1e-7."""
@@ -297,7 +275,7 @@ def test_criterion_7_sdp_random_suite():
         problem, _ = make_strictly_feasible_sdp(rng)
         sol = solve(problem)
         assert sol.is_optimal, sol.message
-        p_res, d_res, comp = _kkt(problem, sol)
+        p_res, d_res, comp = kkt_residuals(problem, sol)
         assert p_res <= 1e-7 and d_res <= 1e-7 and comp <= 1e-7
         scale = 1.0 + abs(sol.primal_value) + abs(sol.dual_value)
         weak = (sol.primal_value - sol.dual_value) / scale

@@ -256,6 +256,14 @@ def test_jensen_fixture_holds(tmp_path, capsys):
     assert "1 ≥ 0 : HOLDS" in out
 
 
+def test_jensen_writes_artifact(tmp_path, capsys):
+    prob = write(tmp_path, "jensen.json", JENSEN_OK)
+    out_path = tmp_path / "jensen_report.json"
+    code, _, _ = run(["jensen", prob, "--out", str(out_path)], capsys)
+    assert code == 0
+    assert json.loads(out_path.read_text()) == {"holds": True, "lhs": 1.0, "rhs": 0.0}
+
+
 def test_jensen_rejects_inadmissible_moments(tmp_path, capsys):
     bad = dict(JENSEN_OK)
     bad["y"] = {"order": 2, "values": [1.0, 0.0, -1.0, 0.0, 3.0]}

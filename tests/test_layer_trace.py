@@ -13,9 +13,11 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
+from helpers import unit_disk  # noqa: E402
 from perfbench.layer_trace import Tracer  # noqa: E402
 
 from momentsos import convexcert, hierarchy, moments, sos  # noqa: E402
+from momentsos.hierarchy import PolyOptProblem, build_qhat  # noqa: E402
 from momentsos.moments import MomentVector  # noqa: E402
 from momentsos.poly import Polynomial  # noqa: E402
 
@@ -50,3 +52,27 @@ def test_tracer_installs_and_uninstalls():
     assert convexcert.nondegeneracy_probe is before["probe"]
     assert convexcert.slater_heuristic is before["slater"]
     assert convexcert.sample_supporting_hyperplane is before["sampler"]
+
+
+def test_traced_to_sdp_reports_stack_density():
+    # the wrapped MomentSdp.to_sdp counts nonzeros through
+    # SdpProblem.constraints, which must stay a view of the stacks
+    f = Polynomial.make(
+        2, {(0, 0): 2.0, (1, 0): -2.0, (0, 1): -2.0, (2, 0): 1.0, (0, 2): 1.0}
+    )
+    program = build_qhat(PolyOptProblem(f, unit_disk()))
+    problem, _ = program.to_sdp()
+    nonzeros = sum(np.count_nonzero(Ab) for Ab in problem.A)
+    entries = sum(Ab.size for Ab in problem.A)
+
+    tracer = Tracer()
+    tracer.install()
+    try:
+        sol = program.solve()
+        snap = tracer.snapshot()
+    finally:
+        tracer.uninstall()
+    assert sol.is_optimal
+    assert snap["sdp.calls"] == 1
+    assert 0.0 < snap["compile.density"] < 1.0
+    assert snap["compile.density"] == nonzeros / entries

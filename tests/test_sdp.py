@@ -1,11 +1,14 @@
 """Interior-point solver unit tests: known optima, KKT quality, rays."""
 
+import hashlib
+
 import numpy as np
 import pytest
-from helpers import make_strictly_feasible_sdp
+from helpers import kkt_residuals, make_strictly_feasible_sdp, unit_disk
 
 from momentsos import sdp
-from momentsos.poly import PreconditionFailure
+from momentsos.hierarchy import PolyOptProblem, build_qr
+from momentsos.poly import Polynomial, PreconditionFailure
 from momentsos.sdp import (
     SdpProblem,
     SdpStatus,
@@ -14,29 +17,6 @@ from momentsos.sdp import (
     numeric_rank,
     solve,
 )
-
-
-def kkt_residuals(problem, sol):
-    b = problem.b_vector()
-    ax = np.array(
-        [
-            sum(float(np.sum(Ab * Xb)) for Ab, Xb in zip(mats, sol.X))
-            for mats, _ in problem.constraints
-        ]
-    )
-    primal = float(np.max(np.abs(ax - b))) / max(1.0, float(np.max(np.abs(b))))
-    dual = 0.0
-    comp = 0.0
-    for k, (Cb, Zb, Xb) in enumerate(zip(problem.C, sol.Z, sol.X)):
-        atl = sum(
-            sol.dual[i] * problem.constraints[i][0][k]
-            for i in range(problem.num_constraints)
-        )
-        dual = max(dual, float(np.max(np.abs(Cb - Zb - atl))))
-        comp += float(np.sum(Xb * Zb))
-    dual /= max(1.0, max(float(np.max(np.abs(Cb))) for Cb in problem.C))
-    comp /= 1.0 + abs(sol.primal_value) + abs(sol.dual_value)
-    return primal, dual, comp
 
 
 # ---- known-answer problems -------------------------------------------------
@@ -48,10 +28,8 @@ def lmi_min_x() -> SdpProblem:
     return SdpProblem.make(
         [2],
         [np.diag([0.5, 0.5])],
-        [
-            ([np.diag([1.0, -1.0])], 0.0),
-            ([np.array([[0.0, 0.5], [0.5, 0.0]])], 1.0),
-        ],
+        [[np.diag([1.0, -1.0]), np.array([[0.0, 0.5], [0.5, 0.0]])]],
+        [0.0, 1.0],
     )
 
 
@@ -63,7 +41,7 @@ def test_lmi_min_x():
 
 
 def test_min_trace_unit():
-    P = SdpProblem.make([2], [np.eye(2)], [([np.eye(2)], 1.0)])
+    P = SdpProblem.make([2], [np.eye(2)], [[np.eye(2)]], [1.0])
     s = solve(P)
     assert s.status is SdpStatus.OPTIMAL
     assert s.primal_value == pytest.approx(1.0, abs=1e-7)
@@ -71,7 +49,7 @@ def test_min_trace_unit():
 
 def test_lambda_max_via_dual():
     # lambda_max(diag(1,2)) as -min<-A,X> over the spectraplex
-    P = SdpProblem.make([2], [-np.diag([1.0, 2.0])], [([np.eye(2)], 1.0)])
+    P = SdpProblem.make([2], [-np.diag([1.0, 2.0])], [[np.eye(2)]], [1.0])
     s = solve(P)
     assert s.status is SdpStatus.OPTIMAL
     assert -s.primal_value == pytest.approx(2.0, abs=1e-6)
@@ -82,10 +60,8 @@ def test_two_blocks():
     P = SdpProblem.make(
         [2, 3],
         [np.eye(2), 2 * np.eye(3)],
-        [
-            ([np.eye(2), np.zeros((3, 3))], 1.0),
-            ([np.zeros((2, 2)), np.eye(3)], 1.0),
-        ],
+        [[np.eye(2), np.zeros((2, 2))], [np.zeros((3, 3)), np.eye(3)]],
+        [1.0, 1.0],
     )
     s = solve(P)
     assert s.status is SdpStatus.OPTIMAL
@@ -97,14 +73,14 @@ def test_two_blocks():
 
 def test_primal_infeasible_ray():
     # <I,X> = -1 with X >= 0 is impossible
-    P = SdpProblem.make([1], [np.zeros((1, 1))], [([np.eye(1)], -1.0)])
+    P = SdpProblem.make([1], [np.zeros((1, 1))], [[np.eye(1)]], [-1.0])
     s = solve(P)
     assert s.status is SdpStatus.INFEASIBLE
     lam, Zs = s.ray_dual
     # ray certifies: b'lam = 1 with A*(lam) + Z = 0, Z >= 0
-    assert float(P.b_vector() @ lam) == pytest.approx(1.0)
-    for k, Zb in enumerate(Zs):
-        atl = sum(lam[i] * P.constraints[i][0][k] for i in range(P.num_constraints))
+    assert float(P.b @ lam) == pytest.approx(1.0)
+    for Ab, Zb in zip(P.A, Zs):
+        atl = np.tensordot(lam, Ab, axes=(0, 0))
         assert np.max(np.abs(atl + Zb)) <= 1e-7
         assert min_eigenvalue(Zb) >= -1e-9
 
@@ -113,7 +89,7 @@ def test_dual_infeasible_means_unbounded():
     # min -X11 with only X22 pinned: X11 free to grow
     A = np.zeros((2, 2))
     A[1, 1] = 1.0
-    P = SdpProblem.make([2], [np.diag([-1.0, 0.0])], [([A], 1.0)])
+    P = SdpProblem.make([2], [np.diag([-1.0, 0.0])], [[A]], [1.0])
     s = solve(P)
     assert s.status is SdpStatus.UNBOUNDED
     ray = s.ray_primal
@@ -208,17 +184,17 @@ def test_hsd_random_suite_kkt():
 
 
 def test_hsd_detects_infeasible():
-    P = SdpProblem.make([1], [np.zeros((1, 1))], [([np.eye(1)], -1.0)])
+    P = SdpProblem.make([1], [np.zeros((1, 1))], [[np.eye(1)]], [-1.0])
     s = solve(P)
     assert s.status is SdpStatus.INFEASIBLE
     lam, Zs = s.ray_dual
-    assert float(P.b_vector() @ lam) == pytest.approx(1.0)
+    assert float(P.b @ lam) == pytest.approx(1.0)
 
 
 def test_hsd_detects_unbounded():
     A = np.zeros((2, 2))
     A[1, 1] = 1.0
-    P = SdpProblem.make([2], [np.diag([-1.0, 0.0])], [([A], 1.0)])
+    P = SdpProblem.make([2], [np.diag([-1.0, 0.0])], [[A]], [1.0])
     s = solve(P)
     assert s.status is SdpStatus.UNBOUNDED
     assert s.ray_primal is not None
@@ -256,23 +232,18 @@ def test_numeric_rank_rejects_indefinite():
 
 def test_rejects_asymmetric_data():
     with pytest.raises(PreconditionFailure):
-        SdpProblem.make([2], [np.array([[0.0, 1.0], [0.0, 0.0]])], [])
+        SdpProblem.make(
+            [2], [np.array([[0.0, 1.0], [0.0, 0.0]])], [np.zeros((0, 2, 2))], []
+        )
 
 
 def test_rejects_oversized_block():
     with pytest.raises(PreconditionFailure):
-        SdpProblem.make([1000], [np.eye(1000)], [])
+        SdpProblem.make([1000], [np.eye(1000)], [np.zeros((0, 1000, 1000))], [])
 
 
 def test_sdpa_dump_round_trip():
-    P = SdpProblem.make(
-        [2],
-        [np.diag([0.5, 0.5])],
-        [
-            ([np.diag([1.0, -1.0])], 0.0),
-            ([np.array([[0.0, 0.5], [0.5, 0.0]])], 1.0),
-        ],
-    )
+    P = lmi_min_x()
     text = P.dump_sdpa()
     lines = [ln for ln in text.strip().splitlines()]
     assert lines[0] == "2"  # constraints
@@ -290,3 +261,47 @@ def test_sdpa_dump_round_trip():
     assert entries[(1, 1, 2, 2)] == -1.0
     assert entries[(2, 1, 1, 2)] == 0.5
     assert (2, 1, 2, 1) not in entries
+
+
+def test_rejects_asymmetry_naming_constraint_and_block():
+    # constraint 1 of block 1 (the second block) is skewed past 1e-12 of
+    # its own largest entry, 4, though constraint 0 there reaches 100; a
+    # skew below that bound is symmetrized away. Offenders are named in
+    # constraint order: a skewed constraint 2 in block 0 comes after it.
+    def problem(skew, later=0.0):
+        A0 = np.zeros((3, 2, 2))
+        A0[2, 0, 1] = later
+        A1 = np.zeros((3, 3, 3))
+        A1[0] = 100.0 * np.eye(3)
+        A1[1] = np.diag([4.0, 0.0, 0.0])
+        A1[1, 0, 2] = 4.0 * skew
+        return SdpProblem.make(
+            [2, 3], [np.eye(2), np.eye(3)], [A0, A1], [1.0, 1.0, 1.0]
+        )
+
+    with pytest.raises(PreconditionFailure, match=r"A\[1\]\[1\]"):
+        problem(1e-11)
+    with pytest.raises(PreconditionFailure, match=r"A\[1\]\[1\]"):
+        problem(1e-11, later=1.0)
+    P = problem(0.5e-12)
+    assert np.array_equal(P.A[1][1], P.A[1][1].T)
+    assert P.A[1][1][0, 2] == 1e-12
+
+
+# sha256 of dump_sdpa as the per-entry loop rendered it; pins the vectorized
+# rendering to the same bytes
+SDPA_SHA256 = {
+    "disk_qr_min_order": "f053a4ce188a2c5c70af779013dbfe35a350761ef9702339c04a2db4671003d0",
+    "lmi_min_x": "2db80f7a1a35e142206155a9d17068a3f4d3f8c0191ed68e465578680d1b5dd7",
+}
+
+
+def test_sdpa_dump_bytes_pinned():
+    f = Polynomial.make(
+        2, {(0, 0): 2.0, (1, 0): -2.0, (0, 1): -2.0, (2, 0): 1.0, (0, 2): 1.0}
+    )
+    disk = PolyOptProblem(f, unit_disk())
+    qr, _ = build_qr(disk, disk.min_order()).to_sdp()
+    texts = {"disk_qr_min_order": qr.dump_sdpa(), "lmi_min_x": lmi_min_x().dump_sdpa()}
+    for name, text in texts.items():
+        assert hashlib.sha256(text.encode()).hexdigest() == SDPA_SHA256[name], name
