@@ -10,14 +10,14 @@ with z the dense vector of pseudo-moments. Equalities are eliminated by an
 SVD null-space parametrization z = z_part + N u, giving an LMI in u whose
 standard-form image is solved by `sdp.solve`; the solver's dual vector
 recovers u (hence z) and its primal blocks are exactly the Gram matrices of
-the dual certificate. Blocks may carry a deflation map P (facial reduction)
-when equality rows force a known kernel; Gram matrices are re-inflated as
-P G P' on decode.
+the dual certificate, over the same rows and columns as the block. A block
+need not span a whole monomial basis: the rho_j programs keep a principal
+submatrix of each block (see `convexcert.rho_program`).
 
-The builders at the end (block tensors, entrywise equality rows, coefficient
-rows, deflation kernels) all scatter the one index pattern of S(g z) from
-`moments._moment_pattern`; the y0 = 1 row is the coefficient row of the
-constant 1, and a scalar row L_z(g) >= 0 is the localizing tensor at d = 0.
+The builders at the end (block tensors and coefficient rows) scatter the one
+index pattern of S(g z) from `moments._moment_pattern`; the y0 = 1 row is the
+coefficient row of the constant 1, and a scalar row L_z(g) >= 0 is the
+localizing tensor at d = 0.
 `relaxation_blocks` assembles the blocks shared by Q_r, Q-hat and the lift,
 and `moment_program` adds the normalization z_0 = 1 to every program.
 """
@@ -37,24 +37,14 @@ from .sdp import SdpProblem, SdpSolution, SdpStatus, SolverOptions, solve
 
 @dataclass
 class BlockSpec:
-    """One PSD block S_B(z) = T @ z with an optional deflation map."""
+    """One PSD block S_B(z) = T @ z."""
 
     label: str
     T: np.ndarray  # (dim, dim, s)
-    P: Optional[np.ndarray] = None  # (dim, dim_reduced), orthonormal columns
 
     @property
     def dim(self) -> int:
         return self.T.shape[0]
-
-    @property
-    def reduced_dim(self) -> int:
-        return self.dim if self.P is None else self.P.shape[1]
-
-    def reduced_tensor(self) -> np.ndarray:
-        if self.P is None:
-            return self.T
-        return np.einsum("ai,abz,bj->ijz", self.P, self.T, self.P, optimize=True)
 
 
 class MomentStatus(Enum):
@@ -82,7 +72,7 @@ class MomentSolution:
     status: MomentStatus
     value: float
     z: Optional[np.ndarray]
-    gram_blocks: Optional[List[np.ndarray]]  # full (un-deflated) sizes
+    gram_blocks: Optional[List[np.ndarray]]  # one per block, at its dim
     eq_multipliers: Optional[np.ndarray]
     stationarity_residual: float
     sdp_solution: SdpSolution
@@ -145,11 +135,10 @@ class MomentSdp:
         z_part, N = self._eliminate()
         Cs, As = [], []
         for B in self.blocks:
-            T = B.reduced_tensor()
-            Cs.append(np.tensordot(T, z_part, axes=(2, 0)))
-            As.append(-np.moveaxis(np.tensordot(T, N, axes=(2, 0)), 2, 0))
+            Cs.append(np.tensordot(B.T, z_part, axes=(2, 0)))
+            As.append(-np.moveaxis(np.tensordot(B.T, N, axes=(2, 0)), 2, 0))
         problem = SdpProblem.make(
-            [B.reduced_dim for B in self.blocks], Cs, As, -(N.T @ self.objective)
+            self.block_dims(), Cs, As, -(N.T @ self.objective)
         )
         return problem, {"z_part": z_part, "N": N}
 
@@ -178,10 +167,7 @@ class MomentSdp:
         z = decode["z_part"] + decode["N"] @ sol.dual
         value = float(self.objective @ z)
 
-        grams = []
-        for B, Xb in zip(self.blocks, sol.X):
-            G = Xb if B.P is None else B.P @ Xb @ B.P.T
-            grams.append(0.5 * (G + G.T))
+        grams = [0.5 * (Xb + Xb.T) for Xb in sol.X]
 
         # stationarity in coefficient space: c = A*(S) + E' mu
         adj = np.zeros(self.num_moments)
@@ -225,9 +211,14 @@ def localizing_tensor(n: int, order: int, d: int, g: Polynomial) -> np.ndarray:
         raise PreconditionFailure(
             "2d + deg g <= 2*order", f"{2 * d + g.degree()} > {2 * order}"
         )
-    basis, _ = _basis_and_index(n, d)
+    return _pattern_tensor(_basis_and_index(n, d)[0], g, basis_size(n, 2 * order))
+
+
+def _pattern_tensor(basis, g: Polynomial, num_moments: int) -> np.ndarray:
+    """T with S(z)_{ab} = sum_gamma g_gamma z_{alpha_a + alpha_b + gamma}
+    over the exponent rows `basis`, z of length `num_moments`."""
     pattern = _moment_pattern(basis, g)
-    T = np.zeros((len(basis), len(basis), basis_size(n, 2 * order)))
+    T = np.zeros((len(basis), len(basis), num_moments))
     np.add.at(T, (pattern.row, pattern.col, pattern.index), pattern.coef)
     return T
 
@@ -271,60 +262,3 @@ def coefficient_row(n: int, order: int, p: Polynomial) -> np.ndarray:
     row = np.zeros(basis_size(n, 2 * order))
     np.add.at(row, pattern.index, pattern.coef)
     return row
-
-
-def equality_block_rows(
-    n: int, order: int, d: int, g: Polynomial
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Entrywise rows for M_d(g z) = 0, upper triangle: s(d)(s(d)+1)/2 rows,
-    the pair (a, b), a <= b, at its row-major position."""
-    basis, _ = _basis_and_index(n, d)
-    pattern = _moment_pattern(basis, g, upper=True)
-    count = len(basis) * (len(basis) + 1) // 2
-    E = np.zeros((count, basis_size(n, 2 * order)))
-    # the pattern lists each pair's terms together, pairs in row order
-    pair = np.repeat(np.arange(count), len(g.terms))
-    np.add.at(E, (pair, pattern.index), pattern.coef)
-    return E, np.zeros(count)
-
-
-def kernel_deflation(
-    n: int,
-    block_order: int,
-    block_weight_degree: int,
-    ideal_generator: Polynomial,
-    equality_budget: int,
-) -> Optional[np.ndarray]:
-    """Orthonormal deflation map P for a PSD block whose kernel is forced.
-
-    If equality rows impose L_z(h q) = 0 for every q with
-    deg q <= equality_budget (h = ideal_generator), then every block of row
-    order D and weight degree w has the forced kernel
-    {coeffs of h p : deg(h p) <= D, w + D + deg p <= equality_budget};
-    under that degree bound every entry of S_B(z) K already lies in the
-    equality row space, so P' S_B P >= 0 is an exact reformulation.
-    Returns P with P'P = I spanning the orthogonal complement, or None when
-    no kernel is forced.
-    """
-    h = ideal_generator
-    D = block_order
-    max_p_deg = min(
-        D - h.degree(),
-        equality_budget - block_weight_degree - D,
-    )
-    if max_p_deg < 0:
-        return None
-    p_basis, _ = _basis_and_index(n, max_p_deg)
-    # column 0 of the pattern of S(h z) pairs each p with the constant
-    # monomial, so its entries are the coefficients of h p
-    pattern = _moment_pattern(p_basis, h)
-    first = pattern.col == 0
-    K = np.zeros((basis_size(n, D), len(p_basis)))
-    np.add.at(K, (pattern.index[first], pattern.row[first]), pattern.coef[first])
-    # orthonormal complement of span(K)
-    U, sv, _ = np.linalg.svd(K, full_matrices=True)
-    tol = max(K.shape) * np.finfo(float).eps * (sv[0] if sv.size else 0.0)
-    rank = int(np.sum(sv > tol))
-    if rank == 0:
-        return None
-    return U[:, rank:]

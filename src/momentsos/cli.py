@@ -74,12 +74,19 @@ def _load(path: str) -> dict:
     return data
 
 
+def _parse_n(data: dict) -> int:
+    """The variable count: a JSON integer >= 1 (a bool or a float is not)."""
+    if "n" not in data:
+        raise CliError(3, "problem file missing 'n'")
+    n = data["n"]
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise CliError(3, f"'n' must be an integer >= 1, got {json.dumps(n)}")
+    return n
+
+
 def _parse_problem(data: dict):
     """(n, names, objective or None, set or None, options dict)."""
-    try:
-        n = int(data["n"])
-    except KeyError:
-        raise CliError(3, "problem file missing 'n'")
+    n = _parse_n(data)
     names = data.get("variables")
     if names is not None and (
         not isinstance(names, list) or len(names) != n
@@ -145,7 +152,10 @@ def cmd_solve(args) -> int:
 
     if args.dump_sdpa:
         order = args.order if args.order is not None else problem.min_order()
-        sdp, _ = build_qr(problem, order).to_sdp()
+        try:
+            sdp, _ = build_qr(problem, order).to_sdp()
+        except PreconditionFailure as exc:
+            raise CliError(3, f"cannot build the order-{order} SDP: {exc}")
         with open(args.dump_sdpa, "w") as fh:
             fh.write(sdp.dump_sdpa())
         print(f"SDPA dump (order {order}) written to {args.dump_sdpa}",
@@ -251,7 +261,14 @@ def cmd_certify(args) -> int:
         print("status: inconclusive")
     print(" j   d_j  method                      rho_j            closed")
     for rec in cert.records:
-        rho = "-" if np.isnan(rec.rho_j) else _fmt(rec.rho_j)
+        if np.isnan(rec.rho_j):
+            rho = "-"
+        elif rec.closed and rec.method == "rho_sdp":
+            # a closed value is below the tolerance, where its digits are
+            # rounding noise that changes with the BLAS thread count
+            rho = f"|rho|<={cert.tolerance:g}"
+        else:
+            rho = _fmt(rec.rho_j)
         print(
             f"{rec.j:^3d}  {rec.d_j:^3d}  {rec.method:<26s}  {rho:<15s}  "
             f"{'yes' if rec.closed else 'no'}"
@@ -314,8 +331,8 @@ def cmd_sdr(args) -> int:
 
 def cmd_jensen(args) -> int:
     data = _load(args.file)
+    n = _parse_n(data)
     try:
-        n = int(data["n"])
         f = Polynomial.from_json(n, data["f"])
         yd = data["y"]
         y = MomentVector(n, int(yd["order"]), np.array(yd["values"], dtype=float))

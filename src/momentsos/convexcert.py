@@ -10,7 +10,7 @@ the doubled variables (X, Y):
             s.t. M_{d_j}(z) >= 0,
                  M_{d_j - r_k}(g_k(X) z) >= 0        for all k,
                  M_{d_j - r_k}(g_k(Y) z) >= 0        for k != j,
-                 M_{d_j - r_j}(g_j(Y) z)  = 0        (entrywise equalities),
+                 M_{d_j - r_j}(g_j(Y) z)  = 0,
                  z_0 = 1.
 
 |rho_j| <= tol for every j is a numerical certificate of convexity; the dual
@@ -20,10 +20,13 @@ Quadratic concave g_j skip the SDP: <grad g(Y), X-Y> =
 g(X) - g(Y) + (X-Y)' (-Q) (X-Y) with Q the quadratic-part matrix, which is
 already of that form at d_j = 1.
 
-The equality block forces the kernel {g_j(Y) p} inside every moment and
-localizing block, so each block is deflated onto the orthogonal complement
-(facial reduction); without it the interior-point solver has no strictly
-feasible iterates.
+The equality block is the same as the rows L_z(g_j(Y) m) = 0 for every
+monomial m with deg m <= 2(d_j - r_j), one row per m. It forces the kernel
+{g_j(Y) p} inside every moment and localizing block, and without a
+reduction the interior-point solver has no strictly feasible iterates. The
+kernel vectors have distinct leading monomials in the graded order of the
+basis, so each block is deflated by dropping those coordinates: a principal
+submatrix, PSD iff the whole block is (partial facial reduction).
 
 A certified set gets the explicit lift
 
@@ -45,15 +48,14 @@ from ._compile import (
     BlockSpec,
     MomentSdp,
     MomentSolution,
+    _pattern_tensor,
     coefficient_row,
-    equality_block_rows,
-    kernel_deflation,
-    localizing_tensor,
     moment_program,
     relaxation_blocks,
 )
-from .moments import MomentVector, _collect_terms, _moment_pattern
+from .moments import MomentVector, _basis_and_index, _grlex_index, _moment_pattern
 from .poly import (
+    Monomial,
     Polynomial,
     PreconditionFailure,
     SemialgebraicSet,
@@ -113,16 +115,58 @@ def _quadratic_part(g: Polynomial) -> np.ndarray:
 # ---- the rho_j test program --------------------------------------------------
 
 
+def _rho_blocks(
+    K: SemialgebraicSet, j: int, d_j: int
+) -> List[Tuple[int, str, Polynomial, List[Monomial]]]:
+    """(k, side, weight, kept basis) of each PSD block of rho_j, in program
+    order: the moment block (k = 0, weight 1), g_k(X) for every k and g_k(Y)
+    for k != j, over monomial_basis(2n, d_j - r_k) less the coordinates the
+    equality rows force into the kernel.
+
+    With h = g_j(Y) and L_z(h m) = 0 for every deg m <= budget =
+    2(d_j - r_j), a block of row order D and weight degree w has the kernel
+    {coefficients of h p : deg p <= min(D - deg h, budget - w - D)}: every
+    entry of S_B(z) (h p) is L_z of h times a multiplier of degree at most
+    budget. monomial_basis is in a monomial order, so the leading coordinate
+    of h p is lead + p, with lead the last term of h in that order. These
+    coordinates are distinct and the kernel is triangular on them, so the
+    block is PSD iff its principal submatrix on the other coordinates is."""
+    n2 = 2 * K.n
+    half = K.half_degrees()
+    ideal = lift_to_xy(K.constraints[j - 1], "y")
+    budget = 2 * (d_j - half[j - 1])
+    gammas, _ = ideal.term_arrays
+    lead = gammas[np.argmax(_grlex_index(gammas))]
+
+    def kept(D: int, w: int) -> List[Monomial]:
+        basis = monomial_basis(n2, D)
+        max_p_deg = min(D - ideal.degree(), budget - w - D)
+        keep = np.ones(len(basis), dtype=bool)
+        if max_p_deg >= 0:
+            keep[_grlex_index(_basis_and_index(n2, max_p_deg)[0] + lead)] = False
+        return [a for a, k in zip(basis, keep) if k]
+
+    blocks = [(0, "x", Polynomial.constant(n2, 1.0), kept(d_j, 0))]
+    for side in ("x", "y"):
+        for k, (g, rk) in enumerate(zip(K.constraints, half), start=1):
+            if side == "x" or k != j:
+                blocks.append(
+                    (k, side, lift_to_xy(g, side), kept(d_j - rk, g.degree()))
+                )
+    return blocks
+
+
 def rho_program(K: SemialgebraicSet, j: int, d_j: int) -> MomentSdp:
     """Moment program whose optimum rho_j tests the supporting-hyperplane
-    inequality for g_j; j is 1-based. Blocks are deflated against the
-    kernel forced by the equality rows M_{d_j - r_j}(g_j(Y) z) = 0."""
+    inequality for g_j; j is 1-based. The equality block
+    M_{d_j - r_j}(g_j(Y) z) = 0 is imposed as one row L_z(g_j(Y) m) = 0 per
+    monomial m of degree at most 2(d_j - r_j), and every PSD block is cut to
+    the principal submatrix of `_rho_blocks`."""
     m = K.m
     if not 1 <= j <= m:
         raise PreconditionFailure("1 <= j <= m", f"j = {j}, m = {m}")
     n = K.n
     half = K.half_degrees()
-    rj = half[j - 1]
     g_j = K.constraints[j - 1]
     objective = gradient_pairing(g_j)
     if 2 * d_j < objective.degree() or any(d_j < rk for rk in half):
@@ -132,22 +176,22 @@ def rho_program(K: SemialgebraicSet, j: int, d_j: int) -> MomentSdp:
         )
 
     n2 = 2 * n
-    ideal = lift_to_xy(g_j, "y")
-    budget = 2 * (d_j - rj)
-
-    def block(label: str, g: Polynomial, r: int) -> BlockSpec:
-        T = localizing_tensor(n2, d_j, d_j - r, g)
-        P = kernel_deflation(n2, d_j - r, g.degree(), ideal, budget)
-        return BlockSpec(label, T, P)
-
-    pairs = list(enumerate(zip(K.constraints, half), start=1))
-    blocks = [block("moment", Polynomial.constant(n2, 1.0), 0)]
-    blocks += [block(f"g{k}(X)", lift_to_xy(g, "x"), rk) for k, (g, rk) in pairs]
-    blocks += [
-        block(f"g{k}(Y)", lift_to_xy(g, "y"), rk) for k, (g, rk) in pairs if k != j
+    s = basis_size(n2, 2 * d_j)
+    blocks = [
+        BlockSpec(
+            "moment" if k == 0 else f"g{k}({side.upper()})",
+            _pattern_tensor(basis, g, s),
+        )
+        for k, side, g, basis in _rho_blocks(K, j, d_j)
     ]
 
-    eq_rows, _ = equality_block_rows(n2, d_j, d_j - rj, ideal)
+    # column 0 of the pattern of S(g_j(Y) z) pairs each m with the constant
+    # monomial, so its entries are the coefficients of g_j(Y) m
+    multipliers = _basis_and_index(n2, 2 * (d_j - half[j - 1]))[0]
+    pattern = _moment_pattern(multipliers, lift_to_xy(g_j, "y"))
+    first = pattern.col == 0
+    eq_rows = np.zeros((len(multipliers), s))
+    np.add.at(eq_rows, (pattern.row[first], pattern.index[first]), pattern.coef[first])
     c = coefficient_row(n2, d_j, objective)
     return moment_program(n2, d_j, c, blocks, eq_rows)
 
@@ -292,23 +336,16 @@ def _recover_rho_weights(
 ) -> RhoWeights:
     """Dual weights from the Gram blocks and equality multipliers."""
     n2 = 2 * K.n
-    half = K.half_degrees()
-    # the Gram blocks in rho_program's order: moment, g_k(X), g_k(Y) (k != j)
-    grams = iter(sol.gram_blocks)
+    sigma: Dict[int, SosWitness] = {}
+    psi: Dict[int, SosWitness] = {}
+    for (k, side, _, basis), G in zip(_rho_blocks(K, j, d_j), sol.gram_blocks):
+        (sigma if side == "x" else psi)[k] = SosWitness(basis, G, 0.0)
 
-    def witness(order: int) -> SosWitness:
-        return SosWitness(monomial_basis(n2, order), next(grams), 0.0)
-
-    sigma = {0: witness(d_j)}
-    sigma.update({k: witness(d_j - half[k - 1]) for k in range(1, K.m + 1)})
-    psi = {k: witness(d_j - half[k - 1]) for k in range(1, K.m + 1) if k != j}
-
-    # psi_j from the multipliers of the entrywise equality rows, which are
-    # enumerated over the upper triangle of M_{d_j - r_j}
+    # mu[0] belongs to z_0 = 1, then one multiplier per monomial m of the
+    # equality rows L_z(g_j(Y) m) = 0: psi_j = sum_m mu_m m
     mu = sol.eq_multipliers
-    pattern = _moment_pattern(monomial_basis(n2, d_j - half[j - 1]), upper=True)
-    # mu[0] belongs to z_0 = 1
-    psi_free = _collect_terms(n2, pattern, mu[1 : 1 + len(pattern.row)])
+    multipliers = monomial_basis(n2, 2 * (d_j - K.half_degrees()[j - 1]))
+    psi_free = Polynomial.make(n2, dict(zip(multipliers, mu[1:].tolist())))
 
     rho = float(mu[0])
     weights = RhoWeights(sigma=sigma, psi=psi, psi_free=psi_free, residual=0.0)
@@ -485,6 +522,11 @@ def certify_convexity(
     boundary makes the hyperplane test vacuous there."""
     if K.m == 0:
         raise PreconditionFailure("K has at least one constraint")
+    outside = [j for j in d_fixed or () if j not in range(1, K.m + 1)]
+    if outside:
+        raise PreconditionFailure(
+            "d_fixed keys j in 1..m", f"j = {outside[0]!r}, m = {K.m}"
+        )
     slater = slater_heuristic(K, seed=seed)
     if witness_point is not None:
         if not K.contains(np.asarray(witness_point, dtype=float)):

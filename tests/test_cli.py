@@ -1,13 +1,19 @@
 """End-to-end checks of the command-line surface.
 
 Commands run in-process through cli.main so exit codes and report text can
-be asserted without a subprocess round trip.
+be asserted without a subprocess round trip; only the BLAS thread-count
+check starts subprocesses, since the thread count is fixed when numpy loads.
 """
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from momentsos import cli
 from momentsos.convexcert import SdrRepresentation
@@ -154,6 +160,33 @@ def test_solve_order_infeasible(tmp_path, capsys):
     assert "order infeasible" in err
 
 
+@pytest.mark.parametrize("n", ["two", None, 0, -1, 1.5, True])
+@pytest.mark.parametrize("command", ["solve", "certify", "probe", "sos-check"])
+def test_rejects_bad_variable_count(tmp_path, capsys, command, n):
+    # n must be a JSON integer >= 1: no coercion of strings, floats or bools
+    bad = {
+        "n": n,
+        "objective": [term(1.0, 0)],
+        "constraints": [[term(1.0, 0)]],
+    }
+    prob = write(tmp_path, "bad_n.json", bad)
+    code, out, err = run([command, prob], capsys)
+    assert code == 3
+    assert f"error: 'n' must be an integer >= 1, got {json.dumps(n)}" in err
+    assert out == ""
+
+
+def test_dump_sdpa_rejects_inadmissible_order(tmp_path, capsys):
+    prob = write(tmp_path, "disk.json", DISK)
+    dump = tmp_path / "q0.dat-s"
+    code, out, err = run(
+        ["solve", prob, "--dump-sdpa", str(dump), "--order", "0"], capsys
+    )
+    assert code == 3
+    assert err.startswith("error: cannot build the order-0 SDP:")
+    assert out == "" and not dump.exists()
+
+
 def test_solve_needs_objective(tmp_path, capsys):
     prob = write(tmp_path, "noobj.json", LENS)
     code, _, err = run(["solve", prob], capsys)
@@ -173,6 +206,11 @@ def test_certify_lens_report(tmp_path, capsys):
     assert "rho_sdp" in out
     assert "quadratic_concave_shortcut" in out
     assert "convex" not in out.lower().replace("certified numerically", "")
+
+    # the closed rho_sdp row prints the bound that closed it, not the value,
+    # whose digits below the tolerance are rounding noise
+    rows = [ln.split() for ln in out.splitlines() if "rho_sdp" in ln]
+    assert rows == [["1", "3", "rho_sdp", "|rho|<=1e-06", "yes"]]
 
     art = json.loads(out_path.read_text())
     rec1, rec2 = art["records"]
@@ -203,6 +241,16 @@ def test_certify_needs_constraints(tmp_path, capsys):
     code, _, err = run(["certify", prob], capsys)
     assert code == 3
     assert "constraint" in err
+
+
+@pytest.mark.parametrize("command, code", [("certify", 3), ("sdr", 4)])
+def test_pin_outside_constraints_rejected(tmp_path, capsys, command, code):
+    bad = dict(LENS_UNPINNED, options={"d_fixed": {"5": 3}, "d_max": 2})
+    prob = write(tmp_path, "lens_pin5.json", bad)
+    got, out, err = run([command, prob], capsys)
+    assert got == code
+    assert "d_fixed keys j in 1..m: j = 5, m = 2" in err
+    assert out == ""
 
 
 # ---- sdr ----
@@ -348,3 +396,29 @@ def test_dump_sdpa(tmp_path, capsys):
     lines = text.splitlines()
     assert int(lines[0]) == 5
     assert int(lines[1]) >= 1
+
+
+def test_reports_identical_across_blas_threads(tmp_path):
+    # BLAS picks its thread count when numpy loads, so each run is a fresh
+    # interpreter; the reports must not depend on it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    jobs = [
+        ["certify", write(tmp_path, "lens.json", LENS)],
+        ["solve", write(tmp_path, "disk.json", DISK)],
+    ]
+    for argv in jobs:
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(
+                os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads
+            )
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (src, os.environ.get("PYTHONPATH")) if p
+            )
+            proc = subprocess.run(
+                [sys.executable, "-m", "momentsos.cli", *argv],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]

@@ -8,13 +8,14 @@ from momentsos._compile import (
     MomentSdp,
     MomentStatus,
     coefficient_row,
-    equality_block_rows,
-    kernel_deflation,
     localizing_tensor,
     moment_tensor,
 )
+from momentsos.convexcert import _rho_blocks, lift_to_xy, rho_program
 from momentsos.moments import mean_point
-from momentsos.poly import Polynomial
+from momentsos.poly import Polynomial, monomial_basis
+
+from helpers import example_degenerate_cube, example_hyperbola_disk, unit_disk
 
 # the y0 = 1 row
 ONE = Polynomial.constant(1, 1.0)
@@ -117,39 +118,62 @@ def test_unbounded_moment_program():
 
 
 def test_equality_block_row_count():
-    # M_2(g z) = 0 entrywise in 4 ambient variables: s(2)=15 rows upper
-    # triangle -> 15*16/2 = 120
-    g = Polynomial.make(4, {(0, 0, 1, 1): 1.0, (0, 0, 0, 0): -0.25})
-    rows, rhs = equality_block_rows(4, 3, 2, g)
-    assert rows.shape[0] == 120
-    assert rhs == pytest.approx(np.zeros(120))
+    # at d = 3 the rows L_z(g~ m) = 0, g~ = Y1 Y2 - 1/4, run over the
+    # s(4) = 70 monomials m of degree <= 2(d - r) = 4: row m is the
+    # coefficient row of g~ m, and together they span the 120 entrywise
+    # rows of M_2(g~ z) = 0 (upper triangle of the 15 x 15 block)
+    g_tilde = Polynomial.make(4, {(0, 0, 1, 1): 1.0, (0, 0, 0, 0): -0.25})
+    prog = rho_program(example_hyperbola_disk(), 1, 3)
+    rows = prog.eq_rows[1:]
+    assert rows.shape[0] == 70
+    assert prog.eq_rhs == pytest.approx(np.r_[1.0, np.zeros(70)])
+    products = [g_tilde * Polynomial.monomial(4, m) for m in monomial_basis(4, 4)]
+    assert np.array_equal(rows, [coefficient_row(4, 3, q) for q in products])
+    basis = [Polynomial.monomial(4, a) for a in monomial_basis(4, 2)]
+    entrywise = [
+        coefficient_row(4, 3, g_tilde * a * b)
+        for i, a in enumerate(basis)
+        for b in basis[i:]
+    ]
+    assert len(entrywise) == 120
+    assert np.linalg.matrix_rank(rows) == 70
+    assert np.linalg.matrix_rank(np.vstack([rows, entrywise])) == 70
 
 
 def test_kernel_deflation_shapes():
-    # hyperbola fixture at order d=3: budget 2(d-r)=4 for multipliers of
-    # g~ = Y1 Y2 - 1/4 (degree 2)
-    g_tilde = Polynomial.make(4, {(0, 0, 1, 1): 1.0, (0, 0, 0, 0): -0.25})
-    # moment block: D=3, weight degree 0 -> p up to degree 1: 5 kernel vectors
-    P = kernel_deflation(4, 3, 0, g_tilde, equality_budget=4)
-    assert P.shape == (35, 30)
-    assert P.T @ P == pytest.approx(np.eye(30), abs=1e-12)
-    # localizing blocks: D=2, weight degree 2 -> only p = const
-    P2 = kernel_deflation(4, 2, 2, g_tilde, equality_budget=4)
-    assert P2.shape == (15, 14)
-    # order-1 block with weight degree 2: budget exhausted, no kernel forced
-    assert kernel_deflation(4, 1, 2, g_tilde, equality_budget=4) is None
+    # hyperbola fixture: the moment block (D = 3, weight degree 0) drops
+    # the leads of g~ p for deg p <= 1 (5 coordinates); the localizing
+    # blocks (D = 2, weight degree 2) only that of g~ itself
+    prog = rho_program(example_hyperbola_disk(), 1, 3)
+    assert prog.block_dims() == [30, 14, 14, 14]
+    # at d = 2 the order-1 blocks of weight degree 2 exhaust the budget
+    # 2(d - r) = 2, so no kernel is forced and they keep all 5 rows
+    prog = rho_program(example_hyperbola_disk(), 1, 2)
+    assert prog.block_dims() == [14, 5, 5, 5]
 
 
 def test_deflation_kernel_is_orthogonal_to_image():
-    # P's columns must be orthogonal to every coeff vector of g~ * p
-    g_tilde = Polynomial.make(4, {(0, 0, 1, 1): 1.0, (0, 0, 0, 0): -0.25})
-    P = kernel_deflation(4, 3, 0, g_tilde, equality_budget=4)
-    from momentsos.moments import _basis_and_index
-
-    basis, idx = _basis_and_index(4, 3)
-    for p_mono in [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]:
-        vec = np.zeros(len(basis))
-        prod = g_tilde * Polynomial.monomial(4, p_mono)
-        for alpha, cc in prod.terms.items():
-            vec[idx[alpha]] += cc
-        assert np.max(np.abs(P.T @ vec)) <= 1e-12
+    # on the affine set E z = e, every full block S_B(z) maps each forced
+    # kernel vector g_j(Y) p to zero, so dropping their leading coordinates
+    # is an exact reformulation
+    rng = np.random.default_rng(3)
+    lens, disk, cube = example_hyperbola_disk(), unit_disk(), example_degenerate_cube()
+    cases = [(lens, 1, d) for d in (2, 3, 4)] + [(lens, 2, 3), (disk, 1, 3)]
+    cases += [(cube, 1, 3), (cube, 2, 3)]
+    for K, j, d in cases:
+        n2, half = 2 * K.n, [0] + K.half_degrees()
+        z_part, N = rho_program(K, j, d)._eliminate()
+        z = z_part + N @ rng.normal(size=N.shape[1])
+        h = lift_to_xy(K.constraints[j - 1], "y")
+        budget = 2 * (d - half[j])
+        for k, _, g, _ in _rho_blocks(K, j, d):
+            D = d - half[k]
+            S = np.tensordot(localizing_tensor(n2, d, D, g), z, axes=(2, 0))
+            index = {a: i for i, a in enumerate(monomial_basis(n2, D))}
+            max_p_deg = min(D - h.degree(), budget - g.degree() - D)
+            for p in monomial_basis(n2, max_p_deg) if max_p_deg >= 0 else []:
+                vec = np.zeros(len(index))
+                for alpha, c in (h * Polynomial.monomial(n2, p)).terms.items():
+                    vec[index[alpha]] += c
+                scale = 1.0 + np.max(np.abs(S))
+                assert np.max(np.abs(S @ vec)) <= 1e-10 * scale

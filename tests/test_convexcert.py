@@ -133,12 +133,12 @@ def test_rho_program_validates_degree():
 
 
 def test_rho_equality_row_count():
-    # one z_0 row plus s(s+1)/2 entrywise rows for M_{d-r}(g_j(Y) z) = 0
+    # one z_0 row plus one row L_z(g_j(Y) m) = 0 per monomial m of degree
+    # at most 2(d - r_j)
     K = example_hyperbola_disk()
     for d in (2, 3):
-        s = basis_size(4, d - 1)
         prog = rho_program(K, 1, d)
-        assert prog.eq_rows.shape[0] == 1 + s * (s + 1) // 2
+        assert prog.eq_rows.shape[0] == 1 + basis_size(4, 2 * (d - 1))
         assert prog.eq_rhs[0] == 1.0
         assert np.all(prog.eq_rhs[1:] == 0.0)
 
@@ -267,6 +267,14 @@ def test_certify_does_not_close_on_stall_band_solves():
 def test_certify_rejects_inadmissible_pin():
     with pytest.raises(PreconditionFailure):
         certify_convexity(example_hyperbola_disk(), d_fixed={1: 0})
+
+
+@pytest.mark.parametrize("j", [0, 3, 5])
+def test_certify_rejects_pin_outside_constraints(j):
+    # a pin for a constraint the set does not have is an input error, not
+    # a no-op that certifies at the default orders
+    with pytest.raises(PreconditionFailure, match=f"d_fixed keys j in 1..m: j = {j}"):
+        certify_convexity(example_hyperbola_disk(), d_max=2, d_fixed={j: 3})
 
 
 def test_certify_unit_disk_shortcut_only():

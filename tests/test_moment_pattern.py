@@ -11,14 +11,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from momentsos._compile import (
-    coefficient_row,
-    equality_block_rows,
-    kernel_deflation,
-    localizing_tensor,
-    moment_tensor,
-)
-from momentsos.convexcert import _recover_rho_weights, lift_to_xy
+from momentsos._compile import coefficient_row, localizing_tensor, moment_tensor
+from momentsos.convexcert import _recover_rho_weights, _rho_blocks, lift_to_xy
 from momentsos.moments import MomentVector, localizing_matrix, moment_matrix
 from momentsos.poly import Polynomial, PreconditionFailure, monomial_basis
 from momentsos.sos import SosWitness, _gram_constraint_index, _w_linear_basis
@@ -44,18 +38,6 @@ def ref_localizing_tensor(n, order, d, g):
             for gamma, c in g.terms.items():
                 T[i, j, idx[add(a, b, gamma)]] += c
     return T
-
-
-def ref_equality_block_rows(n, order, d, g):
-    basis, idx = monomial_basis(n, d), full_index(n, order)
-    rows = []
-    for i in range(len(basis)):
-        for j in range(i, len(basis)):
-            row = np.zeros(len(idx))
-            for gamma, c in g.terms.items():
-                row[idx[add(basis[i], basis[j], gamma)]] += c
-            rows.append(row)
-    return np.array(rows), np.zeros(len(rows))
 
 
 def ref_coefficient_row(n, order, p):
@@ -109,12 +91,8 @@ def ref_reconstruct(basis, gram, n):
 
 def ref_psi_free(basis, mu, n):
     terms = {}
-    pos = 1
-    for a in range(len(basis)):
-        for b in range(a, len(basis)):
-            key = add(basis[a], basis[b])
-            terms[key] = terms.get(key, 0.0) + float(mu[pos])
-            pos += 1
+    for pos, m in enumerate(basis, start=1):
+        terms[m] = float(mu[pos])
     return Polynomial.make(n, terms)
 
 
@@ -157,10 +135,6 @@ def test_tensors_rows_and_coefficients(K, order):
                 localizing_tensor(n, order, d, g),
                 ref_localizing_tensor(n, order, d, g),
             )
-            rows, rhs = equality_block_rows(n, order, d, g)
-            ref_rows, ref_rhs = ref_equality_block_rows(n, order, d, g)
-            assert np.array_equal(rows, ref_rows)
-            assert np.array_equal(rhs, ref_rhs)
         assert np.array_equal(
             coefficient_row(n, order, g), ref_coefficient_row(n, order, g)
         )
@@ -202,18 +176,29 @@ def test_moment_and_localizing_matrices(K):
 
 
 def test_kernel_deflation_matches_reference_kernel(K):
-    for n, h in weights(K):
-        for D in (2, 3):
-            budget = 2 * D
-            max_p_deg = min(D - h.degree(), budget - D)
-            P = kernel_deflation(n, D, 0, h, budget)
-            if max_p_deg < 0:
-                assert P is None
+    # each rho_j block drops exactly the leading coordinates of the forced
+    # kernel vectors g_j(Y) p, and those vectors together with the kept
+    # coordinate vectors form a basis
+    n2, half = 2 * K.n, [0] + K.half_degrees()
+    for j in range(1, K.m + 1):
+        h = lift_to_xy(K.constraints[j - 1], "y")
+        for d_j in (2, 3):
+            if d_j < max(half):
                 continue
-            U, sv, _ = np.linalg.svd(ref_kernel(n, D, max_p_deg, h))
-            K_shape = (len(monomial_basis(n, D)), len(monomial_basis(n, max_p_deg)))
-            tol = max(K_shape) * np.finfo(float).eps * sv[0]
-            assert np.array_equal(P, U[:, int(np.sum(sv > tol)) :])
+            budget = 2 * (d_j - half[j])
+            for k, _, g, kept in _rho_blocks(K, j, d_j):
+                D = d_j - half[k]
+                basis = monomial_basis(n2, D)
+                keep = [basis.index(a) for a in kept]
+                max_p_deg = min(D - h.degree(), budget - g.degree() - D)
+                if max_p_deg < 0:
+                    assert keep == list(range(len(basis)))
+                    continue
+                kernel = ref_kernel(n2, D, max_p_deg, h)
+                leads = [int(np.flatnonzero(col)[-1]) for col in kernel.T]
+                assert sorted(leads + keep) == list(range(len(basis)))
+                full = np.hstack([kernel, np.eye(len(basis))[:, keep]])
+                assert np.linalg.matrix_rank(full) == len(basis)
 
 
 def gram_bases(n):
@@ -243,18 +228,11 @@ def test_psi_free_matches_reference(K):
     n2, half = 2 * K.n, K.half_degrees()
     for j in range(1, K.m + 1):
         d_j = max(half) + 1
-        sizes = [len(monomial_basis(n2, d_j))]
-        sizes += [len(monomial_basis(n2, d_j - r)) for r in half]
-        sizes += [
-            len(monomial_basis(n2, d_j - r))
-            for k, r in enumerate(half, 1)
-            if k != j
-        ]
-        basis = monomial_basis(n2, d_j - half[j - 1])
-        rows = len(basis) * (len(basis) + 1) // 2
+        sizes = [len(basis) for *_, basis in _rho_blocks(K, j, d_j)]
+        basis = monomial_basis(n2, 2 * (d_j - half[j - 1]))
         sol = SimpleNamespace(
             gram_blocks=[rng.normal(size=(s, s)) for s in sizes],
-            eq_multipliers=rng.normal(size=1 + rows),
+            eq_multipliers=rng.normal(size=1 + len(basis)),
         )
         weights_j = _recover_rho_weights(K, j, d_j, sol)
         assert same_terms(
