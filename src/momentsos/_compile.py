@@ -32,7 +32,18 @@ import numpy as np
 
 from .poly import Polynomial, PreconditionFailure, SemialgebraicSet, basis_size
 from .moments import MomentVector, _basis_and_index, _moment_pattern
-from .sdp import SdpProblem, SdpSolution, SdpStatus, SolverOptions, solve
+from .sdp import (
+    BLOCK_CAP,
+    SdpProblem,
+    SdpSolution,
+    SdpStatus,
+    SolverOptions,
+    solve,
+)
+
+# bytes of one dense (dim, dim, s) block tensor; compiling the block makes
+# a second array of about the same size
+TENSOR_BYTES_CAP = 2**30
 
 
 @dataclass
@@ -216,9 +227,25 @@ def localizing_tensor(n: int, order: int, d: int, g: Polynomial) -> np.ndarray:
 
 def _pattern_tensor(basis, g: Polynomial, num_moments: int) -> np.ndarray:
     """T with S(z)_{ab} = sum_gamma g_gamma z_{alpha_a + alpha_b + gamma}
-    over the exponent rows `basis`, z of length `num_moments`."""
+    over the exponent rows `basis`, z of length `num_moments`.
+
+    The size limits are checked before anything is allocated: a block
+    above `sdp.BLOCK_CAP` or a tensor above TENSOR_BYTES_CAP raises
+    PreconditionFailure."""
+    dim = len(basis)
+    if dim > BLOCK_CAP:
+        raise PreconditionFailure(
+            "block dimension within cap", f"{dim} > {BLOCK_CAP}"
+        )
+    size = dim * dim * num_moments * np.dtype(float).itemsize
+    if size > TENSOR_BYTES_CAP:
+        raise PreconditionFailure(
+            "block tensor within cap",
+            f"({dim}, {dim}, {num_moments}) takes {size / 2**30:.1f} GiB "
+            f"> {TENSOR_BYTES_CAP / 2**30:g} GiB",
+        )
     pattern = _moment_pattern(basis, g)
-    T = np.zeros((len(basis), len(basis), num_moments))
+    T = np.zeros((dim, dim, num_moments))
     np.add.at(T, (pattern.row, pattern.col, pattern.index), pattern.coef)
     return T
 

@@ -181,11 +181,10 @@ def cmd_solve(args) -> int:
     print(f"value: {_fmt(final.lower_bound)}  ({final.kind} order {final.order})")
     if exact:
         print(f"exactness: {final.exactness}")
-        print(
-            "minimizer: ["
-            + ", ".join(_fmt(v) for v in final.minimizer)
-            + "]"
-        )
+        # a coordinate below the exactness tolerance is rounding noise whose
+        # digits change with the BLAS thread count
+        coords = ("0" if abs(v) < hopts.tol else _fmt(v) for v in final.minimizer)
+        print("minimizer: [" + ", ".join(coords) + "]")
     else:
         print("exactness: none detected (bound only)")
     if final.dual_certificate is not None:
@@ -267,6 +266,9 @@ def cmd_certify(args) -> int:
             # a closed value is below the tolerance, where its digits are
             # rounding noise that changes with the BLAS thread count
             rho = f"|rho|<={cert.tolerance:g}"
+        elif rec.note.startswith("stall-band solve"):
+            # the stall band (2e-6) determines about six digits
+            rho = format(float(rec.rho_j), ".6g")
         else:
             rho = _fmt(rec.rho_j)
         print(

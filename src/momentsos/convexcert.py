@@ -581,7 +581,10 @@ def certify_convexity(
             sol = prog.solve(solver)
             rec.d_j = d
             if not sol.is_optimal:
-                rec.note = f"solver status {sol.status.value} at d_j = {d}"
+                status = sol.status.value
+                if sol.sdp_solution.message == "no progress":
+                    status += " (no progress)"
+                rec.note = f"solver status {status} at d_j = {d}"
                 solver_failed = True
                 break
             rec.rho_j = sol.value

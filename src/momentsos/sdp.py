@@ -8,8 +8,14 @@ Standard form:
 
 The dual is max b'lam s.t. C - sum_i lam_i A_i = Z >= 0. The solver is a
 Mehrotra-style predictor-corrector on the central path of the homogeneous
-self-dual embedding, with Nesterov-Todd scaling and a dense Schur
-complement. It starts from a data-scaled identity point that is strictly
+self-dual embedding, with Nesterov-Todd scaling. The Schur complement is
+a dense p x p matrix formed from batched products W A_i W: a one-hot
+block, where each matrix position is nonzero in at most one constraint
+(a moment block), adds its part by gathering the entries each constraint
+owns; other blocks contract densely. Its Cholesky factor is inverted once
+per iteration, so each Schur solve is two matrix-vector products.
+
+The solver starts from a data-scaled identity point that is strictly
 feasible for the embedding (not for the problem itself) and reports
 primal/dual infeasibility through normalized improving rays instead of
 exceptions. Deterministic: no randomness anywhere in the iteration.
@@ -342,32 +348,69 @@ def _corrector_rhs(
     return Rc
 
 
-def _schur_matrix(A: Sequence[np.ndarray], Ws: List[np.ndarray]) -> np.ndarray:
-    """M_ij = sum over blocks of tr(A_i W A_j W)."""
+def _one_hot_pattern(Ab: np.ndarray):
+    """Aggregation pattern of a block whose every matrix position is
+    nonzero in at most one constraint, or None for any other block.
+
+    Returns (positions, weights, starts, owners): the flat indices of the
+    upper-triangle nonzeros sorted by the constraint that owns them, their
+    entries doubled off the diagonal, where each owner's run starts, and
+    the owners in run order.
+    """
+    if np.count_nonzero(Ab, axis=0).max(initial=0) > 1:
+        return None
+    n = Ab.shape[1]
+    rows, cols = np.triu_indices(n)
+    upper = Ab[:, rows, cols]
+    owner, t = np.nonzero(upper)  # sorted by owner
+    weights = np.where(rows[t] == cols[t], 1.0, 2.0) * upper[owner, t]
+    starts = np.flatnonzero(np.diff(owner, prepend=-1))
+    return rows[t] * n + cols[t], weights, starts, owner[starts]
+
+
+def _schur_matrix(
+    A: Sequence[np.ndarray], Ws: List[np.ndarray], patterns: Sequence
+) -> np.ndarray:
+    """M_ij = sum over blocks of tr(A_i W A_j W).
+
+    `patterns` holds `_one_hot_pattern` of each block. For a one-hot
+    block, column j of the block's term is a weighted sum of the entries
+    of W A_i W at the positions A_j owns, so one gather and one segmented
+    sum replace the dense contraction.
+    """
     p = len(A[0])
     M = np.zeros((p, p))
-    for Ab, W in zip(A, Ws):
-        TW = np.einsum("ij,kjl,lm->kim", W, Ab, W, optimize=True)
-        M += np.tensordot(TW, Ab, axes=([1, 2], [1, 2]))
+    for Ab, W, pattern in zip(A, Ws, patterns):
+        TW = np.matmul(np.matmul(W, Ab), W)
+        if pattern is None:
+            M += np.tensordot(TW, Ab, axes=([1, 2], [1, 2]))
+            continue
+        positions, weights, starts, owners = pattern
+        if len(positions):
+            gathered = np.take(TW.reshape(p, -1), positions, axis=1)
+            gathered *= weights
+            M[:, owners] += np.add.reduceat(gathered, starts, axis=1)
     return 0.5 * (M + M.T)
 
 
 def _schur_solver(M: np.ndarray, p: int):
     """Factorized solver for the Schur system, with iterative refinement.
 
-    Refinement keeps directions accurate when M is nearly singular close
-    to the boundary; falls back to least squares if the factorization
-    fails outright.
+    The Cholesky factor is inverted once, so that each solve and each
+    refinement pass is two matrix-vector products. Refinement keeps
+    directions accurate when M is nearly singular close to the boundary;
+    falls back to least squares if the factorization fails outright.
     """
     fac = (
         _chol(M + 1e-13 * max(1.0, float(np.trace(M)) / p) * np.eye(p)) if p else None
     )
+    fac_inv = np.linalg.inv(fac) if fac is not None else None
 
     def solve_one(rhs: np.ndarray) -> Optional[np.ndarray]:
         if not p:
             return np.zeros(0)
-        if fac is not None:
-            sol = np.linalg.solve(fac.T, np.linalg.solve(fac, rhs))
+        if fac_inv is not None:
+            sol = fac_inv.T @ (fac_inv @ rhs)
             scale = float(np.linalg.norm(rhs)) + 1e-300
             res_norm = np.inf
             for _ in range(4):
@@ -376,7 +419,7 @@ def _schur_solver(M: np.ndarray, p: int):
                 if rn <= 1e-14 * scale or rn >= res_norm:
                     break
                 res_norm = rn
-                sol = sol + np.linalg.solve(fac.T, np.linalg.solve(fac, r))
+                sol = sol + fac_inv.T @ (fac_inv @ r)
             return sol
         try:
             return np.linalg.lstsq(M, rhs, rcond=None)[0]
@@ -467,6 +510,7 @@ def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSo
     nu = sum(dims) + 1.0
     # Cholesky factors of (X, S), carried over from the accepted step
     factors = None
+    patterns = [_one_hot_pattern(Ab) for Ab in A]
 
     best: Optional[SdpSolution] = None
     status = SdpStatus.MAX_ITERATIONS
@@ -600,7 +644,7 @@ def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSo
             break
         Ls_x, Ls_s, Gs, Gis, sigmas, Ws = nt
 
-        msolve = _schur_solver(_schur_matrix(A, Ws), p)
+        msolve = _schur_solver(_schur_matrix(A, Ws, patterns), p)
 
         WCW = [W @ Cb @ W for W, Cb in zip(Ws, C)]
         u = _apply_A(A, WCW)

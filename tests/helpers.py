@@ -4,6 +4,7 @@ from typing import List, Tuple
 
 import numpy as np
 
+from momentsos.hierarchy import PolyOptProblem
 from momentsos.poly import Polynomial, SemialgebraicSet
 from momentsos.sdp import SdpProblem
 
@@ -83,6 +84,18 @@ def example_degenerate_cube() -> SemialgebraicSet:
 def unit_disk() -> SemialgebraicSet:
     g = Polynomial.make(2, {(0, 0): 1.0, (2, 0): -1.0, (0, 2): -1.0})
     return SemialgebraicSet(2, (g,), ball_bound=1.5)
+
+
+def ball_quartic(n: int):
+    """min sum x_i^4 + x_1 over the unit ball in R^n."""
+    rows = [tuple(int(i == k) for k in range(n)) for i in range(n)]
+    f = Polynomial.make(
+        n, {**{tuple(4 * e for e in row): 1.0 for row in rows}, rows[0]: 1.0}
+    )
+    g = Polynomial.make(
+        n, {(0,) * n: 1.0, **{tuple(2 * e for e in row): -1.0 for row in rows}}
+    )
+    return PolyOptProblem(f, SemialgebraicSet(n, (g,)))
 
 
 def grid_minimize(f, K: SemialgebraicSet, lo, hi, steps=1001, refine_rounds=5):

@@ -404,7 +404,11 @@ def test_reports_identical_across_blas_threads(tmp_path):
     src = str(Path(cli.__file__).resolve().parents[1])
     jobs = [
         ["certify", write(tmp_path, "lens.json", LENS)],
+        # rho_1 from a stall-band solve, printed to the digits it determines
+        ["certify", write(tmp_path, "branches.json", BRANCHES)],
         ["solve", write(tmp_path, "disk.json", DISK)],
+        # the minimizer 0 is found as rounding noise around it
+        ["solve", write(tmp_path, "quartic.json", QUARTIC)],
     ]
     for argv in jobs:
         outputs = []

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from momentsos import _compile
 from momentsos._compile import (
     BlockSpec,
     MomentSdp,
@@ -13,9 +14,15 @@ from momentsos._compile import (
 )
 from momentsos.convexcert import _rho_blocks, lift_to_xy, rho_program
 from momentsos.moments import mean_point
-from momentsos.poly import Polynomial, monomial_basis
+from momentsos.hierarchy import build_qr
+from momentsos.poly import Polynomial, PreconditionFailure, monomial_basis
 
-from helpers import example_degenerate_cube, example_hyperbola_disk, unit_disk
+from helpers import (
+    ball_quartic,
+    example_degenerate_cube,
+    example_hyperbola_disk,
+    unit_disk,
+)
 
 # the y0 = 1 row
 ONE = Polynomial.constant(1, 1.0)
@@ -177,3 +184,18 @@ def test_deflation_kernel_is_orthogonal_to_image():
                     vec[index[alpha]] += c
                 scale = 1.0 + np.max(np.abs(S))
                 assert np.max(np.abs(S @ vec)) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize(
+    "r, clause", [(5, "block tensor within cap"), (6, "block dimension within cap")]
+)
+def test_size_limits_refused_before_allocating(monkeypatch, r, clause):
+    # on the n = 6 ball, Q_5's moment tensor (462, 462, 8008) takes 13.7 GB
+    # and Q_6's moment block is 924 > BLOCK_CAP wide; both are refused from
+    # the sizes alone, before the index pattern or the tensor is built
+    def unreachable(*args):
+        raise AssertionError("index pattern built before the size check")
+
+    monkeypatch.setattr(_compile, "_moment_pattern", unreachable)
+    with pytest.raises(PreconditionFailure, match=clause):
+        build_qr(ball_quartic(6), r)

@@ -4,9 +4,17 @@ import hashlib
 
 import numpy as np
 import pytest
-from helpers import kkt_residuals, make_strictly_feasible_sdp, unit_disk
+from helpers import (
+    ball_quartic,
+    example_hyperbola_disk,
+    kkt_residuals,
+    make_strictly_feasible_sdp,
+    random_psd,
+    unit_disk,
+)
 
 from momentsos import sdp
+from momentsos.convexcert import rho_program
 from momentsos.hierarchy import PolyOptProblem, build_qr
 from momentsos.poly import Polynomial, PreconditionFailure
 from momentsos.sdp import (
@@ -305,3 +313,51 @@ def test_sdpa_dump_bytes_pinned():
     texts = {"disk_qr_min_order": qr.dump_sdpa(), "lmi_min_x": lmi_min_x().dump_sdpa()}
     for name, text in texts.items():
         assert hashlib.sha256(text.encode()).hexdigest() == SDPA_SHA256[name], name
+
+
+# ---- Schur step ----------------------------------------------------------------
+
+
+def schur_reference(A, Ws):
+    """M_ij = sum over blocks of tr(A_i W A_j W), by dense contraction."""
+    M = np.zeros((len(A[0]),) * 2)
+    for Ab, W in zip(A, Ws):
+        TW = np.einsum("ij,kjl,lm->kim", W, Ab, W, optimize=True)
+        M += np.tensordot(TW, Ab, axes=([1, 2], [1, 2]))
+    return 0.5 * (M + M.T)
+
+
+@pytest.mark.parametrize(
+    "problem, one_hot",
+    [
+        # the moment block is one-hot, the localizing block of 1 - |x|^2 is not
+        (lambda: build_qr(ball_quartic(3), 3).to_sdp()[0], [True, False]),
+        # no rho_j block is one-hot after the equality rows are eliminated
+        (lambda: rho_program(example_hyperbola_disk(), 1, 3).to_sdp()[0], None),
+    ],
+)
+def test_schur_matrix_matches_dense_reference(problem, one_hot):
+    P = problem()
+    patterns = [sdp._one_hot_pattern(Ab) for Ab in P.A]
+    classified = [pattern is not None for pattern in patterns]
+    assert classified == (one_hot or [False] * len(P.A))
+    rng = np.random.default_rng(3)
+    Ws = [random_psd(rng, d) for d in P.block_dims]
+    M = sdp._schur_matrix(P.A, Ws, patterns)
+    ref = schur_reference(P.A, Ws)
+    assert np.max(np.abs(M - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_schur_solver_residual():
+    rng = np.random.default_rng(5)
+    p = 80
+    Q, _ = np.linalg.qr(rng.standard_normal((p, p)))
+    # condition number 1e4: the residual of a backward-stable solve is
+    # about eps * cond(M) * ||rhs||
+    M = (Q * np.logspace(0, 4, p)) @ Q.T
+    M = 0.5 * (M + M.T)
+    msolve = sdp._schur_solver(M, p)
+    for _ in range(3):
+        rhs = rng.standard_normal(p)
+        x = msolve(rhs)
+        assert np.linalg.norm(M @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
