@@ -8,12 +8,14 @@ Standard form:
 
 The dual is max b'lam s.t. C - sum_i lam_i A_i = Z >= 0. The solver is a
 Mehrotra-style predictor-corrector on the central path of the homogeneous
-self-dual embedding, with Nesterov-Todd scaling. The Schur complement is
-a dense p x p matrix formed from batched products W A_i W: a one-hot
-block, where each matrix position is nonzero in at most one constraint
-(a moment block), adds its part by gathering the entries each constraint
-owns; other blocks contract densely. Its Cholesky factor is inverted once
-per iteration, so each Schur solve is two matrix-vector products.
+self-dual embedding, with Nesterov-Todd scaling W = G G'. The Schur
+complement is a dense p x p matrix. A one-hot block, where each matrix
+position is nonzero in at most one constraint (a moment block), adds its
+part by gathering from the batched products W A_i W the entries each
+constraint owns. Any other block adds B B', one symmetric rank-k update,
+where row i of B is svec(G' A_i G). The Cholesky factor is inverted once
+per iteration by recursive 2x2 blocking, so each Schur solve is two
+matrix-vector products.
 
 The solver starts from a data-scaled identity point that is strictly
 feasible for the embedding (not for the problem itself) and reports
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -54,6 +57,11 @@ STALL_GAP_TOL = 2e-6
 STALL_WINDOW = 8
 # times a step is halved when its end point cannot be factored
 STEP_HALVINGS = 20
+# bytes of constraint matrices that SdpProblem.make and _schur_matrix hold
+# a temporary copy of at once
+CHUNK_BYTES = 1 << 22
+# order at or below which _tril_inv inverts a triangular block directly
+TRIL_INV_LEAF = 64
 
 
 class SdpStatus(Enum):
@@ -121,26 +129,34 @@ class SdpProblem:
         if len(A) != len(dims):
             raise PreconditionFailure("one coefficient stack per block")
         stacks = [np.asarray(Ab, dtype=float) for Ab in A]
-        skewed = []
         for k, (Ab, d) in enumerate(zip(stacks, dims)):
             if Ab.shape != (len(b), d, d):
                 raise PreconditionFailure(
                     "constraint block dims consistent", f"A[:][{k}]: {Ab.shape}"
                 )
-            # each matrix against its own scale, as _as_sym does
-            skew = np.abs(Ab - Ab.transpose(0, 2, 1)).max(axis=(1, 2))
-            scale = np.maximum(1.0, np.abs(Ab).max(axis=(1, 2)))
-            bad = np.flatnonzero(skew > SYMMETRY_TOL * scale)
-            skewed += [(int(i), k, float(skew[i])) for i in bad]
+        # symmetrized copies of the stacks, written a chunk of constraints at
+        # a time so that no full-size temporary is held
+        sym = [np.empty((len(b), d, d)) for d in dims]
+        skewed = []
+        for k, (Ab, out, d) in enumerate(zip(stacks, sym, dims)):
+            step = max(1, CHUNK_BYTES // (8 * d * d))
+            for lo in range(0, len(b), step):
+                chunk = Ab[lo : lo + step]
+                chunk_t = chunk.transpose(0, 2, 1)
+                # each matrix against its own scale, as _as_sym does
+                skew = np.abs(chunk - chunk_t).max(axis=(1, 2))
+                scale = np.maximum(1.0, np.abs(chunk).max(axis=(1, 2)))
+                bad = np.flatnonzero(skew > SYMMETRY_TOL * scale)
+                skewed += [(lo + int(i), k, float(skew[i])) for i in bad]
+                dst = out[lo : lo + step]
+                np.add(chunk, chunk_t, out=dst)
+                dst *= 0.5
         if skewed:
             i, k, skew = min(skewed)
             raise PreconditionFailure(
                 "coefficient matrices symmetric", f"A[{i}][{k}]: skew {skew:.3e}"
             )
-        A = tuple(
-            np.ascontiguousarray(0.5 * (Ab + Ab.transpose(0, 2, 1))) for Ab in stacks
-        )
-        return SdpProblem(dims, tuple(Cs), A, b)
+        return SdpProblem(dims, tuple(Cs), tuple(sym), b)
 
     @property
     def num_constraints(self) -> int:
@@ -286,7 +302,7 @@ def _apply_At(A: Sequence[np.ndarray], lam: np.ndarray) -> List[np.ndarray]:
 
 
 def _inner(Xs: List[np.ndarray], Ys: List[np.ndarray]) -> float:
-    return float(sum(np.tensordot(X, Y, axes=([0, 1], [0, 1])) for X, Y in zip(Xs, Ys)))
+    return float(sum(np.vdot(X, Y) for X, Y in zip(Xs, Ys)))
 
 
 def _chol_blocks(Ms: List[np.ndarray]) -> Optional[List[np.ndarray]]:
@@ -368,43 +384,94 @@ def _one_hot_pattern(Ab: np.ndarray):
     return rows[t] * n + cols[t], weights, starts, owner[starts]
 
 
+@lru_cache(maxsize=64)
+def _svec_pattern(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Flat indices of the upper triangle of an n x n matrix, row by row,
+    and the svec weights: 1 on the diagonal, sqrt(2) off it. Cached, since
+    `np.triu_indices` costs as much as the Schur step of a small block;
+    read-only, since every caller shares them."""
+    rows, cols = np.triu_indices(n)
+    positions = rows * n + cols
+    weights = np.where(rows == cols, 1.0, np.sqrt(2.0))
+    positions.setflags(write=False)
+    weights.setflags(write=False)
+    return positions, weights
+
+
 def _schur_matrix(
-    A: Sequence[np.ndarray], Ws: List[np.ndarray], patterns: Sequence
+    A: Sequence[np.ndarray], Gs: List[np.ndarray], patterns: Sequence
 ) -> np.ndarray:
-    """M_ij = sum over blocks of tr(A_i W A_j W).
+    """M_ij = sum over blocks of tr(A_i W A_j W), where W = G G' per block.
 
     `patterns` holds `_one_hot_pattern` of each block. For a one-hot
     block, column j of the block's term is a weighted sum of the entries
     of W A_i W at the positions A_j owns, so one gather and one segmented
-    sum replace the dense contraction.
+    sum replace the dense contraction. For any other block the term is
+    <H_i, H_j> with H_i = G' A_i G: the rows of B are svec(H_i), the upper
+    triangles with off-diagonal entries scaled by sqrt(2), and the term is
+    B B', one symmetric rank-k update (SYRK) that is exactly symmetric and
+    positive semidefinite. The H_i are formed CHUNK_BYTES at a time, so
+    only B is held in full.
     """
     p = len(A[0])
     M = np.zeros((p, p))
-    for Ab, W, pattern in zip(A, Ws, patterns):
-        TW = np.matmul(np.matmul(W, Ab), W)
+    for Ab, G, pattern in zip(A, Gs, patterns):
+        n = G.shape[0]
         if pattern is None:
-            M += np.tensordot(TW, Ab, axes=([1, 2], [1, 2]))
+            svec_positions, svec_weights = _svec_pattern(n)
+            B = np.empty((p, len(svec_positions)))
+            step = max(1, CHUNK_BYTES // (8 * n * n))
+            for lo in range(0, p, step):
+                H = np.matmul(np.matmul(G.T, Ab[lo : lo + step]), G)
+                H = H.reshape(-1, n * n)
+                np.take(H, svec_positions, axis=1, out=B[lo : lo + step])
+            B *= svec_weights
+            M += B @ B.T
             continue
         positions, weights, starts, owners = pattern
         if len(positions):
+            W = G @ G.T
+            TW = np.matmul(np.matmul(W, Ab), W)
             gathered = np.take(TW.reshape(p, -1), positions, axis=1)
             gathered *= weights
             M[:, owners] += np.add.reduceat(gathered, starts, axis=1)
     return 0.5 * (M + M.T)
 
 
+def _tril_inv(L: np.ndarray) -> np.ndarray:
+    """Inverse of a nonsingular lower-triangular matrix.
+
+    Recursive 2x2 blocking: with L = [L11 0; L21 L22], the inverse is
+    [L11^-1, 0; -L22^-1 L21 L11^-1, L22^-1], so each level is two half-size
+    inverses and two matrix products, and `np.linalg.inv` (a general LU)
+    runs only on diagonal blocks of order TRIL_INV_LEAF or less. Those keep
+    the rounding-level entries LU may leave above their diagonal, so up to
+    that order the result is `np.linalg.inv(L)` itself.
+    """
+    n = L.shape[0]
+    if n <= TRIL_INV_LEAF:
+        return np.linalg.inv(L)
+    h = n // 2
+    inv = np.zeros_like(L)
+    inv[:h, :h] = _tril_inv(L[:h, :h])
+    inv[h:, h:] = _tril_inv(L[h:, h:])
+    inv[h:, :h] = -inv[h:, h:] @ (L[h:, :h] @ inv[:h, :h])
+    return inv
+
+
 def _schur_solver(M: np.ndarray, p: int):
     """Factorized solver for the Schur system, with iterative refinement.
 
-    The Cholesky factor is inverted once, so that each solve and each
-    refinement pass is two matrix-vector products. Refinement keeps
-    directions accurate when M is nearly singular close to the boundary;
-    falls back to least squares if the factorization fails outright.
+    The Cholesky factor is inverted once (`_tril_inv`), so that each solve
+    and each refinement pass is two matrix-vector products. Refinement
+    keeps directions accurate when M is nearly singular close to the
+    boundary; falls back to least squares if the factorization fails
+    outright.
     """
     fac = (
         _chol(M + 1e-13 * max(1.0, float(np.trace(M)) / p) * np.eye(p)) if p else None
     )
-    fac_inv = np.linalg.inv(fac) if fac is not None else None
+    fac_inv = _tril_inv(fac) if fac is not None else None
 
     def solve_one(rhs: np.ndarray) -> Optional[np.ndarray]:
         if not p:
@@ -644,7 +711,7 @@ def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSo
             break
         Ls_x, Ls_s, Gs, Gis, sigmas, Ws = nt
 
-        msolve = _schur_solver(_schur_matrix(A, Ws, patterns), p)
+        msolve = _schur_solver(_schur_matrix(A, Gs, patterns), p)
 
         WCW = [W @ Cb @ W for W, Cb in zip(Ws, C)]
         u = _apply_A(A, WCW)

@@ -342,10 +342,12 @@ def test_schur_matrix_matches_dense_reference(problem, one_hot):
     classified = [pattern is not None for pattern in patterns]
     assert classified == (one_hot or [False] * len(P.A))
     rng = np.random.default_rng(3)
-    Ws = [random_psd(rng, d) for d in P.block_dims]
-    M = sdp._schur_matrix(P.A, Ws, patterns)
-    ref = schur_reference(P.A, Ws)
+    # the solver passes the NT factors G of W = G G'
+    Gs = [rng.standard_normal((d, d)) / np.sqrt(d) for d in P.block_dims]
+    M = sdp._schur_matrix(P.A, Gs, patterns)
+    ref = schur_reference(P.A, [G @ G.T for G in Gs])
     assert np.max(np.abs(M - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.array_equal(M, M.T)
 
 
 def test_schur_solver_residual():
@@ -361,3 +363,33 @@ def test_schur_solver_residual():
         rhs = rng.standard_normal(p)
         x = msolve(rhs)
         assert np.linalg.norm(M @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
+
+
+def cholesky_factor(rng, p, cond):
+    """Cholesky factor of a random SPD matrix with condition number cond."""
+    Q, _ = np.linalg.qr(rng.standard_normal((p, p)))
+    M = (Q * np.logspace(0, np.log10(cond), p)) @ Q.T
+    return np.linalg.cholesky(0.5 * (M + M.T))
+
+
+@pytest.mark.parametrize(
+    "p, cond",
+    # one leaf, the largest leaf, the first splits, and the Q_3 n = 6 size
+    [(1, 1.0), (63, 1e3), (64, 1e3), (65, 1e3), (129, 1e3), (923, 1e3), (129, 1e8)],
+)
+def test_tril_inv_matches_inverse(p, cond):
+    rng = np.random.default_rng(p)
+    L = cholesky_factor(rng, p, cond)
+    Li = sdp._tril_inv(L)
+    ref = np.linalg.inv(L)
+    if p <= sdp.TRIL_INV_LEAF:
+        # a leaf is the LU inverse itself, so small solves are unchanged
+        assert np.array_equal(Li, ref)
+    eps = np.finfo(float).eps
+    norm = np.linalg.norm
+    # a stable triangular inverse leaves |L Li - I| of order eps |L| |Li|
+    # (Frobenius norms, so up to sqrt(p) more); its error against the LU
+    # inverse grows with cond(L) = sqrt(cond)
+    tol = np.sqrt(p) * eps
+    assert norm(L @ Li - np.eye(p)) <= tol * norm(L) * norm(Li)
+    assert norm(Li - ref) <= tol * np.sqrt(cond) * norm(ref)
