@@ -4,7 +4,7 @@ A moment-form program is
 
     minimize    c'z
     subject to  E z = e                      (equality rows)
-                S_B(z) = sum_a z_a T_B[:,:,a] >= 0   per block B,
+                S_B(z) = sum_t coef_B[t] z[index_B[t]] >= 0   per block B,
 
 with z the dense vector of pseudo-moments. Equalities are eliminated by an
 SVD null-space parametrization z = z_part + N u, giving an LMI in u whose
@@ -14,10 +14,11 @@ the dual certificate, over the same rows and columns as the block. A block
 need not span a whole monomial basis: the rho_j programs keep a principal
 submatrix of each block (see `convexcert.rho_program`).
 
-The builders at the end (block tensors and coefficient rows) scatter the one
-index pattern of S(g z) from `moments._moment_pattern`; the y0 = 1 row is the
-coefficient row of the constant 1, and a scalar row L_z(g) >= 0 is the
-localizing tensor at d = 0.
+Every block is a moment or localizing matrix S(g z), kept as the index
+layers (`moments.BlockSpec`) of the one pattern of `moments._moment_pattern`:
+compiling it gathers columns of N, and no dense (dim, dim, s) tensor is
+built. The y0 = 1 row is the coefficient row of the constant 1, and a scalar
+row L_z(g) >= 0 is the localizing block at d = 0.
 `relaxation_blocks` assembles the blocks shared by Q_r, Q-hat and the lift,
 and `moment_program` adds the normalization z_0 = 1 to every program.
 """
@@ -31,7 +32,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .poly import Polynomial, PreconditionFailure, SemialgebraicSet, basis_size
-from .moments import MomentVector, _basis_and_index, _moment_pattern
+from .moments import BlockSpec, MomentVector, _basis_and_index, _moment_pattern
 from .sdp import (
     BLOCK_CAP,
     SdpProblem,
@@ -41,21 +42,9 @@ from .sdp import (
     solve,
 )
 
-# bytes of one dense (dim, dim, s) block tensor; compiling the block makes
-# a second array of about the same size
+# bytes of a dense (dim, dim, s) block; the block's compiled (p, dim, dim)
+# stack, p < s, is smaller
 TENSOR_BYTES_CAP = 2**30
-
-
-@dataclass
-class BlockSpec:
-    """One PSD block S_B(z) = T @ z."""
-
-    label: str
-    T: np.ndarray  # (dim, dim, s)
-
-    @property
-    def dim(self) -> int:
-        return self.T.shape[0]
 
 
 class MomentStatus(Enum):
@@ -144,10 +133,8 @@ class MomentSdp:
         Returns the problem and the decode map {z_part, N, ...}.
         """
         z_part, N = self._eliminate()
-        Cs, As = [], []
-        for B in self.blocks:
-            Cs.append(np.tensordot(B.T, z_part, axes=(2, 0)))
-            As.append(-np.moveaxis(np.tensordot(B.T, N, axes=(2, 0)), 2, 0))
+        Cs = [B.apply(z_part) for B in self.blocks]
+        As = [-B.apply(N.T) for B in self.blocks]
         problem = SdpProblem.make(
             self.block_dims(), Cs, As, -(N.T @ self.objective)
         )
@@ -183,7 +170,8 @@ class MomentSdp:
         # stationarity in coefficient space: c = A*(S) + E' mu
         adj = np.zeros(self.num_moments)
         for B, G in zip(self.blocks, grams):
-            adj += np.tensordot(B.T, G, axes=([0, 1], [0, 1]))
+            weights = (B.coef[:, None, None] * G).ravel()
+            adj += np.bincount(B.index.ravel(), weights, self.num_moments)
         resid_vec = self.objective - adj
         if self.num_equalities:
             mu, *_ = np.linalg.lstsq(self.eq_rows.T, resid_vec, rcond=None)
@@ -214,24 +202,14 @@ class MomentSdp:
 # ---- builders --------------------------------------------------------------
 
 
-def localizing_tensor(n: int, order: int, d: int, g: Polynomial) -> np.ndarray:
-    """T with S(z)_{ab} = sum_gamma g_gamma z_{alpha_a + alpha_b + gamma},
-    rows/cols over monomial_basis(n, d), z over monomial_basis(n, 2*order).
-    With d = 0 it is the 1x1 block L_z(g) >= 0."""
-    if 2 * d + g.degree() > 2 * order:
-        raise PreconditionFailure(
-            "2d + deg g <= 2*order", f"{2 * d + g.degree()} > {2 * order}"
-        )
-    return _pattern_tensor(_basis_and_index(n, d)[0], g, basis_size(n, 2 * order))
+def _pattern_block(
+    label: str, basis, g: Optional[Polynomial], num_moments: int
+) -> BlockSpec:
+    """S(g z) over the exponent rows `basis`, z of length `num_moments`.
 
-
-def _pattern_tensor(basis, g: Polynomial, num_moments: int) -> np.ndarray:
-    """T with S(z)_{ab} = sum_gamma g_gamma z_{alpha_a + alpha_b + gamma}
-    over the exponent rows `basis`, z of length `num_moments`.
-
-    The size limits are checked before anything is allocated: a block
-    above `sdp.BLOCK_CAP` or a tensor above TENSOR_BYTES_CAP raises
-    PreconditionFailure."""
+    The size limits are checked before the pattern is built: a block
+    above `sdp.BLOCK_CAP`, or one whose dense (dim, dim, s) form is above
+    TENSOR_BYTES_CAP, raises PreconditionFailure."""
     dim = len(basis)
     if dim > BLOCK_CAP:
         raise PreconditionFailure(
@@ -244,14 +222,7 @@ def _pattern_tensor(basis, g: Polynomial, num_moments: int) -> np.ndarray:
             f"({dim}, {dim}, {num_moments}) takes {size / 2**30:.1f} GiB "
             f"> {TENSOR_BYTES_CAP / 2**30:g} GiB",
         )
-    pattern = _moment_pattern(basis, g)
-    T = np.zeros((dim, dim, num_moments))
-    np.add.at(T, (pattern.row, pattern.col, pattern.index), pattern.coef)
-    return T
-
-
-def moment_tensor(n: int, order: int, d: int) -> np.ndarray:
-    return localizing_tensor(n, order, d, Polynomial.constant(n, 1.0))
+    return BlockSpec.from_pattern(label, basis, g)
 
 
 def moment_program(
@@ -270,11 +241,11 @@ def moment_program(
 def relaxation_blocks(K: SemialgebraicSet, order: int, form: str) -> List[BlockSpec]:
     """M_order(z) >= 0 and, for each g_j of K, M_{order - r_j}(g_j z) >= 0
     (form "localizing") or the scalar row L_z(g_j) >= 0 (form "scalar")."""
-    blocks = [BlockSpec("moment", moment_tensor(K.n, order, order))]
+    s = basis_size(K.n, 2 * order)
+    blocks = [_pattern_block("moment", _basis_and_index(K.n, order)[0], None, s)]
     for j, (g, rj) in enumerate(zip(K.constraints, K.half_degrees()), start=1):
-        d = order - rj if form == "localizing" else 0
-        T = localizing_tensor(K.n, order, d, g)
-        blocks.append(BlockSpec(f"{form}[{j}]", T))
+        basis = _basis_and_index(K.n, order - rj if form == "localizing" else 0)[0]
+        blocks.append(_pattern_block(f"{form}[{j}]", basis, g, s))
     return blocks
 
 
@@ -286,6 +257,4 @@ def coefficient_row(n: int, order: int, p: Polynomial) -> np.ndarray:
             "deg p <= 2*order", f"{outside[0]} outside N^{n}_{2 * order}"
         )
     pattern = _moment_pattern(np.zeros((1, n), dtype=int), p)
-    row = np.zeros(basis_size(n, 2 * order))
-    np.add.at(row, pattern.index, pattern.coef)
-    return row
+    return np.bincount(pattern.index, pattern.coef, basis_size(n, 2 * order))

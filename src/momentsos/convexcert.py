@@ -48,7 +48,7 @@ from ._compile import (
     BlockSpec,
     MomentSdp,
     MomentSolution,
-    _pattern_tensor,
+    _pattern_block,
     coefficient_row,
     moment_program,
     relaxation_blocks,
@@ -178,9 +178,8 @@ def rho_program(K: SemialgebraicSet, j: int, d_j: int) -> MomentSdp:
     n2 = 2 * n
     s = basis_size(n2, 2 * d_j)
     blocks = [
-        BlockSpec(
-            "moment" if k == 0 else f"g{k}({side.upper()})",
-            _pattern_tensor(basis, g, s),
+        _pattern_block(
+            "moment" if k == 0 else f"g{k}({side.upper()})", basis, g, s
         )
         for k, side, g, basis in _rho_blocks(K, j, d_j)
     ]
@@ -650,7 +649,7 @@ class SdrRepresentation:
         if abs(y[0] - 1.0) > tol:
             return False
         for B in self.blocks:
-            M = np.tensordot(B.T, y, axes=(2, 0))
+            M = B.apply(y)
             if min_eigenvalue(M) < -tol * (1.0 + float(np.max(np.abs(M)))):
                 return False
         return True
@@ -665,14 +664,18 @@ class SdrRepresentation:
             "blocks": [],
         }
         for B in self.blocks:
-            i, j, k = np.nonzero(B.T)
+            # entry [a, b, c, v]: y_c has coefficient v in block entry (a, b),
+            # from one term t of g, since distinct terms reach distinct c
+            t, a, b = np.indices(B.index.shape).reshape(3, -1)
+            c = B.index.ravel()
+            order = np.lexsort((c, b, a))
             out["blocks"].append(
                 {
                     "label": B.label,
                     "dim": B.dim,
                     "entries": [
-                        [int(a), int(b), int(c), float(B.T[a, b, c])]
-                        for a, b, c in zip(i, j, k)
+                        [int(a[i]), int(b[i]), int(c[i]), float(B.coef[t[i]])]
+                        for i in order
                     ],
                 }
             )
@@ -680,17 +683,16 @@ class SdrRepresentation:
 
     @staticmethod
     def from_json(data: dict) -> "SdrRepresentation":
+        """The lift of the file's base set at its order and form, accepted
+        only when the file's blocks are exactly those of that lift."""
         base = SemialgebraicSet.from_json(data["base_set"])
-        s = basis_size(base.n, 2 * int(data["d"]))
-        blocks = []
-        for blk in data["blocks"]:
-            T = np.zeros((blk["dim"], blk["dim"], s))
-            for a, b, c, v in blk["entries"]:
-                T[a, b, c] = v
-            blocks.append(BlockSpec(blk["label"], T))
-        return SdrRepresentation(
-            int(data["d"]), base, data["form"], blocks
-        )
+        sdr = build_sdr(base, d=int(data["d"]), form=data["form"])
+        if data["blocks"] != sdr.to_json()["blocks"]:
+            raise PreconditionFailure(
+                "blocks are the lift of base_set at order d",
+                "entries differ from the rebuilt lift",
+            )
+        return sdr
 
 
 def build_sdr(

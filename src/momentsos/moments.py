@@ -88,6 +88,37 @@ def _moment_pattern(
     )
 
 
+@dataclass
+class BlockSpec:
+    """A moment or localizing block S(g z) = sum_t coef[t] z[index[t]], in
+    layers, one per term t of g: index[t] holds the graded-lex moment index
+    of each entry, alpha_row + alpha_col + gamma_t, and coef[t] is the
+    coefficient of gamma_t in g."""
+
+    label: str
+    index: np.ndarray  # (k, dim, dim)
+    coef: np.ndarray  # (k,)
+
+    @staticmethod
+    def from_pattern(
+        label: str, basis, g: Optional[Polynomial] = None
+    ) -> "BlockSpec":
+        """S(g z), or S(z) when g is None, over the exponent rows `basis`."""
+        coef = np.ones(1) if g is None else g.term_arrays[1]
+        index = _moment_pattern(basis, g).index.reshape(len(basis), len(basis), -1)
+        return BlockSpec(label, np.ascontiguousarray(np.moveaxis(index, 2, 0)), coef)
+
+    @property
+    def dim(self) -> int:
+        return self.index.shape[1]
+
+    def apply(self, Z: np.ndarray) -> np.ndarray:
+        """sum_t coef[t] Z[..., index[t]]: the block at each moment vector
+        on the last axis of Z, summed over the terms in order."""
+        terms = zip(self.coef, self.index)
+        return sum(c * np.take(Z, idx, axis=-1) for c, idx in terms)
+
+
 def _collect_terms(n: int, pattern: MomentPattern, weights) -> Polynomial:
     """sum_k weights[k] X^exponent[k] over the pattern's entries; equal
     monomials are summed in entry order, and terms keep first appearance."""
@@ -201,8 +232,7 @@ def moment_matrix(y: MomentVector, d: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _moment_matrix_index(n: int, d: int) -> np.ndarray:
     """The moment index of each entry of M_d, read-only."""
-    basis, _ = _basis_and_index(n, d)
-    index = _moment_pattern(basis).index.reshape(len(basis), len(basis))
+    index = BlockSpec.from_pattern("moment", _basis_and_index(n, d)[0]).index[0]
     index.flags.writeable = False
     return index
 
@@ -216,11 +246,7 @@ def localizing_matrix(y: MomentVector, g: Polynomial, d: int) -> np.ndarray:
             "2d + deg g <= 2*order(y)", f"{2 * d + g.degree()} > {2 * y.order}"
         )
     basis, _ = _basis_and_index(y.n, d)
-    pattern = _moment_pattern(basis, g)
-    M = np.zeros((len(basis), len(basis)))
-    values = pattern.coef * y.values[pattern.index]
-    np.add.at(M, (pattern.row, pattern.col), values)
-    return M
+    return BlockSpec.from_pattern("localizing", basis, g).apply(y.values)
 
 
 class FlatnessReport(NamedTuple):

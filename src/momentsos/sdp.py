@@ -166,7 +166,7 @@ class SdpProblem:
     def constraints(self) -> Tuple[Tuple[Tuple[np.ndarray, ...], float], ...]:
         """(per-block matrices, b_i) of each constraint, as views of the
         stacks. Kept only for the benchmark's layer trace, which reads it
-        until solves carry their own trace (ROADMAP direction 5)."""
+        until solves carry their own trace (ROADMAP direction 4)."""
         return tuple(
             (tuple(Ab[i] for Ab in self.A), float(bi))
             for i, bi in enumerate(self.b)
@@ -279,7 +279,6 @@ def _chol(M: np.ndarray) -> Optional[np.ndarray]:
 
 def _max_step(L: np.ndarray, dM: np.ndarray) -> float:
     """Largest alpha with M + alpha*dM >= 0, given M = L L'."""
-    n = L.shape[0]
     Linv_d = np.linalg.solve(L, dM)
     S = np.linalg.solve(L, Linv_d.T)
     w_min = float(np.linalg.eigvalsh(0.5 * (S + S.T))[0])

@@ -3,15 +3,8 @@
 import numpy as np
 import pytest
 
-from momentsos import _compile
-from momentsos._compile import (
-    BlockSpec,
-    MomentSdp,
-    MomentStatus,
-    coefficient_row,
-    localizing_tensor,
-    moment_tensor,
-)
+from momentsos import _compile, moments
+from momentsos._compile import BlockSpec, MomentSdp, MomentStatus, coefficient_row
 from momentsos.convexcert import _rho_blocks, lift_to_xy, rho_program
 from momentsos.moments import mean_point
 from momentsos.hierarchy import build_qr
@@ -38,8 +31,8 @@ def interval_program(f):
         order=1,
         objective=c,
         blocks=[
-            BlockSpec("moment", moment_tensor(1, 1, 1)),
-            BlockSpec("loc", localizing_tensor(1, 1, 0, g)),
+            BlockSpec.from_pattern("moment", monomial_basis(1, 1)),
+            BlockSpec.from_pattern("loc", monomial_basis(1, 0), g),
         ],
         eq_rows=np.array([row]),
         eq_rhs=np.array([1.0]),
@@ -73,8 +66,8 @@ def test_scalar_row_blocks():
         order=1,
         objective=c,
         blocks=[
-            BlockSpec("moment", moment_tensor(1, 1, 1)),
-            BlockSpec("row", localizing_tensor(1, 1, 0, g)),
+            BlockSpec.from_pattern("moment", monomial_basis(1, 1)),
+            BlockSpec.from_pattern("row", monomial_basis(1, 0), g),
         ],
         eq_rows=np.array([row]),
         eq_rhs=np.array([1.0]),
@@ -94,9 +87,9 @@ def test_infeasible_moment_program():
         order=1,
         objective=c,
         blocks=[
-            BlockSpec("moment", moment_tensor(1, 1, 1)),
-            BlockSpec("g1", localizing_tensor(1, 1, 0, g1)),
-            BlockSpec("g2", localizing_tensor(1, 1, 0, g2)),
+            BlockSpec.from_pattern("moment", monomial_basis(1, 1)),
+            BlockSpec.from_pattern("g1", monomial_basis(1, 0), g1),
+            BlockSpec.from_pattern("g2", monomial_basis(1, 0), g2),
         ],
         eq_rows=np.array([row]),
         eq_rhs=np.array([1.0]),
@@ -115,7 +108,7 @@ def test_unbounded_moment_program():
         n=1,
         order=1,
         objective=c,
-        blocks=[BlockSpec("moment", moment_tensor(1, 1, 1))],
+        blocks=[BlockSpec.from_pattern("moment", monomial_basis(1, 1))],
         eq_rows=np.array([row]),
         eq_rhs=np.array([1.0]),
     )
@@ -175,7 +168,7 @@ def test_deflation_kernel_is_orthogonal_to_image():
         budget = 2 * (d - half[j])
         for k, _, g, _ in _rho_blocks(K, j, d):
             D = d - half[k]
-            S = np.tensordot(localizing_tensor(n2, d, D, g), z, axes=(2, 0))
+            S = BlockSpec.from_pattern("S", monomial_basis(n2, D), g).apply(z)
             index = {a: i for i, a in enumerate(monomial_basis(n2, D))}
             max_p_deg = min(D - h.degree(), budget - g.degree() - D)
             for p in monomial_basis(n2, max_p_deg) if max_p_deg >= 0 else []:
@@ -190,12 +183,14 @@ def test_deflation_kernel_is_orthogonal_to_image():
     "r, clause", [(5, "block tensor within cap"), (6, "block dimension within cap")]
 )
 def test_size_limits_refused_before_allocating(monkeypatch, r, clause):
-    # on the n = 6 ball, Q_5's moment tensor (462, 462, 8008) takes 13.7 GB
-    # and Q_6's moment block is 924 > BLOCK_CAP wide; both are refused from
-    # the sizes alone, before the index pattern or the tensor is built
+    # on the n = 6 ball, Q_5's moment block would take 13.7 GB as a dense
+    # (462, 462, 8008) tensor and Q_6's moment block is 924 > BLOCK_CAP
+    # wide; both are refused from the sizes alone, before the index pattern
+    # is built
     def unreachable(*args):
         raise AssertionError("index pattern built before the size check")
 
     monkeypatch.setattr(_compile, "_moment_pattern", unreachable)
+    monkeypatch.setattr(moments, "_moment_pattern", unreachable)
     with pytest.raises(PreconditionFailure, match=clause):
         build_qr(ball_quartic(6), r)

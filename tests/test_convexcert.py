@@ -631,9 +631,26 @@ def test_sdr_json_round_trip():
     assert back.d == sdr.d and back.form == sdr.form
     assert back.base_set.to_json() == K.to_json()
     assert len(back.blocks) == len(sdr.blocks)
-    for a, b in zip(sdr.blocks, back.blocks):
+    # the layers follow the term order of each g_j, which the JSON form of
+    # the base set may change; the blocks themselves are equal
+    eye = np.eye(sdr.lift_dimension)
+    for a, b, blk in zip(sdr.blocks, back.blocks, data["blocks"]):
         assert a.label == b.label
-        assert np.array_equal(a.T, b.T)
+        assert np.array_equal(a.apply(eye), b.apply(eye))
+        # entries are the nonzeros of the dense (dim, dim, s) block, in
+        # np.nonzero order
+        T = np.moveaxis(a.apply(eye), 0, 2)
+        assert blk["entries"] == [[*k, T[k]] for k in zip(*np.nonzero(T))]
     v1, _ = sdr_support(sdr, [1.0, 0.0])
     v2, _ = sdr_support(back, [1.0, 0.0])
     assert v1 == v2
+
+
+@pytest.mark.parametrize("position, value", [(2, -1), (2, 10**6), (3, 0.5)])
+def test_sdr_from_json_rejects_tampered_entries(position, value):
+    # a moment index of -1 would wrap to the last moment and one >= s is
+    # out of range; a changed coefficient is just a different lift
+    data = json.loads(json.dumps(build_sdr(unit_disk(), d=2).to_json()))
+    data["blocks"][1]["entries"][0][position] = value
+    with pytest.raises(PreconditionFailure, match="blocks are the lift"):
+        SdrRepresentation.from_json(data)

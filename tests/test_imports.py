@@ -1,6 +1,10 @@
-"""No module of the package imports a name it never uses."""
+"""No module of the package imports a name it never uses, and the package
+needs numpy alone."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "momentsos"
@@ -44,3 +48,16 @@ def test_scan_sees_an_unused_import(tmp_path):
         "__all__ = ['Dict']\n\ndef f(x: List[int]) -> int:\n    return 0\n"
     )
     assert unused_imports(module) == ["json"]
+
+
+def test_import_leaves_scipy_unloaded():
+    # pyproject.toml and the README promise a numpy-only package
+    code = "import sys, momentsos; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"

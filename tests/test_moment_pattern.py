@@ -11,9 +11,19 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from momentsos._compile import coefficient_row, localizing_tensor, moment_tensor
-from momentsos.convexcert import _recover_rho_weights, _rho_blocks, lift_to_xy
-from momentsos.moments import MomentVector, localizing_matrix, moment_matrix
+from momentsos._compile import coefficient_row, moment_program, relaxation_blocks
+from momentsos.convexcert import (
+    _recover_rho_weights,
+    _rho_blocks,
+    lift_to_xy,
+    rho_program,
+)
+from momentsos.moments import (
+    BlockSpec,
+    MomentVector,
+    localizing_matrix,
+    moment_matrix,
+)
 from momentsos.poly import Polynomial, PreconditionFailure, monomial_basis
 from momentsos.sos import SosWitness, _gram_constraint_index, _w_linear_basis
 
@@ -31,7 +41,10 @@ def add(*monomials):
 
 
 def ref_localizing_tensor(n, order, d, g):
-    basis, idx = monomial_basis(n, d), full_index(n, order)
+    return ref_block_tensor(monomial_basis(n, d), full_index(n, order), g)
+
+
+def ref_block_tensor(basis, idx, g):
     T = np.zeros((len(basis), len(basis), len(idx)))
     for i, a in enumerate(basis):
         for j, b in enumerate(basis):
@@ -126,26 +139,59 @@ def K(request):
 # ---- comparisons ----------------------------------------------------------------
 
 
+def ref_stacks(tensors, decode):
+    """The compiled objective blocks T_B z_part and constraint stacks
+    -T_B N, with axes (u, row, col)."""
+    z_part, N = decode["z_part"], decode["N"]
+    for T in tensors:
+        yield (
+            np.tensordot(T, z_part, axes=(2, 0)),
+            -np.moveaxis(np.tensordot(T, N, axes=(2, 0)), 2, 0),
+        )
+
+
 @pytest.mark.parametrize("order", [3, 4])
 def test_tensors_rows_and_coefficients(K, order):
+    # each layered block, applied to the identity, is the reference tensor
+    # with the moment axis first
     for n, g in weights(K):
         r = (g.degree() + 1) // 2
+        eye = np.eye(len(full_index(n, order)))
         for d in sorted({0, order - r}):
+            block = BlockSpec.from_pattern("g", monomial_basis(n, d), g)
             assert np.array_equal(
-                localizing_tensor(n, order, d, g),
-                ref_localizing_tensor(n, order, d, g),
+                block.apply(eye),
+                np.moveaxis(ref_localizing_tensor(n, order, d, g), 2, 0),
             )
         assert np.array_equal(
             coefficient_row(n, order, g), ref_coefficient_row(n, order, g)
         )
         one = Polynomial.constant(n, 1.0)
+        block = BlockSpec.from_pattern("moment", monomial_basis(n, order))
         assert np.array_equal(
-            moment_tensor(n, order, order),
-            ref_localizing_tensor(n, order, order, one),
+            block.apply(eye),
+            np.moveaxis(ref_localizing_tensor(n, order, order, one), 2, 0),
         )
         expected = np.zeros(len(full_index(n, order)))
         expected[0] = 1.0
         assert np.array_equal(coefficient_row(n, order, one), expected)
+    # Q_r and the lifts (localizing blocks), Q-hat (scalar rows): their
+    # stacks are those of the dense reference tensors, bit for bit
+    rng = np.random.default_rng(order)
+    for form in ("localizing", "scalar"):
+        blocks = relaxation_blocks(K, order, form)
+        objective = rng.normal(size=len(full_index(K.n, order)))
+        program = moment_program(K.n, order, objective, blocks)
+        problem, decode = program.to_sdp()
+        one = Polynomial.constant(K.n, 1.0)
+        tensors = [ref_localizing_tensor(K.n, order, order, one)]
+        for g, rj in zip(K.constraints, K.half_degrees()):
+            d = order - rj if form == "localizing" else 0
+            tensors.append(ref_localizing_tensor(K.n, order, d, g))
+        for C, A, (ref_C, ref_A) in zip(
+            problem.C, problem.A, ref_stacks(tensors, decode)
+        ):
+            assert np.array_equal(C, ref_C) and np.array_equal(A, ref_A)
 
 
 def test_coefficient_row_rejects_high_degree():
@@ -199,6 +245,19 @@ def test_kernel_deflation_matches_reference_kernel(K):
                 assert sorted(leads + keep) == list(range(len(basis)))
                 full = np.hstack([kernel, np.eye(len(basis))[:, keep]])
                 assert np.linalg.matrix_rank(full) == len(basis)
+            # the compiled rho_j stacks agree with those of the dense
+            # reference tensors over the kept rows, up to summation order
+            problem, decode = rho_program(K, j, d_j).to_sdp()
+            idx = full_index(n2, d_j)
+            tensors = [
+                ref_block_tensor(kept, idx, g)
+                for _, _, g, kept in _rho_blocks(K, j, d_j)
+            ]
+            for C, A, (ref_C, ref_A) in zip(
+                problem.C, problem.A, ref_stacks(tensors, decode)
+            ):
+                for M, ref in ((C, ref_C), (A, ref_A)):
+                    assert np.max(np.abs(M - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def gram_bases(n):
