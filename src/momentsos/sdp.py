@@ -10,12 +10,15 @@ The dual is max b'lam s.t. C - sum_i lam_i A_i = Z >= 0. The solver is a
 Mehrotra-style predictor-corrector on the central path of the homogeneous
 self-dual embedding, with Nesterov-Todd scaling W = G G'. The Schur
 complement is a dense p x p matrix. A one-hot block, where each matrix
-position is nonzero in at most one constraint (a moment block), adds its
-part by gathering from the batched products W A_i W the entries each
-constraint owns. Any other block adds B B', one symmetric rank-k update,
-where row i of B is svec(G' A_i G). The Cholesky factor is inverted once
-per iteration by recursive 2x2 blocking, so each Schur solve is two
-matrix-vector products.
+position is nonzero in at most one constraint and each column of a
+constraint matrix holds at most one entry (a moment block), adds its part
+by gathering from W A_i W the entries each constraint owns. W A_i is
+gathered from the columns of W, not multiplied, and one batched product
+with W forms W A_i W a cache-sized chunk of constraints at a time. Any
+other block adds B B', one symmetric rank-k update, where row i of B is
+svec(G' A_i G). The Cholesky factor is inverted once per iteration by
+recursive 2x2 blocking, so each Schur solve is two matrix-vector
+products.
 
 The solver starts from a data-scaled identity point that is strictly
 feasible for the embedding (not for the problem itself) and reports
@@ -58,8 +61,10 @@ STALL_WINDOW = 8
 # times a step is halved when its end point cannot be factored
 STEP_HALVINGS = 20
 # bytes of constraint matrices that SdpProblem.make and _schur_matrix hold
-# a temporary copy of at once
-CHUNK_BYTES = 1 << 22
+# a temporary copy of at once. At 1 MiB a chunk of W A_i and its product
+# with W fit in a 2 MiB L2 cache together, so the one-hot Schur term
+# reads and writes them there instead of in main memory
+CHUNK_BYTES = 1 << 20
 # order at or below which _tril_inv inverts a triangular block directly
 TRIL_INV_LEAF = 64
 
@@ -92,6 +97,10 @@ class SdpProblem:
     `C` is one symmetric (n_b, n_b) matrix per block. `A` is one
     C-contiguous (p, n_b, n_b) stack per block, so that `A[k][i]` is the
     matrix of constraint i in block k, and `b` is the (p,) right-hand side.
+
+    `make` stores a symmetrized copy of each stack, except that a
+    C-contiguous float64 stack that equals its transpose is stored as
+    given: it is then shared with the caller, who must not change it.
     """
 
     block_dims: Tuple[int, ...]
@@ -135,10 +144,14 @@ class SdpProblem:
                     "constraint block dims consistent", f"A[:][{k}]: {Ab.shape}"
                 )
         # symmetrized copies of the stacks, written a chunk of constraints at
-        # a time so that no full-size temporary is held
-        sym = [np.empty((len(b), d, d)) for d in dims]
+        # a time so that no full-size temporary is held. A C-contiguous
+        # stack that is exactly symmetric is kept as given, since there
+        # 0.5 (a + a) = a: its copy starts at the first chunk that is not,
+        # and the chunks before it are copied as they are
+        sym = []
         skewed = []
-        for k, (Ab, out, d) in enumerate(zip(stacks, sym, dims)):
+        for k, (Ab, d) in enumerate(zip(stacks, dims)):
+            out = None if Ab.flags.c_contiguous else np.empty((len(b), d, d))
             step = max(1, CHUNK_BYTES // (8 * d * d))
             for lo in range(0, len(b), step):
                 chunk = Ab[lo : lo + step]
@@ -148,9 +161,14 @@ class SdpProblem:
                 scale = np.maximum(1.0, np.abs(chunk).max(axis=(1, 2)))
                 bad = np.flatnonzero(skew > SYMMETRY_TOL * scale)
                 skewed += [(lo + int(i), k, float(skew[i])) for i in bad]
-                dst = out[lo : lo + step]
-                np.add(chunk, chunk_t, out=dst)
-                dst *= 0.5
+                if out is None and skew.any():
+                    out = np.empty((len(b), d, d))
+                    out[:lo] = Ab[:lo]
+                if out is not None:
+                    dst = out[lo : lo + step]
+                    np.add(chunk, chunk_t, out=dst)
+                    dst *= 0.5
+            sym.append(Ab if out is None else out)
         if skewed:
             i, k, skew = min(skewed)
             raise PreconditionFailure(
@@ -364,23 +382,32 @@ def _corrector_rhs(
 
 
 def _one_hot_pattern(Ab: np.ndarray):
-    """Aggregation pattern of a block whose every matrix position is
-    nonzero in at most one constraint, or None for any other block.
+    """Aggregation pattern of a one-hot block, or None for any other block.
 
-    Returns (positions, weights, starts, owners): the flat indices of the
-    upper-triangle nonzeros sorted by the constraint that owns them, their
-    entries doubled off the diagonal, where each owner's run starts, and
-    the owners in run order.
+    A block is one-hot when every matrix position is nonzero in at most
+    one constraint and every column of a constraint matrix holds at most
+    one entry. Each moment block M_r(y) is: entry (a, b) holds moment
+    alpha_a + alpha_b, so a position is one moment, and for a column b and
+    a moment alpha only one row a has alpha_a + alpha_b = alpha.
+
+    Returns (positions, weights, starts, owners, entries): the flat indices
+    of the upper-triangle nonzeros sorted by the constraint that owns them,
+    their entries doubled off the diagonal, where each owner's run starts,
+    the owners in run order, and (owner, row, col, value) of every nonzero,
+    sorted by owner.
     """
     if np.count_nonzero(Ab, axis=0).max(initial=0) > 1:
         return None
-    n = Ab.shape[1]
-    rows, cols = np.triu_indices(n)
-    upper = Ab[:, rows, cols]
-    owner, t = np.nonzero(upper)  # sorted by owner
-    weights = np.where(rows[t] == cols[t], 1.0, 2.0) * upper[owner, t]
-    starts = np.flatnonzero(np.diff(owner, prepend=-1))
-    return rows[t] * n + cols[t], weights, starts, owner[starts]
+    p, n, _ = Ab.shape
+    owner, row, col = np.nonzero(Ab)  # sorted by owner, then row, then col
+    if np.bincount(owner * n + col, minlength=p * n).max(initial=0) > 1:
+        return None
+    value = Ab[owner, row, col]
+    upper = row <= col
+    rows, cols, owners = row[upper], col[upper], owner[upper]
+    weights = np.where(rows == cols, 1.0, 2.0) * value[upper]
+    starts = np.flatnonzero(np.diff(owners, prepend=-1))
+    return rows * n + cols, weights, starts, owners[starts], (owner, row, col, value)
 
 
 @lru_cache(maxsize=64)
@@ -405,21 +432,25 @@ def _schur_matrix(
     `patterns` holds `_one_hot_pattern` of each block. For a one-hot
     block, column j of the block's term is a weighted sum of the entries
     of W A_i W at the positions A_j owns, so one gather and one segmented
-    sum replace the dense contraction. For any other block the term is
-    <H_i, H_j> with H_i = G' A_i G: the rows of B are svec(H_i), the upper
-    triangles with off-diagonal entries scaled by sqrt(2), and the term is
-    B B', one symmetric rank-k update (SYRK) that is exactly symmetric and
-    positive semidefinite. The H_i are formed CHUNK_BYTES at a time, so
-    only B is held in full.
+    sum replace the dense contraction. W A_i needs no product: column b of
+    it is v W[:, a] for the one entry v at (a, b) of A_i, the exact value
+    of the product, since every other term of its sums is zero. So W A_i
+    is scattered into one reused buffer, CHUNK_BYTES of constraints at a
+    time, and a single batched product with W gives their W A_i W. For
+    any other block the term is <H_i, H_j> with H_i = G' A_i G: the rows
+    of B are svec(H_i), the upper triangles with off-diagonal entries
+    scaled by sqrt(2), and the term is B B', one symmetric rank-k update
+    (SYRK) that is exactly symmetric and positive semidefinite. The H_i
+    are formed CHUNK_BYTES at a time, so only B is held in full.
     """
     p = len(A[0])
     M = np.zeros((p, p))
     for Ab, G, pattern in zip(A, Gs, patterns):
         n = G.shape[0]
+        step = max(1, CHUNK_BYTES // (8 * n * n))
         if pattern is None:
             svec_positions, svec_weights = _svec_pattern(n)
             B = np.empty((p, len(svec_positions)))
-            step = max(1, CHUNK_BYTES // (8 * n * n))
             for lo in range(0, p, step):
                 H = np.matmul(np.matmul(G.T, Ab[lo : lo + step]), G)
                 H = H.reshape(-1, n * n)
@@ -427,13 +458,27 @@ def _schur_matrix(
             B *= svec_weights
             M += B @ B.T
             continue
-        positions, weights, starts, owners = pattern
-        if len(positions):
-            W = G @ G.T
-            TW = np.matmul(np.matmul(W, Ab), W)
-            gathered = np.take(TW.reshape(p, -1), positions, axis=1)
+        positions, weights, starts, owners, (owner, row, col, value) = pattern
+        if not len(positions):
+            continue
+        W = G @ G.T
+        W_cols = np.ascontiguousarray(W.T)  # column a of W is W_cols[a]
+        # every owner in range(p) appears, as in a moment block, unless
+        # some constraint has no entry in the block
+        columns = slice(None) if len(owners) == p else owners
+        # zero outside the entries a chunk writes, which it clears again
+        WA = np.zeros((min(step, p), n, n))
+        bounds = np.searchsorted(owner, np.arange(0, p + step, step))
+        for lo, first, last in zip(range(0, p, step), bounds, bounds[1:]):
+            hi = min(lo + step, p)
+            WA_chunk = WA[: hi - lo]
+            at = (owner[first:last] - lo, slice(None), col[first:last])
+            WA_chunk[at] = W_cols[row[first:last]] * value[first:last, None]
+            TW = np.matmul(WA_chunk, W).reshape(hi - lo, -1)
+            WA_chunk[at] = 0.0
+            gathered = TW[:, positions]
             gathered *= weights
-            M[:, owners] += np.add.reduceat(gathered, starts, axis=1)
+            M[lo:hi, columns] += np.add.reduceat(gathered, starts, axis=1)
     return 0.5 * (M + M.T)
 
 
@@ -588,7 +633,8 @@ def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSo
     since_improved = 0
 
     for _ in range(MAX_ITERATIONS):
-        rp = b * tau - _apply_A(A, X)
+        AX = _apply_A(A, X)
+        rp = b * tau - AX
         Aty = _apply_At(A, y)
         Rd = [Cb * tau - Ab - Sb for Cb, Ab, Sb in zip(C, Aty, S)]
         cx = _inner(C, X)
@@ -681,7 +727,7 @@ def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSo
                 break
         ctx = -cx
         if ctx > 0.0:
-            ray_res = float(np.max(np.abs(_apply_A(A, X)))) if p else 0.0
+            ray_res = float(np.max(np.abs(AX))) if p else 0.0
             if ray_res <= INFEAS_RAY_TOL * ctx:
                 status = SdpStatus.UNBOUNDED
                 message = "primal improving ray found"
@@ -722,11 +768,14 @@ def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSo
         C_WRdW = _inner(C, WRdW)
         diff = u - b
 
-        def direction(sigma: float, Rc: List[np.ndarray], r5: float):
+        def direction(
+            sigma: float, Rc: List[np.ndarray], A_Rc: np.ndarray, r5: float
+        ):
             """Solve the embedding's Newton system by eliminating dS, dX,
-            dkappa and bordering the Schur system with the dtau column."""
+            dkappa and bordering the Schur system with the dtau column.
+            `A_Rc` is (<A_i, Rc>)_i."""
             one_m = 1.0 - sigma
-            r1 = -_apply_A(A, Rc) + one_m * (A_WRdW + rp)
+            r1 = -A_Rc + one_m * (A_WRdW + rp)
             r2 = (
                 (sigma - 1.0) * rg
                 - _inner(C, Rc)
@@ -762,8 +811,8 @@ def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSo
                 a = min(a, -kappa / dkappa)
             return a
 
-        # predictor: sigma = 0
-        aff = direction(0.0, [-Xb for Xb in X], -tau * kappa)
+        # predictor: sigma = 0, Rc = -X, so A(Rc) = -A(X), negation being exact
+        aff = direction(0.0, [-Xb for Xb in X], -AX, -tau * kappa)
         if aff is None:
             status, message = SdpStatus.NUMERICAL_FAILURE, "Schur solve failed"
             break
@@ -781,7 +830,7 @@ def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSo
         # corrector; the tau-kappa row gets its own second-order term
         Rc = _corrector_rhs(Gs, Gis, sigmas, dX_a, dS_a, sigma * mu)
         r5 = sigma * mu - tau * kappa - dtau_a * dkap_a
-        step = direction(sigma, Rc, r5)
+        step = direction(sigma, Rc, _apply_A(A, Rc), r5)
         if step is None:
             status, message = SdpStatus.NUMERICAL_FAILURE, "Schur solve failed"
             break

@@ -1,6 +1,7 @@
 """Interior-point solver unit tests: known optima, KKT quality, rays."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from helpers import (
 )
 
 from momentsos import sdp
-from momentsos.convexcert import rho_program
+from momentsos._compile import moment_program
+from momentsos.convexcert import build_sdr, rho_program
 from momentsos.hierarchy import PolyOptProblem, build_qr
 from momentsos.poly import Polynomial, PreconditionFailure
 from momentsos.sdp import (
@@ -348,6 +350,122 @@ def test_schur_matrix_matches_dense_reference(problem, one_hot):
     ref = schur_reference(P.A, [G @ G.T for G in Gs])
     assert np.max(np.abs(M - ref)) <= 1e-12 * np.max(np.abs(ref))
     assert np.array_equal(M, M.T)
+
+
+def one_hot_term_by_products(Ab, W, pattern):
+    """A one-hot block's Schur term from the full stack of W A_i W, formed
+    by two batched products: gather the owned positions, sum each owner's
+    run."""
+    positions, weights, starts, owners = pattern[:4]
+    p = len(Ab)
+    M = np.zeros((p, p))
+    TW = np.matmul(np.matmul(W, Ab), W)
+    gathered = np.take(TW.reshape(p, -1), positions, axis=1)
+    gathered *= weights
+    M[:, owners] += np.add.reduceat(gathered, starts, axis=1)
+    return 0.5 * (M + M.T)
+
+
+@pytest.mark.parametrize("step", [7, 30])
+def test_one_hot_term_in_chunks_equals_full_products(monkeypatch, step):
+    Ab = build_qr(ball_quartic(3), 3).to_sdp()[0].A[0]
+    p, n, _ = Ab.shape
+    # p = 83: 12 or 3 chunks, of which the last is ragged
+    assert p % step and p > 2 * step
+    monkeypatch.setattr(sdp, "CHUNK_BYTES", step * 8 * n * n)
+    pattern = sdp._one_hot_pattern(Ab)
+    G = np.random.default_rng(step).standard_normal((n, n)) / np.sqrt(n)
+    M = sdp._schur_matrix([Ab], [G], [pattern])
+    # the gathered W A_i is the product itself, so the term is bit for bit
+    assert np.array_equal(M, one_hot_term_by_products(Ab, G @ G.T, pattern))
+
+
+def test_two_entries_in_a_column_is_not_one_hot():
+    # every position is nonzero in one constraint at most, but column 0 of
+    # A_0 holds two entries, so W A_0 is not a gather of columns of W
+    A = np.zeros((3, 3, 3))
+    A[0, 0, 0] = 1.0
+    A[0, 0, 1] = A[0, 1, 0] = 2.0
+    A[1, 1, 1] = -1.0
+    A[1, 0, 2] = A[1, 2, 0] = 0.5
+    A[2, 2, 2] = 3.0
+    assert sdp._one_hot_pattern(A) is None
+    # so is a single dense constraint
+    assert sdp._one_hot_pattern(np.ones((1, 3, 3))) is None
+    # with A_0's off-diagonal pair moved to constraint 2, the block is one-hot
+    B = A.copy()
+    B[0, 0, 1] = B[0, 1, 0] = 0.0
+    B[2, 0, 1] = B[2, 1, 0] = 2.0
+    assert sdp._one_hot_pattern(B) is not None
+    G = np.random.default_rng(4).standard_normal((3, 3))
+    M = sdp._schur_matrix([A], [G], [None])
+    ref = schur_reference([A], [G @ G.T])
+    assert np.max(np.abs(M - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize(
+    "program",
+    [
+        lambda: build_qr(ball_quartic(3), 3),
+        lambda: build_qr(ball_quartic(2), 5),
+        lambda: build_qr(PolyOptProblem(Polynomial.constant(2, 1.0), unit_disk()), 4),
+        lambda: moment_program_of(build_sdr(example_hyperbola_disk(), d=3)),
+        lambda: moment_program_of(build_sdr(example_hyperbola_disk(), d=4)),
+    ],
+)
+def test_moment_blocks_are_one_hot(program):
+    Ab = program().to_sdp()[0].A[0]
+    pattern = sdp._one_hot_pattern(Ab)
+    assert pattern is not None
+    # the (owner, row, col, value) entries are the whole block, by owner
+    owner, row, col, value = pattern[4]
+    assert np.all(np.diff(owner) >= 0)
+    rebuilt = np.zeros_like(Ab)
+    rebuilt[owner, row, col] = value
+    assert np.array_equal(rebuilt, Ab)
+
+
+def moment_program_of(sdr):
+    """The support program of a lift, as `sdr_support` builds it."""
+    objective = np.zeros(sdr.lift_dimension)
+    objective[1 : sdr.n + 1] = 1.0
+    return moment_program(sdr.n, sdr.d, objective, sdr.blocks)
+
+
+def test_one_hot_term_holds_no_full_stack():
+    # Q_4 on the 4-ball: a (494, 70, 70) moment block, 19.4 MB
+    Ab = build_qr(ball_quartic(4), 4).to_sdp()[0].A[0]
+    p, n, _ = Ab.shape
+    pattern = sdp._one_hot_pattern(Ab)
+    G = np.random.default_rng(0).standard_normal((n, n)) / np.sqrt(n)
+    tracemalloc.start()
+    try:
+        sdp._schur_matrix([Ab], [G], [pattern])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < p * n * n * 8
+
+
+def test_make_keeps_exactly_symmetric_stacks(monkeypatch):
+    # one constraint per chunk, so that the copy of a stack starts at the
+    # chunk of its first skew entry
+    monkeypatch.setattr(sdp, "CHUNK_BYTES", 8 * 2 * 2)
+    A = np.zeros((2, 2, 2))
+    A[0] = [[1.0, 2.0], [2.0, 0.0]]
+    A[1, 1, 1] = 1.0
+    skewed = A.copy()
+    skewed[1, 0, 1] = 1e-13  # within the tolerance, symmetrized
+    P = SdpProblem.make([2], [np.eye(2)], [A], [1.0, 0.0])
+    assert P.A[0] is A
+    Q = SdpProblem.make([2], [np.eye(2)], [skewed], [1.0, 0.0])
+    assert Q.A[0] is not skewed and np.array_equal(Q.A[0], Q.A[0].transpose(0, 2, 1))
+    assert np.array_equal(Q.A[0][0], A[0]) and Q.A[0][1, 1, 0] == 0.5e-13
+    # a stack that is not C-contiguous is copied
+    F = np.asfortranarray(A)
+    R = SdpProblem.make([2], [np.eye(2)], [F], [1.0, 0.0])
+    assert R.A[0] is not F and R.A[0].flags.c_contiguous
+    assert np.array_equal(R.A[0], A)
 
 
 def test_schur_solver_residual():
