@@ -6,19 +6,28 @@ A moment-form program is
     subject to  E z = e                      (equality rows)
                 S_B(z) = sum_t coef_B[t] z[index_B[t]] >= 0   per block B,
 
-with z the dense vector of pseudo-moments. Equalities are eliminated by an
-SVD null-space parametrization z = z_part + N u, giving an LMI in u whose
-standard-form image is solved by `sdp.solve`; the solver's dual vector
-recovers u (hence z) and its primal blocks are exactly the Gram matrices of
-the dual certificate, over the same rows and columns as the block. A block
-need not span a whole monomial basis: the rho_j programs keep a principal
-submatrix of each block (see `convexcert.rho_program`).
+with z the dense vector of pseudo-moments. Equalities are eliminated by a
+parametrization z = z_part + N u, giving an LMI in u whose standard-form
+image is solved by `sdp.solve`; the solver's dual vector recovers u (hence
+z) and its primal blocks are exactly the Gram matrices of the dual
+certificate, over the same rows and columns as the block. When every
+equality row is a unit row, as the single row z_0 = 1 of Q_r, Q-hat and
+the lift supports is, u is the free coordinates of z and N a selection,
+never formed. Other rows, such as the rho_j rows L_z(g_j(Y) m) = 0, are
+eliminated through an SVD null-space basis N. A block need not span a whole monomial
+basis: the rho_j programs keep a principal submatrix of each block (see
+`convexcert.rho_program`).
 
 Every block is a moment or localizing matrix S(g z), kept as the index
 layers (`moments.BlockSpec`) of the one pattern of `moments._moment_pattern`:
-compiling it gathers columns of N, and no dense (dim, dim, s) tensor is
-built. The y0 = 1 row is the coefficient row of the constant 1, and a scalar
-row L_z(g) >= 0 is the localizing block at d = 0.
+compiling it scatters the layers' coefficients into the stack by
+selection, or gathers columns of N, and no dense (dim, dim, s) tensor is
+built. A selected stack's nonzero entries are read off the layers, so the
+compiler hands the solver the one-hot pattern (`sdp._entry_pattern`) of
+every such block that has one, every single-term block among them, with
+no scan of the stack. The y0 = 1
+row is the coefficient row of the constant 1, and a scalar row
+L_z(g) >= 0 is the localizing block at d = 0.
 `relaxation_blocks` assembles the blocks shared by Q_r, Q-hat and the lift,
 and `moment_program` adds the normalization z_0 = 1 to every program.
 """
@@ -39,6 +48,8 @@ from .sdp import (
     SdpSolution,
     SdpStatus,
     SolverOptions,
+    _entry_pattern,
+    _one_hot_pattern,
     solve,
 )
 
@@ -127,18 +138,55 @@ class MomentSdp:
         N = Vt[rank:].T
         return z_part, N
 
+    def _unit_columns(self) -> Optional[np.ndarray]:
+        """The column of each equality row when every row is a unit row
+        (one entry, equal to 1) and no two rows share a column, else None."""
+        rows, cols = np.nonzero(self.eq_rows)
+        if not np.array_equal(rows, np.arange(self.num_equalities)):
+            return None
+        if np.any(self.eq_rows[rows, cols] != 1.0):
+            return None
+        return cols if len(set(cols.tolist())) == len(cols) else None
+
     def to_sdp(self) -> Tuple[SdpProblem, dict]:
         """Standard-form problem whose dual is this moment program.
 
-        Returns the problem and the decode map {z_part, N, ...}.
+        Unit equality rows are eliminated by selection: the fixed
+        coordinates take their right-hand sides in z_part, and u is the
+        free coordinates. The decode map is then {z_part, free}; otherwise
+        the SVD of `_eliminate` gives {z_part, N}. For the one row z_0 = 1
+        of `moment_program`, N is exactly the identity less its first
+        column, so both give the same stacks, b and z, bit for bit.
+        Every stack is exactly symmetric, as the index layers are, so the
+        problem is built without `SdpProblem.make`'s checks. A selected
+        stack's one-hot pattern is read off its entries; a stack through
+        N is scanned for it, since the few rows of a low-order rho_j
+        program leave some of its blocks one-hot.
         """
-        z_part, N = self._eliminate()
+        fixed = self._unit_columns()
+        if fixed is None:
+            z_part, N = self._eliminate()
+            As = [-B.apply(N.T) for B in self.blocks]
+            one_hot = [_one_hot_pattern(A) for A in As]
+            b = -(N.T @ self.objective)
+            decode = {"z_part": z_part, "N": N}
+        else:
+            z_part = np.zeros(self.num_moments)
+            z_part[fixed] = self.eq_rhs
+            free = np.delete(np.arange(self.num_moments), fixed)
+            coord = np.full(self.num_moments, -1)
+            coord[free] = np.arange(len(free))
+            As, one_hot = zip(
+                *(_selected_stack(B, coord, len(free)) for B in self.blocks)
+            )
+            # + 0.0 makes a -0.0 objective entry +0.0, as N' c sums it
+            b = -(self.objective[free] + 0.0)
+            decode = {"z_part": z_part, "free": free}
         Cs = [B.apply(z_part) for B in self.blocks]
-        As = [-B.apply(N.T) for B in self.blocks]
-        problem = SdpProblem.make(
-            self.block_dims(), Cs, As, -(N.T @ self.objective)
+        problem = SdpProblem(
+            tuple(self.block_dims()), tuple(Cs), tuple(As), b, tuple(one_hot)
         )
-        return problem, {"z_part": z_part, "N": N}
+        return problem, decode
 
     # ---- solving ------------------------------------------------------------
 
@@ -162,7 +210,7 @@ class MomentSdp:
                 block_labels=[B.label for B in self.blocks],
             )
 
-        z = decode["z_part"] + decode["N"] @ sol.dual
+        z = _decode(decode, sol.dual)
         value = float(self.objective @ z)
 
         grams = [0.5 * (Xb + Xb.T) for Xb in sol.X]
@@ -197,6 +245,41 @@ class MomentSdp:
         return MomentVector(
             self.n, self.order, solution.z, provenance="interior_point"
         )
+
+
+def _decode(decode: dict, u: np.ndarray) -> np.ndarray:
+    """The moments z of the compiled dual vector u, by the decode map of
+    `MomentSdp.to_sdp`."""
+    z = decode["z_part"].copy()
+    if "free" in decode:
+        # z_part is 0.0 there, and 0.0 + u is the sum N u gives
+        z[decode["free"]] += u
+    else:
+        z += decode["N"] @ u
+    return z
+
+
+def _selected_stack(B: BlockSpec, coord: np.ndarray, q: int):
+    """-S_B over the free coordinates, as a C-contiguous (q, dim, dim)
+    stack, and its one-hot pattern (`sdp._entry_pattern`).
+
+    `coord` maps each moment to its free coordinate, or to -1 when it is
+    fixed. Each layer's coefficient is added at (coord, row, col) in term
+    order, the order in which `B.apply(N.T)` sums the layers; the terms
+    that apply adds besides are exact zeros, so the stack is -B.apply(N.T)
+    bit for bit."""
+    dim = B.dim
+    stack = np.zeros((q, dim, dim))
+    flat = []
+    for c, idx in zip(B.coef, B.index):
+        u = coord[idx]
+        row, col = np.nonzero(u >= 0)
+        owner = u[row, col]
+        # a layer holds one moment per position, so no index repeats
+        stack[owner, row, col] += c
+        flat.append((owner * dim + row) * dim + col)
+    np.negative(stack, out=stack)
+    return stack, _entry_pattern(stack, np.concatenate(flat))
 
 
 # ---- builders --------------------------------------------------------------

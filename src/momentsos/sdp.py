@@ -27,9 +27,12 @@ exceptions. Deterministic: no randomness anywhere in the iteration.
 
 `SdpProblem` stores the constraint matrices once, as one dense
 (p, n_b, n_b) stack per block; the solver, the Schur complement and the
-SDPA rendering all read those stacks. `SolverOptions` holds the two
-target tolerances; every other setting of the iteration is a module
-constant.
+SDPA rendering all read those stacks. Each block also carries its one-hot
+pattern, or None: the moment compiler knows it from the block's index
+layers, and `SdpProblem.make` finds it by scanning the stacks it is given.
+On a one-hot block A'y is a scatter of the entries. `SolverOptions` holds
+the two target tolerances; every other setting of the iteration is a
+module constant.
 """
 
 from __future__ import annotations
@@ -90,6 +93,15 @@ def _as_sym(M: np.ndarray, what: str, tol: float = SYMMETRY_TOL) -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
+def _check_block_dims(dims: Tuple[int, ...]) -> None:
+    if any(d < 1 for d in dims):
+        raise PreconditionFailure("block dims >= 1", str(dims))
+    if any(d > BLOCK_CAP for d in dims):
+        raise PreconditionFailure(
+            "block dimension within cap", f"{max(dims)} > {BLOCK_CAP}"
+        )
+
+
 @dataclass(frozen=True)
 class SdpProblem:
     """Block-diagonal standard-form SDP data, each coefficient stored once.
@@ -97,8 +109,16 @@ class SdpProblem:
     `C` is one symmetric (n_b, n_b) matrix per block. `A` is one
     C-contiguous (p, n_b, n_b) stack per block, so that `A[k][i]` is the
     matrix of constraint i in block k, and `b` is the (p,) right-hand side.
+    `one_hot` holds, per block, the one-hot pattern of its stack
+    (`_entry_pattern`), or None for a block that is not one-hot. It must
+    be the pattern that `_one_hot_pattern` finds, since the Schur step and
+    A'y read the block through it. Every stack and every C must
+    equal its transpose exactly: the constructor checks only the block
+    dimensions, so a caller that builds the fields itself (the moment
+    compiler, `sos_decompose`) guarantees the rest by construction.
 
-    `make` stores a symmetrized copy of each stack, except that a
+    `make` validates and symmetrizes dense input and scans it for the
+    pattern. It stores a symmetrized copy of each stack, except that a
     C-contiguous float64 stack that equals its transpose is stored as
     given: it is then shared with the caller, who must not change it.
     """
@@ -107,6 +127,10 @@ class SdpProblem:
     C: Tuple[np.ndarray, ...]
     A: Tuple[np.ndarray, ...]
     b: np.ndarray
+    one_hot: Tuple[Optional[tuple], ...]
+
+    def __post_init__(self):
+        _check_block_dims(self.block_dims)
 
     @staticmethod
     def make(
@@ -116,12 +140,7 @@ class SdpProblem:
         b: Sequence[float],
     ) -> "SdpProblem":
         dims = tuple(int(d) for d in block_dims)
-        if any(d < 1 for d in dims):
-            raise PreconditionFailure("block dims >= 1", str(dims))
-        if any(d > BLOCK_CAP for d in dims):
-            raise PreconditionFailure(
-                "block dimension within cap", f"{max(dims)} > {BLOCK_CAP}"
-            )
+        _check_block_dims(dims)
         if len(C) != len(dims):
             raise PreconditionFailure("one objective matrix per block")
         Cs = []
@@ -174,7 +193,8 @@ class SdpProblem:
             raise PreconditionFailure(
                 "coefficient matrices symmetric", f"A[{i}][{k}]: skew {skew:.3e}"
             )
-        return SdpProblem(dims, tuple(Cs), tuple(sym), b)
+        one_hot = tuple(_one_hot_pattern(Ab) for Ab in sym)
+        return SdpProblem(dims, tuple(Cs), tuple(sym), b, one_hot)
 
     @property
     def num_constraints(self) -> int:
@@ -313,9 +333,23 @@ def _apply_A(A: Sequence[np.ndarray], X: List[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _apply_At(A: Sequence[np.ndarray], lam: np.ndarray) -> List[np.ndarray]:
-    """sum_i lam_i A_i, per block."""
-    return [np.tensordot(lam, Ab, axes=(0, 0)) for Ab in A]
+def _apply_At(
+    A: Sequence[np.ndarray], patterns: Sequence, lam: np.ndarray
+) -> List[np.ndarray]:
+    """sum_i lam_i A_i, per block. A one-hot block (`patterns`) is a
+    scatter of lam_owner * value over its entries: each position has one
+    owner, so the dense contraction adds only exact zeros to that product.
+    Adding 0.0 turns a product of -0.0 into the +0.0 those sums give."""
+    out = []
+    for Ab, pattern in zip(A, patterns):
+        if pattern is None:
+            out.append(np.tensordot(lam, Ab, axes=(0, 0)))
+            continue
+        owner, row, col, value = pattern[4]
+        Mb = np.zeros(Ab.shape[1:])
+        Mb[row, col] = lam[owner] * value + 0.0
+        out.append(Mb)
+    return out
 
 
 def _inner(Xs: List[np.ndarray], Ys: List[np.ndarray]) -> float:
@@ -382,7 +416,18 @@ def _corrector_rhs(
 
 
 def _one_hot_pattern(Ab: np.ndarray):
-    """Aggregation pattern of a one-hot block, or None for any other block.
+    """Aggregation pattern of a one-hot block, or None for any other block,
+    found by scanning the dense stack (`_entry_pattern` does the rest)."""
+    if np.count_nonzero(Ab, axis=0).max(initial=0) > 1:
+        return None
+    return _entry_pattern(Ab, np.flatnonzero(Ab))
+
+
+def _entry_pattern(Ab: np.ndarray, candidates: np.ndarray):
+    """Aggregation pattern of a one-hot (p, n, n) C-contiguous block, or
+    None for any other block. `candidates` holds flat indices into Ab, in
+    any order and with repeats, among them every nonzero entry, so that
+    a caller that knows where the entries are spares a scan of the stack.
 
     A block is one-hot when every matrix position is nonzero in at most
     one constraint and every column of a constraint matrix holds at most
@@ -393,16 +438,20 @@ def _one_hot_pattern(Ab: np.ndarray):
     Returns (positions, weights, starts, owners, entries): the flat indices
     of the upper-triangle nonzeros sorted by the constraint that owns them,
     their entries doubled off the diagonal, where each owner's run starts,
-    the owners in run order, and (owner, row, col, value) of every nonzero,
-    sorted by owner.
+    the owners in run order, and (owner, row, col, value) of every nonzero
+    in `np.nonzero` order (by owner, then row, then col).
     """
-    if np.count_nonzero(Ab, axis=0).max(initial=0) > 1:
-        return None
     p, n, _ = Ab.shape
-    owner, row, col = np.nonzero(Ab)  # sorted by owner, then row, then col
+    flat = np.sort(candidates)
+    flat = flat[np.diff(flat, prepend=-1) > 0]
+    value = Ab.reshape(-1)[flat]
+    flat, value = flat[value != 0], value[value != 0]
+    owner, rest = np.divmod(flat, n * n)
+    row, col = np.divmod(rest, n)
+    if np.bincount(row * n + col, minlength=n * n).max(initial=0) > 1:
+        return None
     if np.bincount(owner * n + col, minlength=p * n).max(initial=0) > 1:
         return None
-    value = Ab[owner, row, col]
     upper = row <= col
     rows, cols, owners = row[upper], col[upper], owner[upper]
     weights = np.where(rows == cols, 1.0, 2.0) * value[upper]
@@ -429,15 +478,15 @@ def _schur_matrix(
 ) -> np.ndarray:
     """M_ij = sum over blocks of tr(A_i W A_j W), where W = G G' per block.
 
-    `patterns` holds `_one_hot_pattern` of each block. For a one-hot
-    block, column j of the block's term is a weighted sum of the entries
-    of W A_i W at the positions A_j owns, so one gather and one segmented
-    sum replace the dense contraction. W A_i needs no product: column b of
-    it is v W[:, a] for the one entry v at (a, b) of A_i, the exact value
-    of the product, since every other term of its sums is zero. So W A_i
-    is scattered into one reused buffer, CHUNK_BYTES of constraints at a
-    time, and a single batched product with W gives their W A_i W. For
-    any other block the term is <H_i, H_j> with H_i = G' A_i G: the rows
+    `patterns` holds each block's one-hot pattern, or None
+    (`SdpProblem.one_hot`). For a one-hot block, column j of the block's
+    term is a weighted sum of the entries of W A_i W at the positions A_j
+    owns, so one gather and one segmented sum replace the dense
+    contraction. W A_i needs no product: column b of it is v W[:, a] for
+    the one entry v at (a, b) of A_i, the exact value of the product,
+    since every other term of its sums is zero. So W A_i is scattered
+    into one reused buffer, CHUNK_BYTES of constraints at a time, and a
+    single batched product with W gives their W A_i W. For any other block the term is <H_i, H_j> with H_i = G' A_i G: the rows
     of B are svec(H_i), the upper triangles with off-diagonal entries
     scaled by sqrt(2), and the term is B B', one symmetric rank-k update
     (SYRK) that is exactly symmetric and positive semidefinite. The H_i
@@ -479,7 +528,9 @@ def _schur_matrix(
             gathered = TW[:, positions]
             gathered *= weights
             M[lo:hi, columns] += np.add.reduceat(gathered, starts, axis=1)
-    return 0.5 * (M + M.T)
+    M += M.T
+    M *= 0.5
+    return M
 
 
 def _tril_inv(L: np.ndarray) -> np.ndarray:
@@ -512,9 +563,11 @@ def _schur_solver(M: np.ndarray, p: int):
     boundary; falls back to least squares if the factorization fails
     outright.
     """
-    fac = (
-        _chol(M + 1e-13 * max(1.0, float(np.trace(M)) / p) * np.eye(p)) if p else None
-    )
+    fac = None
+    if p:
+        shifted = M.copy()
+        shifted[np.diag_indices(p)] += 1e-13 * max(1.0, float(np.trace(M)) / p)
+        fac = _chol(shifted)
     fac_inv = _tril_inv(fac) if fac is not None else None
 
     def solve_one(rhs: np.ndarray) -> Optional[np.ndarray]:
@@ -621,7 +674,7 @@ def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSo
     nu = sum(dims) + 1.0
     # Cholesky factors of (X, S), carried over from the accepted step
     factors = None
-    patterns = [_one_hot_pattern(Ab) for Ab in A]
+    patterns = problem.one_hot
 
     best: Optional[SdpSolution] = None
     status = SdpStatus.MAX_ITERATIONS
@@ -635,7 +688,7 @@ def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSo
     for _ in range(MAX_ITERATIONS):
         AX = _apply_A(A, X)
         rp = b * tau - AX
-        Aty = _apply_At(A, y)
+        Aty = _apply_At(A, patterns, y)
         Rd = [Cb * tau - Ab - Sb for Cb, Ab, Sb in zip(C, Aty, S)]
         cx = _inner(C, X)
         by = float(b @ y)
@@ -788,7 +841,7 @@ def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSo
             den = float(diff @ Mi_v) - q - kappa / tau
             dtau = (r2 - float(diff @ Mi_r1)) / den
             dy = dtau * Mi_v + Mi_r1
-            Atdy = _apply_At(A, dy)
+            Atdy = _apply_At(A, patterns, dy)
             dS = [
                 Cb * dtau - Ab + one_m * R
                 for Cb, Ab, R in zip(C, Atdy, Rd)
@@ -870,7 +923,7 @@ def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSo
         rp = b * tau - _apply_A(A, X)
         Rd = [
             Cb * tau - Ab - Sb
-            for Cb, Ab, Sb in zip(C, _apply_At(A, y), S)
+            for Cb, Ab, Sb in zip(C, _apply_At(A, patterns, y), S)
         ]
         best = SdpSolution(
             status=status,

@@ -28,6 +28,7 @@ from .sdp import (
     SdpProblem,
     SdpStatus,
     SolverOptions,
+    _entry_pattern,
     min_eigenvalue,
     solve,
 )
@@ -122,12 +123,15 @@ def sos_decompose(
     k = len(basis)
     # E_alpha has a unit entry wherever basis products hit alpha, so
     # <E_alpha, G> is the alpha-coefficient of z'Gz and the dual slack
-    # of an infeasibility ray is itself a moment matrix
+    # of an infeasibility ray is itself a moment matrix. E is exactly
+    # symmetric, and its entries give the one-hot pattern without a scan
     E = np.zeros((len(monomials), k, k))
     E[group, rows, cols] = 1.0
     E[group, cols, rows] = 1.0
-    target = np.array([p.coeff(alpha) for alpha in monomials])
-    problem = SdpProblem.make([k], [np.eye(k)], [E], target)
+    upper, lower = (group * k + rows) * k + cols, (group * k + cols) * k + rows
+    pattern = _entry_pattern(E, np.r_[upper, lower])
+    target = np.array([p.coeff(alpha) for alpha in monomials], dtype=float)
+    problem = SdpProblem((k,), (np.eye(k),), (E,), target, (pattern,))
     sol = solve(problem, options)
 
     if sol.status is SdpStatus.OPTIMAL:

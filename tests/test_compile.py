@@ -1,14 +1,24 @@
 """Moment-form compiler: elimination, decode, deflation geometry."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from momentsos import _compile, moments
-from momentsos._compile import BlockSpec, MomentSdp, MomentStatus, coefficient_row
+from momentsos import _compile, moments, sdp
+from momentsos._compile import (
+    BlockSpec,
+    MomentSdp,
+    MomentStatus,
+    coefficient_row,
+    moment_program,
+    relaxation_blocks,
+)
 from momentsos.convexcert import _rho_blocks, lift_to_xy, rho_program
 from momentsos.moments import mean_point
 from momentsos.hierarchy import build_qr
-from momentsos.poly import Polynomial, PreconditionFailure, monomial_basis
+from momentsos.sos import sos_decompose
+from momentsos.poly import Polynomial, PreconditionFailure, basis_size, monomial_basis
 
 from helpers import (
     ball_quartic,
@@ -194,3 +204,114 @@ def test_size_limits_refused_before_allocating(monkeypatch, r, clause):
     monkeypatch.setattr(moments, "_moment_pattern", unreachable)
     with pytest.raises(PreconditionFailure, match=clause):
         build_qr(ball_quartic(6), r)
+
+
+# ---- elimination by selection ------------------------------------------------
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def unit_row_programs():
+    """Q_r and the lifts (localizing blocks) and Q-hat (scalar rows) on the
+    disk, lens and degenerate cube at orders 3 and 4: z_0 = 1 is their one
+    equality row. Objective entry 2 is -0.0, which N'c sums to +0.0."""
+    for name, K in (
+        ("disk", unit_disk()),
+        ("lens", example_hyperbola_disk()),
+        ("cube", example_degenerate_cube()),
+    ):
+        for order in (3, 4):
+            for form in ("localizing", "scalar"):
+                blocks = relaxation_blocks(K, order, form)
+                rng = np.random.default_rng(order)
+                objective = rng.normal(size=basis_size(K.n, 2 * order))
+                objective[2] = -0.0
+                yield f"{name} {form} {order}", moment_program(
+                    K.n, order, objective, blocks
+                )
+
+
+def rho_programs():
+    lens, cube, disk = example_hyperbola_disk(), example_degenerate_cube(), unit_disk()
+    # at d = 1 the moment block and g_1(X) of lens rho_1 are one-hot
+    # through N; at d = 3 no rho_j block is
+    return [rho_program(lens, 1, 1)] + [
+        rho_program(K, j, 3) for K, j in ((lens, 1), (cube, 2), (disk, 1))
+    ]
+
+
+@pytest.mark.parametrize("label, program", list(unit_row_programs()))
+def test_selection_matches_svd_elimination(label, program):
+    # z_0 = 1 makes N the identity less its first column, so selecting
+    # coordinates gives the SVD path's data and decoded moments bit for bit
+    problem, decode = program.to_sdp()
+    z_part, N = program._eliminate()
+    assert "N" not in decode and same_bits(decode["z_part"], z_part)
+    for B, C, A in zip(program.blocks, problem.C, problem.A):
+        assert same_bits(C, B.apply(z_part))
+        assert same_bits(A, -B.apply(N.T))
+    assert same_bits(problem.b, -(N.T @ program.objective))
+    u = np.random.default_rng(1).normal(size=N.shape[1])
+    u[:2] = 0.0, -0.0
+    assert same_bits(_compile._decode(decode, u), z_part + N @ u)
+
+
+@pytest.mark.parametrize(
+    "program",
+    [program for _, program in unit_row_programs()][::3] + rho_programs(),
+)
+def test_compiled_stacks_symmetric_and_patterns_from_compile(program):
+    # the compiler builds SdpProblem itself: every C and stack must equal
+    # its transpose, and each block's pattern must be the scan's, entry for
+    # entry, None included
+    problem, _ = program.to_sdp()
+    for C, A, pattern in zip(problem.C, problem.A, problem.one_hot):
+        assert same_bits(C, C.T) and same_bits(A, A.transpose(0, 2, 1))
+        assert A.flags.c_contiguous
+        scanned = sdp._one_hot_pattern(A)
+        assert (pattern is None) == (scanned is None)
+        if pattern is not None:
+            flat = list(pattern[:4]) + list(pattern[4])
+            ref = list(scanned[:4]) + list(scanned[4])
+            assert all(same_bits(a, b) for a, b in zip(flat, ref))
+    one_hot = [pattern is not None for pattern in problem.one_hot]
+    if program.num_equalities == 1:
+        assert one_hot[0]  # the moment block
+    elif program.order == 1:
+        assert one_hot == [True, True, False, False]
+    else:
+        assert not any(one_hot)
+
+
+def test_compiled_programs_skip_make_and_the_scan(monkeypatch):
+    # make's checks never run on compiled or Gram problems, and neither
+    # does the dense scan on selected stacks or the Gram stack
+    def unreachable(*args):
+        raise AssertionError("dense-input path ran on a built problem")
+
+    monkeypatch.setattr(sdp.SdpProblem, "make", staticmethod(unreachable))
+    assert rho_program(example_hyperbola_disk(), 1, 2).solve().is_optimal
+    monkeypatch.setattr(sdp, "_one_hot_pattern", unreachable)
+    monkeypatch.setattr(_compile, "_one_hot_pattern", unreachable)
+    assert build_qr(ball_quartic(2), 3).solve().is_optimal
+    square = Polynomial.make(1, {(0,): 1.0, (1,): 2.0, (2,): 1.0})
+    assert sos_decompose(square).status == "sos"
+
+
+def test_selection_holds_no_basis_or_second_stack():
+    # Q_3 on the 6-ball: a (923, 84, 84) moment stack of 52.1 MB and a
+    # (923, 28, 28) localizing stack of 5.8 MB. The SVD path held the
+    # (924, 923) basis N (6.8 MB) and a negated copy of each stack
+    program = build_qr(ball_quartic(6), 3)
+    tracemalloc.start()
+    try:
+        problem, _ = program.to_sdp()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(A.nbytes for A in problem.A)
+    smallest = min(min(A.nbytes for A in problem.A), 924 * 923 * 8)
+    assert peak < held + smallest

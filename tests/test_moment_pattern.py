@@ -139,10 +139,11 @@ def K(request):
 # ---- comparisons ----------------------------------------------------------------
 
 
-def ref_stacks(tensors, decode):
+def ref_stacks(tensors, program):
     """The compiled objective blocks T_B z_part and constraint stacks
-    -T_B N, with axes (u, row, col)."""
-    z_part, N = decode["z_part"], decode["N"]
+    -T_B N, with axes (u, row, col), for the SVD elimination (z_part, N)
+    of the program's equality rows."""
+    z_part, N = program._eliminate()
     for T in tensors:
         yield (
             np.tensordot(T, z_part, axes=(2, 0)),
@@ -176,20 +177,21 @@ def test_tensors_rows_and_coefficients(K, order):
         expected[0] = 1.0
         assert np.array_equal(coefficient_row(n, order, one), expected)
     # Q_r and the lifts (localizing blocks), Q-hat (scalar rows): their
-    # stacks are those of the dense reference tensors, bit for bit
+    # stacks, eliminated by selection, are those of the dense reference
+    # tensors and the SVD null-space basis, bit for bit
     rng = np.random.default_rng(order)
     for form in ("localizing", "scalar"):
         blocks = relaxation_blocks(K, order, form)
         objective = rng.normal(size=len(full_index(K.n, order)))
         program = moment_program(K.n, order, objective, blocks)
-        problem, decode = program.to_sdp()
+        problem, _ = program.to_sdp()
         one = Polynomial.constant(K.n, 1.0)
         tensors = [ref_localizing_tensor(K.n, order, order, one)]
         for g, rj in zip(K.constraints, K.half_degrees()):
             d = order - rj if form == "localizing" else 0
             tensors.append(ref_localizing_tensor(K.n, order, d, g))
         for C, A, (ref_C, ref_A) in zip(
-            problem.C, problem.A, ref_stacks(tensors, decode)
+            problem.C, problem.A, ref_stacks(tensors, program)
         ):
             assert np.array_equal(C, ref_C) and np.array_equal(A, ref_A)
 
@@ -247,14 +249,15 @@ def test_kernel_deflation_matches_reference_kernel(K):
                 assert np.linalg.matrix_rank(full) == len(basis)
             # the compiled rho_j stacks agree with those of the dense
             # reference tensors over the kept rows, up to summation order
-            problem, decode = rho_program(K, j, d_j).to_sdp()
+            program = rho_program(K, j, d_j)
+            problem, _ = program.to_sdp()
             idx = full_index(n2, d_j)
             tensors = [
                 ref_block_tensor(kept, idx, g)
                 for _, _, g, kept in _rho_blocks(K, j, d_j)
             ]
             for C, A, (ref_C, ref_A) in zip(
-                problem.C, problem.A, ref_stacks(tensors, decode)
+                problem.C, problem.A, ref_stacks(tensors, program)
             ):
                 for M, ref in ((C, ref_C), (A, ref_A)):
                     assert np.max(np.abs(M - ref)) <= 1e-14 * np.max(np.abs(ref))

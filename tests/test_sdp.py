@@ -425,6 +425,20 @@ def test_moment_blocks_are_one_hot(program):
     assert np.array_equal(rebuilt, Ab)
 
 
+def test_apply_At_scatters_one_hot_blocks():
+    # a one-hot block's A'y is a scatter of lam_owner * value; it must be
+    # the dense contraction's bytes, signed zeros included, for lam with
+    # negative, +0.0 and -0.0 entries
+    P = build_qr(ball_quartic(3), 3).to_sdp()[0]
+    assert P.one_hot[0] is not None and P.one_hot[1] is None
+    rng = np.random.default_rng(2)
+    for lam in (rng.normal(size=P.num_constraints), np.zeros(P.num_constraints)):
+        lam[::4] = 0.0
+        lam[1::7] = -0.0
+        for Ab, M in zip(P.A, sdp._apply_At(P.A, P.one_hot, lam)):
+            assert M.tobytes() == np.tensordot(lam, Ab, axes=(0, 0)).tobytes()
+
+
 def moment_program_of(sdr):
     """The support program of a lift, as `sdr_support` builds it."""
     objective = np.zeros(sdr.lift_dimension)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from momentsos import sdp, sos
 from momentsos.moments import MomentVector, mean_point, moment_matrix, riesz
 from momentsos.poly import Polynomial, PreconditionFailure, monomial_basis
 from momentsos.sdp import min_eigenvalue
@@ -82,6 +83,33 @@ class TestSosDecompose:
         assert min_eigenvalue(M) >= -1e-6 * (1.0 + np.max(np.abs(M)))
         value = sum(c * d[a] for a, c in m.terms.items())
         assert value < -1e-9
+
+    def test_gram_problem_pattern_is_the_scan(self, monkeypatch):
+        # the Gram problem is built without SdpProblem.make: its stack must
+        # equal its transpose and its pattern must be the scan's, entry for
+        # entry, or None with the scan for a basis that repeats a monomial
+        problems = []
+
+        def recording(problem, options=None):
+            problems.append(problem)
+            return sdp.solve(problem, options)
+
+        monkeypatch.setattr(sos, "solve", recording)
+        p = random_sos_polynomial(np.random.default_rng(3), 2, 2)
+        sos_decompose(p)
+        sos_decompose(poly1([1.0, 2.0, 1.0]), basis=[(0,), (1,), (1,)])
+        patterns = []
+        for problem in problems:
+            (E,), (pattern,) = problem.A, problem.one_hot
+            assert np.array_equal(E, E.transpose(0, 2, 1))
+            scanned = sdp._one_hot_pattern(E)
+            patterns.append(pattern)
+            if pattern is None:
+                assert scanned is None
+                continue
+            for a, b in zip([*pattern[:4], *pattern[4]], [*scanned[:4], *scanned[4]]):
+                assert a.tobytes() == b.tobytes()
+        assert patterns[0] is not None and patterns[1] is None
 
     def test_zero_polynomial_rejected(self):
         with pytest.raises(PreconditionFailure):
