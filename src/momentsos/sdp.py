@@ -18,7 +18,10 @@ with W forms W A_i W a cache-sized chunk of constraints at a time. Any
 other block adds B B', one symmetric rank-k update, where row i of B is
 svec(G' A_i G). The Cholesky factor is inverted once per iteration by
 recursive 2x2 blocking, so each Schur solve is two matrix-vector
-products.
+products. The other per-block LAPACK calls (Cholesky, the scaling's SVD
+and inverse, the step length's solves and eigenvalues) run once per
+block order on a stack of the blocks of that order, with results
+byte-identical to per-block calls (`_order_classes`).
 
 The solver starts from a data-scaled identity point that is strictly
 feasible for the embedding (not for the problem itself) and reports
@@ -37,6 +40,7 @@ module constant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -315,21 +319,57 @@ def _chol(M: np.ndarray) -> Optional[np.ndarray]:
             return None
 
 
-def _max_step(L: np.ndarray, dM: np.ndarray) -> float:
-    """Largest alpha with M + alpha*dM >= 0, given M = L L'."""
-    Linv_d = np.linalg.solve(L, dM)
-    S = np.linalg.solve(L, Linv_d.T)
-    w_min = float(np.linalg.eigvalsh(0.5 * (S + S.T))[0])
-    if w_min >= -1e-14:
-        return np.inf
-    return 1.0 / (-w_min)
+def _order_classes(dims: Sequence[int]) -> List[List[int]]:
+    """Indices of the matrices of each order in `dims`, by first appearance.
+
+    The per-block LAPACK calls run once per order on a (k, n, n) stack:
+    numpy's stacked calls make the same LAPACK and BLAS call on each
+    matrix as a call on that matrix alone, so the results are the same
+    bytes.
+    """
+    classes: Dict[int, List[int]] = {}
+    for i, d in enumerate(dims):
+        classes.setdefault(d, []).append(i)
+    return list(classes.values())
+
+
+def _stack(Ms: Sequence[np.ndarray], idx: List[int]) -> np.ndarray:
+    """Ms[i] for i in idx as one (k, n, n) stack. A single matrix is a
+    view, since copying it into a stack of one costs more than it saves."""
+    if len(idx) == 1:
+        return Ms[idx[0]][None]
+    return np.stack([Ms[i] for i in idx])
+
+
+def _max_step(
+    Ls: List[np.ndarray], dMs: List[np.ndarray], classes: List[List[int]]
+) -> float:
+    """Largest alpha with M_i + alpha*dM_i >= 0 for every block i, given
+    M_i = L_i L_i', by one batched call per order class (`_order_classes`).
+
+    Each block's step is 1/(-w) for the smallest eigenvalue w of
+    L^-1 dM L^-T, or inf when w >= -1e-14. 1/(-w) falls as w falls, so
+    the smallest eigenvalue of all blocks gives the smallest step; a NaN
+    eigenvalue is skipped, as `min` skips a NaN step."""
+    a = np.inf
+    for idx in classes:
+        L = _stack(Ls, idx)
+        Linv_d = np.linalg.solve(L, _stack(dMs, idx))
+        S = np.linalg.solve(L, Linv_d.transpose(0, 2, 1))
+        w = np.linalg.eigvalsh(0.5 * (S + S.transpose(0, 2, 1)))[:, 0]
+        w_min = float(np.fmin.reduce(w))
+        if w_min < -1e-14:
+            a = min(a, 1.0 / (-w_min))
+    return a
 
 
 def _apply_A(A: Sequence[np.ndarray], X: List[np.ndarray]) -> np.ndarray:
-    """(<A_i, X>)_i, summed over the blocks in block order."""
-    out = np.zeros(len(A[0]))
+    """(<A_i, X>)_i, summed over the blocks in block order: one
+    matrix-vector product per block, the one `np.tensordot` makes."""
+    p = len(A[0])
+    out = np.zeros(p)
     for Ab, Xb in zip(A, X):
-        out += np.tensordot(Ab, Xb, axes=([1, 2], [0, 1]))
+        out += Ab.reshape(p, -1) @ Xb.reshape(-1)
     return out
 
 
@@ -343,7 +383,11 @@ def _apply_At(
     out = []
     for Ab, pattern in zip(A, patterns):
         if pattern is None:
-            out.append(np.tensordot(lam, Ab, axes=(0, 0)))
+            # one gemv, the one np.tensordot makes, except that for a single
+            # entry it multiplies directly, keeping a -0.0 product
+            rows = Ab.reshape(len(lam), -1)
+            At = lam * rows if rows.size == 1 else lam @ rows
+            out.append(At.reshape(Ab.shape[1:]))
             continue
         owner, row, col, value = pattern[4]
         Mb = np.zeros(Ab.shape[1:])
@@ -357,13 +401,24 @@ def _inner(Xs: List[np.ndarray], Ys: List[np.ndarray]) -> float:
 
 
 def _chol_blocks(Ms: List[np.ndarray]) -> Optional[List[np.ndarray]]:
-    """Cholesky factor of every block, or None if one fails."""
-    Ls = []
-    for M in Ms:
-        L = _chol(M)
-        if L is None:
-            return None
-        Ls.append(L)
+    """Cholesky factor of every block, or None if one fails. A class of
+    equal orders is factored by one batched call; when that raises, its
+    matrices are factored one by one, so that `_chol`'s jitter retry
+    decides each."""
+    Ls: List[Optional[np.ndarray]] = [None] * len(Ms)
+    for idx in _order_classes([M.shape[0] for M in Ms]):
+        try:
+            stacked = np.linalg.cholesky(_stack(Ms, idx))
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            for j, i in enumerate(idx):
+                Ls[i] = stacked[j]
+            continue
+        for i in idx:
+            Ls[i] = _chol(Ms[i])
+            if Ls[i] is None:
+                return None
     return Ls
 
 
@@ -375,21 +430,27 @@ def _nt_scale(
     """Per-block Nesterov-Todd scaling data, or None on Cholesky failure.
 
     `factors`, the blocks' Cholesky factors of X and Z when the caller
-    already has them, are used instead of factoring again.
+    already has them, are used instead of factoring again. Blocks of one
+    order are scaled by batched calls (`_order_classes`).
     """
-    Ls_x, Ls_z = factors or (_chol_blocks(X), _chol_blocks(Z))
-    if Ls_x is None or Ls_z is None:
-        return None
-    Gs, Gis, sigmas, Ws = [], [], [], []
-    for Lx, Lz in zip(Ls_x, Ls_z):
-        _, sv, Vt = np.linalg.svd(Lz.T @ Lx)
+    k = len(X)
+    if factors is None:
+        Ls = _chol_blocks([*X, *Z])
+        if Ls is None:
+            return None
+        factors = (Ls[:k], Ls[k:])
+    Ls_x, Ls_z = factors
+    Gs, Gis, sigmas, Ws = [None] * k, [None] * k, [None] * k, [None] * k
+    for idx in _order_classes([Lx.shape[0] for Lx in Ls_x]):
+        Lx = _stack(Ls_x, idx)
+        _, sv, Vt = np.linalg.svd(_stack(Ls_z, idx).transpose(0, 2, 1) @ Lx)
         sv = np.maximum(sv, 1e-150)
-        G = Lx @ Vt.T / np.sqrt(sv)
-        Gi = (np.sqrt(sv)[:, None] * Vt) @ np.linalg.inv(Lx)
-        Gs.append(G)
-        Gis.append(Gi)
-        sigmas.append(sv)
-        Ws.append(G @ G.T)
+        root = np.sqrt(sv)
+        G = Lx @ Vt.transpose(0, 2, 1) / root[:, None, :]
+        Gi = (root[:, :, None] * Vt) @ np.linalg.inv(Lx)
+        W = G @ G.transpose(0, 2, 1)
+        for j, i in enumerate(idx):
+            Gs[i], Gis[i], sigmas[i], Ws[i] = G[j], Gi[j], sv[j], W[j]
     return Ls_x, Ls_z, Gs, Gis, sigmas, Ws
 
 
@@ -409,7 +470,7 @@ def _corrector_rhs(
         cross = dXh @ dZh
         cross = 0.5 * (cross + cross.T)
         rhs_hat = -cross
-        rhs_hat[np.diag_indices_from(rhs_hat)] += target - sv ** 2
+        rhs_hat.flat[:: len(sv) + 1] += target - sv ** 2
         omega = 2.0 / np.add.outer(sv, sv)
         Rc.append(G @ (rhs_hat * omega) @ G.T)
     return Rc
@@ -566,7 +627,7 @@ def _schur_solver(M: np.ndarray, p: int):
     fac = None
     if p:
         shifted = M.copy()
-        shifted[np.diag_indices(p)] += 1e-13 * max(1.0, float(np.trace(M)) / p)
+        shifted.flat[:: p + 1] += 1e-13 * max(1.0, float(np.trace(M)) / p)
         fac = _chol(shifted)
     fac_inv = _tril_inv(fac) if fac is not None else None
 
@@ -575,11 +636,12 @@ def _schur_solver(M: np.ndarray, p: int):
             return np.zeros(0)
         if fac_inv is not None:
             sol = fac_inv.T @ (fac_inv @ rhs)
-            scale = float(np.linalg.norm(rhs)) + 1e-300
+            # the norms np.linalg.norm takes, without its checks
+            scale = math.sqrt(rhs @ rhs) + 1e-300
             res_norm = np.inf
             for _ in range(4):
                 r = rhs - M @ sol
-                rn = float(np.linalg.norm(r))
+                rn = math.sqrt(r @ r)
                 if rn <= 1e-14 * scale or rn >= res_norm:
                     break
                 res_norm = rn
@@ -591,6 +653,29 @@ def _schur_solver(M: np.ndarray, p: int):
             return None
 
     return solve_one
+
+
+def _start_scale(A: Sequence[np.ndarray]) -> float:
+    """max(1, max_i ||A_i||_F), the scale of the start point's S.
+
+    Each block's squares are summed CHUNK_BYTES of constraints at a time,
+    by one row sum per chunk (the pairwise sum `np.sum` makes of one
+    matrix), so no squared copy of a whole stack is held; the blocks' sums
+    are added in block order. The squares go into one buffer per block,
+    not into a fresh temporary per chunk."""
+    p = len(A[0])
+    if not p:
+        return 1.0
+    sq = np.zeros(p)
+    for Ab in A:
+        rows = Ab.reshape(p, -1)
+        step = max(1, CHUNK_BYTES // (8 * rows.shape[1]))
+        buf = np.empty((min(step, p), rows.shape[1]))
+        for lo in range(0, p, step):
+            chunk = buf[: min(step, p - lo)]
+            np.square(rows[lo : lo + step], out=chunk)
+            sq[lo : lo + step] += chunk.sum(axis=1)
+    return max(1.0, float(np.sqrt(sq).max()))
 
 
 def _accept_stalled(
@@ -607,6 +692,7 @@ def _accept_stalled(
     if stall_best is None:
         return None
     res = stall_best["residuals"]
+    tau = stall_best["tau"]
     if not (
         res["primal"] <= STALL_FEAS_TOL
         and res["dual"] <= STALL_FEAS_TOL
@@ -617,9 +703,9 @@ def _accept_stalled(
     # fallback band: report optimal at reduced accuracy
     return SdpSolution(
         status=SdpStatus.OPTIMAL,
-        X=stall_best["X"],
-        dual=stall_best["lam"],
-        Z=stall_best["Z"],
+        X=[Xb / tau for Xb in stall_best["X"]],
+        dual=stall_best["y"] / tau,
+        Z=[Sb / tau for Sb in stall_best["S"]],
         primal_value=stall_best["pobj"],
         dual_value=stall_best["dobj"],
         gap=abs(stall_best["pobj"] - stall_best["dobj"])
@@ -658,15 +744,7 @@ def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSo
     norm_b = max(1.0, float(np.max(np.abs(b))) if p else 0.0)
     norm_C = max(1.0, max(float(np.max(np.abs(Cb))) for Cb in C))
 
-    eta = 1.0
-    if p:
-        eta = max(
-            1.0,
-            max(
-                float(np.sqrt(sum(float(np.sum(Ab[i] ** 2)) for Ab in A)))
-                for i in range(p)
-            ),
-        )
+    eta = _start_scale(A)
     X = [np.eye(d) for d in dims]
     S = [eta * np.eye(d) for d in dims]
     y = np.zeros(p)
@@ -675,6 +753,9 @@ def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSo
     # Cholesky factors of (X, S), carried over from the accepted step
     factors = None
     patterns = problem.one_hot
+    # order classes of the X blocks followed by the S blocks
+    classes = _order_classes([*dims, *dims])
+    k = len(dims)
 
     best: Optional[SdpSolution] = None
     status = SdpStatus.MAX_ITERATIONS
@@ -712,10 +793,12 @@ def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSo
         if np.isfinite(score) and score < 0.9 * stall_score:
             stall_score = score
             since_improved = 0
+            # the iterate is divided by tau only if it is accepted
             stall_best = {
-                "X": [Xb / tau for Xb in X],
-                "Z": [Sb / tau for Sb in S],
-                "lam": y / tau,
+                "X": X,
+                "S": S,
+                "y": y,
+                "tau": tau,
                 "pobj": pobj,
                 "dobj": dobj,
                 "residuals": {
@@ -853,11 +936,7 @@ def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSo
             return dX, dy, dS, dtau, dkappa
 
         def max_step(dX, dS, dtau, dkappa) -> float:
-            a = np.inf
-            for L, dM in zip(Ls_x, dX):
-                a = min(a, _max_step(L, dM))
-            for L, dM in zip(Ls_s, dS):
-                a = min(a, _max_step(L, dM))
+            a = _max_step([*Ls_x, *Ls_s], [*dX, *dS], classes)
             if dtau < 0.0:
                 a = min(a, -tau / dtau)
             if dkappa < 0.0:
@@ -878,7 +957,7 @@ def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSo
             )
             + (tau + a_aff * dtau_a) * (kappa + a_aff * dkap_a)
         ) / nu
-        sigma = float(np.clip((max(mu_aff, 0.0) / mu) ** 3, 1e-8, 1.0))
+        sigma = min(max((max(mu_aff, 0.0) / mu) ** 3, 1e-8), 1.0)
 
         # corrector; the tau-kappa row gets its own second-order term
         Rc = _corrector_rhs(Gs, Gis, sigmas, dX_a, dS_a, sigma * mu)
@@ -901,9 +980,8 @@ def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSo
                 np.isfinite(M).all()
                 for M in [*X_t, *S_t, y_t, np.array([tau_t, kappa_t])]
             )
-            Ls_x = _chol_blocks(X_t) if finite else None
-            Ls_s = _chol_blocks(S_t) if Ls_x is not None else None
-            if Ls_s is not None:
+            Ls = _chol_blocks([*X_t, *S_t]) if finite else None
+            if Ls is not None:
                 break
             a *= 0.5
         else:
@@ -911,7 +989,7 @@ def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSo
             message = "Cholesky breakdown" if finite else "nonfinite iterate"
             break
         X, S, y, tau, kappa = X_t, S_t, y_t, tau_t, kappa_t
-        factors = (Ls_x, Ls_s)
+        factors = (Ls[:k], Ls[k:])
 
     if best is None:
         best = _accept_stalled(stall_best, status, message, iterations)

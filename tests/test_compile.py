@@ -315,3 +315,49 @@ def test_selection_holds_no_basis_or_second_stack():
     held = sum(A.nbytes for A in problem.A)
     smallest = min(min(A.nbytes for A in problem.A), 924 * 923 * 8)
     assert peak < held + smallest
+
+
+# ---- elimination through the SVD basis --------------------------------------
+
+
+def test_basis_stacks_are_apply_bytes():
+    # each stack is built in place; its bytes are -B.apply(N')'s, signed
+    # zeros included: apply's sum starts from the integer 0, which turns a
+    # -0.0 first term into +0.0
+    rng = np.random.default_rng(6)
+    NT = rng.normal(size=(5, 12))
+    NT[:, ::3] = 0.0
+    NT[2, 4] = -0.0
+    index = rng.integers(0, 12, size=(3, 4, 4))
+    blocks = [
+        BlockSpec("single", index[:1], np.array([-2.0])),
+        BlockSpec("three", index, np.array([-1.0, 0.5, -3.0])),
+        BlockSpec("two", index[1:, :2, :2], np.array([0.25, -1.0])),
+    ]
+    stacks = _compile._basis_stacks(blocks, NT)
+    for B, A in zip(blocks, stacks):
+        assert A.flags.c_contiguous and same_bits(A, -B.apply(NT))
+    # -(0 + -2 * 0.0) is -0.0 where the single layer gathers a zero
+    zeros = stacks[0][stacks[0] == 0]
+    assert zeros.size and np.signbit(zeros).all()
+    for program in rho_programs():
+        _, N = program._eliminate()
+        problem, _ = program.to_sdp()
+        for B, A in zip(program.blocks, problem.A):
+            assert same_bits(A, -B.apply(N.T))
+
+
+def test_basis_stacks_hold_one_layer_buffer():
+    # rho_1 of the lens at d = 4: blocks 55/30/30/30 of 1, 2, 4 and 4 terms.
+    # Beyond the returned stacks only one layer of the largest multi-term
+    # block is held (1.95 MB); a sum of products holds two (3.9 MB)
+    program = rho_program(example_hyperbola_disk(), 1, 4)
+    _, N = program._eliminate()
+    tracemalloc.start()
+    try:
+        stacks = _compile._basis_stacks(program.blocks, N.T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    layer = max(A.nbytes for A, B in zip(stacks, program.blocks) if len(B.coef) > 1)
+    assert peak <= sum(A.nbytes for A in stacks) + layer + (1 << 16)

@@ -525,3 +525,150 @@ def test_tril_inv_matches_inverse(p, cond):
     tol = np.sqrt(p) * eps
     assert norm(L @ Li - np.eye(p)) <= tol * norm(L) * norm(Li)
     assert norm(Li - ref) <= tol * np.sqrt(cond) * norm(ref)
+
+
+# ---- batched and vectorized steps, pinned by bytes to per-block formulas -----
+
+
+def same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def symmetric_stack(rng, p, n):
+    A = rng.standard_normal((p, n, n))
+    return A + A.transpose(0, 2, 1)
+
+
+def test_apply_A_and_At_are_the_contraction():
+    # one gemv per block gives np.tensordot's bytes on dense stacks, on
+    # one-hot moment stacks and with one constraint (p = 1)
+    rng = np.random.default_rng(3)
+    P = build_qr(ball_quartic(3), 3).to_sdp()[0]
+    cases = [
+        (list(P.A), list(P.one_hot)),
+        ([symmetric_stack(rng, 7, n) for n in (1, 4, 9)], [None] * 3),
+        ([symmetric_stack(rng, 1, n) for n in (1, 6)], [None] * 2),
+    ]
+    for A, patterns in cases:
+        p = len(A[0])
+        X = [symmetric_stack(rng, 1, Ab.shape[1])[0] for Ab in A]
+        ref = np.zeros(p)
+        for Ab, Xb in zip(A, X):
+            ref += np.tensordot(Ab, Xb, axes=([1, 2], [0, 1]))
+        assert same_bytes(sdp._apply_A(A, X), ref)
+        lam = rng.normal(size=p)
+        lam[::3] = -0.0
+        for Ab, M in zip(A, sdp._apply_At(A, patterns, lam)):
+            assert same_bytes(M, np.tensordot(lam, Ab, axes=(0, 0)))
+
+
+@pytest.mark.parametrize("step", [1, 5, 1000])
+def test_start_scale_in_chunks_is_the_per_constraint_sum(monkeypatch, step):
+    # chunks of `step` constraints of the largest block (23 constraints:
+    # ragged last chunk); the 91-block has more than 8192 entries, numpy's
+    # reduction buffer
+    rng = np.random.default_rng(step)
+    A = [symmetric_stack(rng, 23, n) for n in (91, 3, 1)]
+    A[1][4] *= 40.0
+    monkeypatch.setattr(sdp, "CHUNK_BYTES", step * 8 * 91 * 91)
+    p = len(A[0])
+    ref = max(
+        1.0,
+        max(
+            float(np.sqrt(sum(float(np.sum(Ab[i] ** 2)) for Ab in A)))
+            for i in range(p)
+        ),
+    )
+    assert sdp._start_scale(A).hex() == ref.hex()
+    assert sdp._start_scale([np.zeros((2, 3, 3))]) == 1.0
+    assert sdp._start_scale([np.zeros((0, 3, 3))]) == 1.0
+
+
+def per_block_chol(Ms):
+    Ls = []
+    for M in Ms:
+        L = sdp._chol(M)
+        if L is None:
+            return None
+        Ls.append(L)
+    return Ls
+
+
+def spd(rng, n):
+    Q = rng.standard_normal((n, n))
+    return Q @ Q.T / n + 0.1 * np.eye(n)
+
+
+def test_chol_blocks_batched_by_order():
+    rng = np.random.default_rng(11)
+    # singular PSD: the plain factorization fails and the jittered one holds
+    singular = np.ones((3, 3))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(singular)
+    assert sdp._chol(singular) is not None
+    for Ms in (
+        [spd(rng, 3), spd(rng, 5), spd(rng, 3), spd(rng, 3), spd(rng, 5), spd(rng, 7)],
+        [spd(rng, 3), spd(rng, 5), singular, spd(rng, 3), spd(rng, 5)],
+        [spd(rng, 4)],
+    ):
+        Ls = sdp._chol_blocks(Ms)
+        ref = per_block_chol(Ms)
+        assert len(Ls) == len(ref)
+        assert all(same_bytes(L, R) for L, R in zip(Ls, ref))
+    # an indefinite matrix in a class fails the whole call
+    assert sdp._chol_blocks([spd(rng, 3), -spd(rng, 3), spd(rng, 5)]) is None
+
+
+def per_block_max_step(L, dM):
+    """Largest alpha with L L' + alpha dM >= 0, one block at a time."""
+    Linv_d = np.linalg.solve(L, dM)
+    S = np.linalg.solve(L, Linv_d.T)
+    w_min = float(np.linalg.eigvalsh(0.5 * (S + S.T))[0])
+    if w_min >= -1e-14:
+        return np.inf
+    return 1.0 / (-w_min)
+
+
+def test_max_step_is_the_per_block_minimum():
+    rng = np.random.default_rng(5)
+    dims = [6, 10, 6, 1, 6, 1, 4]
+    Ls = [np.linalg.cholesky(spd(rng, n)) for n in dims]
+    classes = sdp._order_classes(dims)
+    assert classes == [[0, 2, 4], [1], [3, 5], [6]]
+    for scale in (0.1, 1.0, 30.0):
+        dMs = [scale * symmetric_stack(rng, 1, n)[0] for n in dims]
+        ref = min(per_block_max_step(L, dM) for L, dM in zip(Ls, dMs))
+        assert ref < np.inf and sdp._max_step(Ls, dMs, classes) == ref
+    # PSD directions: no block limits the step
+    dMs = [np.eye(n) for n in dims]
+    assert sdp._max_step(Ls, dMs, classes) == np.inf
+
+
+def per_block_nt_scale(X, Z):
+    """The per-block loop of Nesterov-Todd scaling data, one matrix at a
+    time."""
+    Ls_x, Ls_z = per_block_chol(X), per_block_chol(Z)
+    Gs, Gis, sigmas, Ws = [], [], [], []
+    for Lx, Lz in zip(Ls_x, Ls_z):
+        _, sv, Vt = np.linalg.svd(Lz.T @ Lx)
+        sv = np.maximum(sv, 1e-150)
+        G = Lx @ Vt.T / np.sqrt(sv)
+        Gi = (np.sqrt(sv)[:, None] * Vt) @ np.linalg.inv(Lx)
+        Gs.append(G)
+        Gis.append(Gi)
+        sigmas.append(sv)
+        Ws.append(G @ G.T)
+    return Ls_x, Ls_z, Gs, Gis, sigmas, Ws
+
+
+@pytest.mark.parametrize("dims", [[10, 6, 6], [1, 1, 2], [55, 91, 55, 55], [5]])
+def test_nt_scale_batched_is_the_per_block_loop(dims):
+    rng = np.random.default_rng(len(dims))
+    X = [spd(rng, n) for n in dims]
+    Z = [spd(rng, n) for n in dims]
+    ref = per_block_nt_scale(X, Z)
+    for got in (sdp._nt_scale(X, Z), sdp._nt_scale(X, Z, (ref[0], ref[1]))):
+        for part, part_ref in zip(got, ref):
+            assert len(part) == len(dims)
+            assert all(same_bytes(a, b) for a, b in zip(part, part_ref))
