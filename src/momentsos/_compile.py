@@ -166,7 +166,9 @@ class MomentSdp:
         fixed = self._unit_columns()
         if fixed is None:
             z_part, N = self._eliminate()
-            As = _basis_stacks(self.blocks, N.T)
+            As = [
+                np.negative(a, out=a) for a in (B.apply(N.T) for B in self.blocks)
+            ]
             one_hot = [_one_hot_pattern(A) for A in As]
             b = -(N.T @ self.objective)
             decode = {"z_part": z_part, "N": N}
@@ -257,33 +259,6 @@ def _decode(decode: dict, u: np.ndarray) -> np.ndarray:
     else:
         z += decode["N"] @ u
     return z
-
-
-def _basis_stacks(blocks: List[BlockSpec], NT: np.ndarray) -> List[np.ndarray]:
-    """-B.apply(N') of every block, each built in its one C-contiguous
-    (q, dim, dim) stack with no temporary of its size.
-
-    The first layer is gathered into the stack itself and every later one
-    into one buffer shared by the blocks; each is scaled by its
-    coefficient and added in term order, then the stack is negated in
-    place. `apply` sums from the integer 0, which turns a -0.0 first term
-    into +0.0, so 0.0 is added to the first term: the stack has
-    -B.apply(N') bytes, signed zeros included."""
-    q = len(NT)
-    layered = [B.dim ** 2 for B in blocks if len(B.coef) > 1]
-    buf = np.empty(q * max(layered, default=0))
-    stacks = []
-    for B in blocks:
-        stack = np.empty((q, B.dim, B.dim))
-        for t, (c, idx) in enumerate(zip(B.coef, B.index)):
-            dst = buf[: stack.size].reshape(stack.shape) if t else stack
-            # mode="clip" writes to out directly; "raise" would buffer it
-            np.take(NT, idx, axis=-1, out=dst, mode="clip")
-            dst *= c
-            stack += dst if t else 0.0
-        np.negative(stack, out=stack)
-        stacks.append(stack)
-    return stacks
 
 
 def _selected_stack(B: BlockSpec, coord: np.ndarray, q: int):

@@ -114,9 +114,29 @@ class BlockSpec:
 
     def apply(self, Z: np.ndarray) -> np.ndarray:
         """sum_t coef[t] Z[..., index[t]]: the block at each moment vector
-        on the last axis of Z, summed over the terms in order."""
-        terms = zip(self.coef, self.index)
-        return sum(c * np.take(Z, idx, axis=-1) for c, idx in terms)
+        on the last axis of Z, summed over the terms in order.
+
+        The first term is gathered into the result and each later one into
+        one reused layer, so no temporary beyond that layer is held. 0.0 is
+        added to the first term, as a sum started from 0 adds it, which
+        makes a -0.0 there +0.0."""
+        Z = np.asarray(Z, dtype=float)
+        if self.index.max(initial=-1) >= Z.shape[-1]:
+            raise IndexError(
+                f"moment index {self.index.max()} out of range for "
+                f"{Z.shape[-1]} moments"
+            )
+        out = np.take(Z, self.index[0], axis=-1)
+        out *= self.coef[0]
+        out += 0.0
+        layer = np.empty_like(out)
+        for c, idx in zip(self.coef[1:], self.index[1:]):
+            # mode="clip" writes to out directly ("raise" would buffer it);
+            # the indices were checked above
+            np.take(Z, idx, axis=-1, out=layer, mode="clip")
+            layer *= c
+            out += layer
+        return out
 
 
 def _collect_terms(n: int, pattern: MomentPattern, weights) -> Polynomial:

@@ -369,7 +369,7 @@ def _apply_A(A: Sequence[np.ndarray], X: List[np.ndarray]) -> np.ndarray:
     p = len(A[0])
     out = np.zeros(p)
     for Ab, Xb in zip(A, X):
-        out += Ab.reshape(p, -1) @ Xb.reshape(-1)
+        out += Ab.reshape(p, Xb.size) @ Xb.reshape(-1)
     return out
 
 
@@ -385,7 +385,7 @@ def _apply_At(
         if pattern is None:
             # one gemv, the one np.tensordot makes, except that for a single
             # entry it multiplies directly, keeping a -0.0 product
-            rows = Ab.reshape(len(lam), -1)
+            rows = Ab.reshape(len(lam), Ab.shape[1] * Ab.shape[2])
             At = lam * rows if rows.size == 1 else lam @ rows
             out.append(At.reshape(Ab.shape[1:]))
             continue
@@ -655,29 +655,6 @@ def _schur_solver(M: np.ndarray, p: int):
     return solve_one
 
 
-def _start_scale(A: Sequence[np.ndarray]) -> float:
-    """max(1, max_i ||A_i||_F), the scale of the start point's S.
-
-    Each block's squares are summed CHUNK_BYTES of constraints at a time,
-    by one row sum per chunk (the pairwise sum `np.sum` makes of one
-    matrix), so no squared copy of a whole stack is held; the blocks' sums
-    are added in block order. The squares go into one buffer per block,
-    not into a fresh temporary per chunk."""
-    p = len(A[0])
-    if not p:
-        return 1.0
-    sq = np.zeros(p)
-    for Ab in A:
-        rows = Ab.reshape(p, -1)
-        step = max(1, CHUNK_BYTES // (8 * rows.shape[1]))
-        buf = np.empty((min(step, p), rows.shape[1]))
-        for lo in range(0, p, step):
-            chunk = buf[: min(step, p - lo)]
-            np.square(rows[lo : lo + step], out=chunk)
-            sq[lo : lo + step] += chunk.sum(axis=1)
-    return max(1.0, float(np.sqrt(sq).max()))
-
-
 def _accept_stalled(
     stall_best: Optional[dict],
     status: SdpStatus,
@@ -744,7 +721,15 @@ def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSo
     norm_b = max(1.0, float(np.max(np.abs(b))) if p else 0.0)
     norm_C = max(1.0, max(float(np.max(np.abs(Cb))) for Cb in C))
 
-    eta = _start_scale(A)
+    eta = 1.0
+    if p:
+        eta = max(
+            1.0,
+            max(
+                float(np.sqrt(sum(float(np.sum(Ab[i] ** 2)) for Ab in A)))
+                for i in range(p)
+            ),
+        )
     X = [np.eye(d) for d in dims]
     S = [eta * np.eye(d) for d in dims]
     y = np.zeros(p)

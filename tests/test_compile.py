@@ -320,10 +320,15 @@ def test_selection_holds_no_basis_or_second_stack():
 # ---- elimination through the SVD basis --------------------------------------
 
 
-def test_basis_stacks_are_apply_bytes():
-    # each stack is built in place; its bytes are -B.apply(N')'s, signed
-    # zeros included: apply's sum starts from the integer 0, which turns a
-    # -0.0 first term into +0.0
+def sum_of_terms(B, Z):
+    """BlockSpec.apply as a sum of products, started from the integer 0."""
+    return sum(c * np.take(Z, idx, axis=-1) for c, idx in zip(B.coef, B.index))
+
+
+def test_apply_is_the_sum_of_terms_bytes():
+    # apply gathers into its result and one reused layer; its bytes are the
+    # sum of products', signed zeros included: that sum starts from the
+    # integer 0, which turns a -0.0 first term into +0.0
     rng = np.random.default_rng(6)
     NT = rng.normal(size=(5, 12))
     NT[:, ::3] = 0.0
@@ -334,20 +339,24 @@ def test_basis_stacks_are_apply_bytes():
         BlockSpec("three", index, np.array([-1.0, 0.5, -3.0])),
         BlockSpec("two", index[1:, :2, :2], np.array([0.25, -1.0])),
     ]
-    stacks = _compile._basis_stacks(blocks, NT)
-    for B, A in zip(blocks, stacks):
-        assert A.flags.c_contiguous and same_bits(A, -B.apply(NT))
-    # -(0 + -2 * 0.0) is -0.0 where the single layer gathers a zero
-    zeros = stacks[0][stacks[0] == 0]
-    assert zeros.size and np.signbit(zeros).all()
+    for B in blocks:
+        for Z in (NT, NT[0], NT.T.copy().T):
+            M = B.apply(Z)
+            assert M.flags.c_contiguous and same_bits(M, sum_of_terms(B, Z))
+    # 0 + -2 * 0.0 is +0.0 where the single layer gathers a zero
+    zeros = blocks[0].apply(NT)[blocks[0].apply(NT) == 0]
+    assert zeros.size and not np.signbit(zeros).any()
+    # an index past the moment vector raises, as np.take does
+    with pytest.raises(IndexError):
+        blocks[1].apply(NT[:, :11])
     for program in rho_programs():
         _, N = program._eliminate()
         problem, _ = program.to_sdp()
         for B, A in zip(program.blocks, problem.A):
-            assert same_bits(A, -B.apply(N.T))
+            assert A.flags.c_contiguous and same_bits(A, -sum_of_terms(B, N.T))
 
 
-def test_basis_stacks_hold_one_layer_buffer():
+def test_svd_path_holds_one_layer_beyond_the_stacks():
     # rho_1 of the lens at d = 4: blocks 55/30/30/30 of 1, 2, 4 and 4 terms.
     # Beyond the returned stacks only one layer of the largest multi-term
     # block is held (1.95 MB); a sum of products holds two (3.9 MB)
@@ -355,7 +364,7 @@ def test_basis_stacks_hold_one_layer_buffer():
     _, N = program._eliminate()
     tracemalloc.start()
     try:
-        stacks = _compile._basis_stacks(program.blocks, N.T)
+        stacks = [B.apply(N.T) for B in program.blocks]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

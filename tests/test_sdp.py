@@ -540,49 +540,79 @@ def symmetric_stack(rng, p, n):
     return A + A.transpose(0, 2, 1)
 
 
+def tensordot_apply_A(A, X):
+    out = np.zeros(len(A[0]))
+    for Ab, Xb in zip(A, X):
+        out += np.tensordot(Ab, Xb, axes=([1, 2], [0, 1]))
+    return out
+
+
+def tensordot_apply_At(A, patterns, lam):
+    out = []
+    for Ab, pattern in zip(A, patterns):
+        if pattern is None:
+            out.append(np.tensordot(lam, Ab, axes=(0, 0)))
+            continue
+        owner, row, col, value = pattern[4]
+        Mb = np.zeros(Ab.shape[1:])
+        Mb[row, col] = lam[owner] * value + 0.0
+        out.append(Mb)
+    return out
+
+
 def test_apply_A_and_At_are_the_contraction():
     # one gemv per block gives np.tensordot's bytes on dense stacks, on
-    # one-hot moment stacks and with one constraint (p = 1)
+    # one-hot moment stacks, with one constraint (p = 1) and with none
     rng = np.random.default_rng(3)
     P = build_qr(ball_quartic(3), 3).to_sdp()[0]
     cases = [
         (list(P.A), list(P.one_hot)),
         ([symmetric_stack(rng, 7, n) for n in (1, 4, 9)], [None] * 3),
         ([symmetric_stack(rng, 1, n) for n in (1, 6)], [None] * 2),
+        ([np.zeros((0, n, n)) for n in (1, 3)], [None] * 2),
     ]
     for A, patterns in cases:
         p = len(A[0])
         X = [symmetric_stack(rng, 1, Ab.shape[1])[0] for Ab in A]
-        ref = np.zeros(p)
-        for Ab, Xb in zip(A, X):
-            ref += np.tensordot(Ab, Xb, axes=([1, 2], [0, 1]))
-        assert same_bytes(sdp._apply_A(A, X), ref)
+        assert same_bytes(sdp._apply_A(A, X), tensordot_apply_A(A, X))
         lam = rng.normal(size=p)
         lam[::3] = -0.0
-        for Ab, M in zip(A, sdp._apply_At(A, patterns, lam)):
-            assert same_bytes(M, np.tensordot(lam, Ab, axes=(0, 0)))
+        dense = tensordot_apply_At(A, [None] * len(A), lam)
+        for M, ref in zip(sdp._apply_At(A, patterns, lam), dense):
+            assert same_bytes(M, ref)
 
 
-@pytest.mark.parametrize("step", [1, 5, 1000])
-def test_start_scale_in_chunks_is_the_per_constraint_sum(monkeypatch, step):
-    # chunks of `step` constraints of the largest block (23 constraints:
-    # ragged last chunk); the 91-block has more than 8192 entries, numpy's
-    # reduction buffer
-    rng = np.random.default_rng(step)
-    A = [symmetric_stack(rng, 23, n) for n in (91, 3, 1)]
-    A[1][4] *= 40.0
-    monkeypatch.setattr(sdp, "CHUNK_BYTES", step * 8 * 91 * 91)
-    p = len(A[0])
-    ref = max(
-        1.0,
-        max(
-            float(np.sqrt(sum(float(np.sum(Ab[i] ** 2)) for Ab in A)))
-            for i in range(p)
-        ),
+@pytest.mark.parametrize(
+    "dims, C",
+    [
+        ([3], [np.diag([1.0, 2.0, 0.5])]),
+        ([3], [np.diag([1.0, -1.0, 0.5])]),
+        ([2, 1], [np.eye(2), np.eye(1)]),
+    ],
+)
+def test_solve_without_constraints(monkeypatch, dims, C):
+    # p = 0: min <C, X> over X >= 0 is 0 for C >= 0 and unbounded otherwise;
+    # the solve has the bytes it has with the contractions by np.tensordot
+    P = SdpProblem.make(dims, C, [np.zeros((0, n, n)) for n in dims], [])
+    s = solve(P)
+    monkeypatch.setattr(sdp, "_apply_A", tensordot_apply_A)
+    monkeypatch.setattr(sdp, "_apply_At", tensordot_apply_At)
+    ref = solve(P)
+    unbounded = min(float(np.linalg.eigvalsh(Cb)[0]) for Cb in C) < 0
+    assert s.status is (SdpStatus.UNBOUNDED if unbounded else SdpStatus.OPTIMAL)
+    assert (s.status, s.iterations, s.accuracy, s.message) == (
+        ref.status, ref.iterations, ref.accuracy, ref.message
     )
-    assert sdp._start_scale(A).hex() == ref.hex()
-    assert sdp._start_scale([np.zeros((2, 3, 3))]) == 1.0
-    assert sdp._start_scale([np.zeros((0, 3, 3))]) == 1.0
+    values = [s.primal_value, s.dual_value]
+    assert same_bytes(values, [ref.primal_value, ref.dual_value])
+    assert same_bytes([s.gap], [ref.gap])
+    if not unbounded:
+        assert same_bytes(s.dual, ref.dual) and s.dual.shape == (0,)
+    for name in ("X", "Z", "ray_primal"):
+        got, want = getattr(s, name), getattr(ref, name)
+        assert (got is None) == (want is None)
+        assert all(same_bytes(a, b) for a, b in zip(got or [], want or []))
+    assert (s.ray_primal is not None) == unbounded
 
 
 def per_block_chol(Ms):
