@@ -119,9 +119,11 @@ class BlockSpec:
         The first term is gathered into the result and each later one into
         one reused layer, so no temporary beyond that layer is held. 0.0 is
         added to the first term, as a sum started from 0 adds it, which
-        makes a -0.0 there +0.0."""
+        makes a -0.0 there +0.0. A block of no terms (g = 0) is zero."""
         Z = np.asarray(Z, dtype=float)
-        if self.index.max(initial=-1) >= Z.shape[-1]:
+        if not len(self.coef):
+            return np.zeros(Z.shape[:-1] + self.index.shape[1:])
+        if self.index.max() >= Z.shape[-1]:
             raise IndexError(
                 f"moment index {self.index.max()} out of range for "
                 f"{Z.shape[-1]} moments"
@@ -129,7 +131,7 @@ class BlockSpec:
         out = np.take(Z, self.index[0], axis=-1)
         out *= self.coef[0]
         out += 0.0
-        layer = np.empty_like(out)
+        layer = np.empty_like(out) if len(self.coef) > 1 else None
         for c, idx in zip(self.coef[1:], self.index[1:]):
             # mode="clip" writes to out directly ("raise" would buffer it);
             # the indices were checked above

@@ -349,6 +349,9 @@ def test_apply_is_the_sum_of_terms_bytes():
     # an index past the moment vector raises, as np.take does
     with pytest.raises(IndexError):
         blocks[1].apply(NT[:, :11])
+    # no terms: the zero block, not the sum's integer 0
+    zero = BlockSpec("none", index[:0], np.zeros(0))
+    assert same_bits(zero.apply(NT), np.zeros((5, 4, 4)))
     for program in rho_programs():
         _, N = program._eliminate()
         problem, _ = program.to_sdp()
