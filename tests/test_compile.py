@@ -346,9 +346,12 @@ def test_apply_is_the_sum_of_terms_bytes():
     # 0 + -2 * 0.0 is +0.0 where the single layer gathers a zero
     zeros = blocks[0].apply(NT)[blocks[0].apply(NT) == 0]
     assert zeros.size and not np.signbit(zeros).any()
-    # an index past the moment vector raises, as np.take does
+    # an index past the moment vector raises, as np.take does, also when
+    # only a later term holds it
+    layers = np.stack([index[0] % 11, np.full((4, 4), 11)])
+    late = BlockSpec("late", layers, np.ones(2))
     with pytest.raises(IndexError):
-        blocks[1].apply(NT[:, :11])
+        late.apply(NT[:, :11])
     # no terms: the zero block, not the sum's integer 0
     zero = BlockSpec("none", index[:0], np.zeros(0))
     assert same_bits(zero.apply(NT), np.zeros((5, 4, 4)))
