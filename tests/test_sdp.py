@@ -180,6 +180,50 @@ def test_stall_accept_counts_iterations_run(monkeypatch):
     assert s.iterations == len(calls)
 
 
+def recomputed_residuals(problem, sol):
+    """The four residuals of a de-embedded solution, from its X, dual and
+    Z alone."""
+    primal, dual, comp = kkt_residuals(problem, sol)
+    pobj, dobj = sol.primal_value, sol.dual_value
+    gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
+    return {"primal": primal, "dual": dual, "gap": gap, "complementarity": comp}
+
+
+def test_failure_exits_report_the_residuals_of_their_iterate(monkeypatch):
+    # the iteration limit ends after a step, "no progress" before one; both
+    # report the residuals of the iterate they return, under the keys an
+    # optimal result has
+    P = lmi_min_x()
+    # with no step allowed the limit returns the start point (I, 0, eta I)
+    monkeypatch.setattr(sdp, "MAX_ITERATIONS", 0)
+    start = solve(P)
+    assert (start.status, start.iterations) == (SdpStatus.MAX_ITERATIONS, 0)
+    assert np.array_equal(start.X[0], np.eye(2)) and not start.dual.any()
+    assert start.Z[0] == pytest.approx(np.sqrt(2.0) * np.eye(2))
+    monkeypatch.setattr(sdp, "MAX_ITERATIONS", 3)
+    limited = solve(P)
+    assert (limited.status, limited.message) == (
+        SdpStatus.MAX_ITERATIONS, "iteration limit reached"
+    )
+    assert limited.iterations == 3
+    monkeypatch.setattr(sdp, "MAX_ITERATIONS", 200)
+    # tolerances no iterate meets, and a stall band no iterate is inside
+    monkeypatch.setattr(sdp, "STALL_FEAS_TOL", 0.0)
+    monkeypatch.setattr(sdp, "STALL_GAP_TOL", 0.0)
+    stalled = solve(P, SolverOptions(feas_tol=1e-30, gap_tol=1e-30))
+    assert (stalled.status, stalled.message) == (
+        SdpStatus.MAX_ITERATIONS, "no progress"
+    )
+    assert stalled.accuracy == "target"
+    optimal = solve(P)
+    assert optimal.status is SdpStatus.OPTIMAL
+    for sol in (start, limited, stalled, optimal):
+        want = recomputed_residuals(P, sol)
+        assert set(sol.residuals) == set(want)
+        for key, value in want.items():
+            assert sol.residuals[key] == pytest.approx(value, rel=1e-5, abs=1e-15)
+
+
 def test_hsd_random_suite_kkt():
     rng = np.random.default_rng(99)
     for k in range(40):
@@ -247,6 +291,14 @@ def test_rejects_asymmetric_data():
         )
 
 
+def test_rejects_zero_blocks():
+    # with no block, solve has no objective scale to take a max over
+    with pytest.raises(PreconditionFailure, match="at least one block"):
+        SdpProblem.make([], [], [], [])
+    with pytest.raises(PreconditionFailure, match="at least one block"):
+        SdpProblem((), (), (), np.zeros(0), ())
+
+
 def test_rejects_oversized_block():
     with pytest.raises(PreconditionFailure):
         SdpProblem.make([1000], [np.eye(1000)], [np.zeros((0, 1000, 1000))], [])
@@ -296,6 +348,20 @@ def test_rejects_asymmetry_naming_constraint_and_block():
     P = problem(0.5e-12)
     assert np.array_equal(P.A[1][1], P.A[1][1].T)
     assert P.A[1][1][0, 2] == 1e-12
+    # stored as 0.5 (A + A'): an entry skewed within the tolerance is
+    # halved into both positions, a symmetric one kept as it is, and the
+    # copy is C-contiguous whatever the layout of the input
+    A = np.zeros((2, 2, 2))
+    A[0] = [[1.0, 2.0], [2.0, 0.0]]
+    A[1, 1, 1] = 1.0
+    skewed = A.copy()
+    skewed[1, 0, 1] = 1e-13
+    Q = SdpProblem.make([2], [np.eye(2)], [skewed], [1.0, 0.0])
+    assert np.array_equal(Q.A[0], Q.A[0].transpose(0, 2, 1))
+    assert np.array_equal(Q.A[0][0], A[0]) and Q.A[0][1, 1, 0] == 0.5e-13
+    F = np.asfortranarray(A)
+    R = SdpProblem.make([2], [np.eye(2)], [F], [1.0, 0.0])
+    assert R.A[0].flags.c_contiguous and np.array_equal(R.A[0], A)
 
 
 # sha256 of dump_sdpa as the per-entry loop rendered it; pins the vectorized
@@ -461,27 +527,6 @@ def test_one_hot_term_holds_no_full_stack():
     assert peak < p * n * n * 8
 
 
-def test_make_keeps_exactly_symmetric_stacks(monkeypatch):
-    # one constraint per chunk, so that the copy of a stack starts at the
-    # chunk of its first skew entry
-    monkeypatch.setattr(sdp, "CHUNK_BYTES", 8 * 2 * 2)
-    A = np.zeros((2, 2, 2))
-    A[0] = [[1.0, 2.0], [2.0, 0.0]]
-    A[1, 1, 1] = 1.0
-    skewed = A.copy()
-    skewed[1, 0, 1] = 1e-13  # within the tolerance, symmetrized
-    P = SdpProblem.make([2], [np.eye(2)], [A], [1.0, 0.0])
-    assert P.A[0] is A
-    Q = SdpProblem.make([2], [np.eye(2)], [skewed], [1.0, 0.0])
-    assert Q.A[0] is not skewed and np.array_equal(Q.A[0], Q.A[0].transpose(0, 2, 1))
-    assert np.array_equal(Q.A[0][0], A[0]) and Q.A[0][1, 1, 0] == 0.5e-13
-    # a stack that is not C-contiguous is copied
-    F = np.asfortranarray(A)
-    R = SdpProblem.make([2], [np.eye(2)], [F], [1.0, 0.0])
-    assert R.A[0] is not F and R.A[0].flags.c_contiguous
-    assert np.array_equal(R.A[0], A)
-
-
 def test_schur_solver_residual():
     rng = np.random.default_rng(5)
     p = 80
@@ -642,12 +687,15 @@ def test_chol_blocks_batched_by_order():
         [spd(rng, 3), spd(rng, 5), singular, spd(rng, 3), spd(rng, 5)],
         [spd(rng, 4)],
     ):
-        Ls = sdp._chol_blocks(Ms)
+        classes = sdp._order_classes([M.shape[0] for M in Ms])
+        Ls = sdp._chol_blocks(Ms, classes)
         ref = per_block_chol(Ms)
-        assert len(Ls) == len(ref)
-        assert all(same_bytes(L, R) for L, R in zip(Ls, ref))
+        assert len(Ls) == len(classes)
+        for L, idx in zip(Ls, classes):
+            assert same_bytes(L, np.stack([ref[i] for i in idx]))
     # an indefinite matrix in a class fails the whole call
-    assert sdp._chol_blocks([spd(rng, 3), -spd(rng, 3), spd(rng, 5)]) is None
+    Ms = [spd(rng, 3), -spd(rng, 3), spd(rng, 5)]
+    assert sdp._chol_blocks(Ms, [[0, 1], [2]]) is None
 
 
 def per_block_max_step(L, dM):
@@ -666,13 +714,14 @@ def test_max_step_is_the_per_block_minimum():
     Ls = [np.linalg.cholesky(spd(rng, n)) for n in dims]
     classes = sdp._order_classes(dims)
     assert classes == [[0, 2, 4], [1], [3, 5], [6]]
+    stacks = [np.stack([Ls[i] for i in idx]) for idx in classes]
     for scale in (0.1, 1.0, 30.0):
         dMs = [scale * symmetric_stack(rng, 1, n)[0] for n in dims]
         ref = min(per_block_max_step(L, dM) for L, dM in zip(Ls, dMs))
-        assert ref < np.inf and sdp._max_step(Ls, dMs, classes) == ref
+        assert ref < np.inf and sdp._max_step(stacks, dMs, classes) == ref
     # PSD directions: no block limits the step
     dMs = [np.eye(n) for n in dims]
-    assert sdp._max_step(Ls, dMs, classes) == np.inf
+    assert sdp._max_step(stacks, dMs, classes) == np.inf
 
 
 def per_block_nt_scale(X, Z):
@@ -689,7 +738,7 @@ def per_block_nt_scale(X, Z):
         Gis.append(Gi)
         sigmas.append(sv)
         Ws.append(G @ G.T)
-    return Ls_x, Ls_z, Gs, Gis, sigmas, Ws
+    return Gs, Gis, sigmas, Ws
 
 
 @pytest.mark.parametrize("dims", [[10, 6, 6], [1, 1, 2], [55, 91, 55, 55], [5]])
@@ -698,7 +747,10 @@ def test_nt_scale_batched_is_the_per_block_loop(dims):
     X = [spd(rng, n) for n in dims]
     Z = [spd(rng, n) for n in dims]
     ref = per_block_nt_scale(X, Z)
-    for got in (sdp._nt_scale(X, Z), sdp._nt_scale(X, Z, (ref[0], ref[1]))):
-        for part, part_ref in zip(got, ref):
-            assert len(part) == len(dims)
-            assert all(same_bytes(a, b) for a, b in zip(part, part_ref))
+    # the solver's classes: those of the X blocks, then the Z blocks
+    classes = sdp._order_classes([*dims, *dims])
+    got = sdp._nt_scale(sdp._chol_blocks([*X, *Z], classes), classes)
+    assert len(got) == len(ref)
+    for part, part_ref in zip(got, ref):
+        assert len(part) == len(dims)
+        assert all(same_bytes(a, b) for a, b in zip(part, part_ref))
