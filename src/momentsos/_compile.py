@@ -19,13 +19,13 @@ basis: the rho_j programs keep a principal submatrix of each block (see
 `convexcert.rho_program`).
 
 Every block is a moment or localizing matrix S(g z), kept as the index
-layers (`moments.BlockSpec`) of the one pattern of `moments._moment_pattern`:
-compiling it scatters the layers' coefficients into the stack by
-selection, or gathers columns of N, and no dense (dim, dim, s) tensor is
-built. A selected stack's nonzero entries are read off the layers, so the
-compiler hands the solver the one-hot pattern (`sdp._entry_pattern`) of
-every such block that has one, every single-term block among them, with
-no scan of the stack. The y0 = 1
+layers (`moments.BlockSpec`) of the one pattern of `moments._moment_pattern`,
+and no dense (dim, dim, s) tensor is built. By selection, a block's
+entries are read off the layers: a one-hot block (`sdp._entry_pattern`),
+every single-term block among them, is handed to the solver as those
+entries alone, and only the other blocks are scattered into a dense
+stack. Through N, each block's stack gathers columns of N, and a stack
+that the scan finds one-hot is dropped for its entries. The y0 = 1
 row is the coefficient row of the constant 1, and a scalar row
 L_z(g) >= 0 is the localizing block at d = 0.
 `relaxation_blocks` assembles the blocks shared by Q_r, Q-hat and the lift,
@@ -159,9 +159,10 @@ class MomentSdp:
         column, so both give the same stacks, b and z, bit for bit.
         Every stack is exactly symmetric, as the index layers are, so the
         problem is built without `SdpProblem.make`'s checks. A selected
-        stack's one-hot pattern is read off its entries; a stack through
-        N is scanned for it, since the few rows of a low-order rho_j
-        program leave some of its blocks one-hot.
+        block's one-hot pattern is read off its entries, and no stack is
+        built for it; a stack through N is scanned for it, since the few
+        rows of a low-order rho_j program leave some of its blocks
+        one-hot, and dropped when it has one.
         """
         fixed = self._unit_columns()
         if fixed is None:
@@ -170,6 +171,7 @@ class MomentSdp:
                 np.negative(a, out=a) for a in (B.apply(N.T) for B in self.blocks)
             ]
             one_hot = [_one_hot_pattern(A) for A in As]
+            As = [A if pattern is None else None for A, pattern in zip(As, one_hot)]
             b = -(N.T @ self.objective)
             decode = {"z_part": z_part, "N": N}
         else:
@@ -262,26 +264,31 @@ def _decode(decode: dict, u: np.ndarray) -> np.ndarray:
 
 
 def _selected_stack(B: BlockSpec, coord: np.ndarray, q: int):
-    """-S_B over the free coordinates, as a C-contiguous (q, dim, dim)
-    stack, and its one-hot pattern (`sdp._entry_pattern`).
+    """-S_B over the free coordinates: (None, its one-hot pattern) when
+    it has one (`sdp._entry_pattern`), else (the C-contiguous
+    (q, dim, dim) stack, None).
 
     `coord` maps each moment to its free coordinate, or to -1 when it is
-    fixed. Each layer's coefficient is added at (coord, row, col) in term
-    order, the order in which `B.apply(N.T)` sums the layers; the terms
-    that apply adds besides are exact zeros, so the stack is -B.apply(N.T)
-    bit for bit."""
+    fixed. Each layer puts its coefficient at (coord, row, col); a layer
+    holds one moment per position, and the layers of distinct terms hold
+    distinct moments there, so no index repeats and an entry's value is
+    -c. A stack adds the coefficients in term order, the order in which
+    `B.apply(N.T)` sums the layers; the terms that apply adds besides are
+    exact zeros, so the stack is -B.apply(N.T) bit for bit."""
     dim = B.dim
-    stack = np.zeros((q, dim, dim))
-    flat = []
+    flat, coef = [], []
     for c, idx in zip(B.coef, B.index):
         u = coord[idx]
         row, col = np.nonzero(u >= 0)
-        owner = u[row, col]
-        # a layer holds one moment per position, so no index repeats
-        stack[owner, row, col] += c
-        flat.append((owner * dim + row) * dim + col)
-    np.negative(stack, out=stack)
-    return stack, _entry_pattern(stack, np.concatenate(flat))
+        flat.append((u[row, col] * dim + row) * dim + col)
+        coef.append(np.full(len(row), c))
+    flat, coef = np.concatenate(flat), np.concatenate(coef)
+    pattern = _entry_pattern(q, dim, flat, -coef)
+    if pattern is not None:
+        return None, pattern
+    stack = np.zeros((q, dim, dim))
+    np.add.at(stack.reshape(-1), flat, coef)
+    return np.negative(stack, out=stack), None
 
 
 # ---- builders --------------------------------------------------------------

@@ -28,14 +28,17 @@ feasible for the embedding (not for the problem itself) and reports
 primal/dual infeasibility through normalized improving rays instead of
 exceptions. Deterministic: no randomness anywhere in the iteration.
 
-`SdpProblem` stores the constraint matrices once, as one dense
-(p, n_b, n_b) stack per block; the solver, the Schur complement and the
-SDPA rendering all read those stacks. Each block also carries its one-hot
-pattern, or None: the moment compiler knows it from the block's index
-layers, and `SdpProblem.make` finds it by scanning the stacks it is given.
-On a one-hot block A'y is a scatter of the entries. `SolverOptions` holds
-the two target tolerances; every other setting of the iteration is a
-module constant.
+`SdpProblem` stores the constraint matrices of each block once: a one-hot
+block as its entries (its one-hot pattern), any other block as a dense
+(p, n_b, n_b) stack. The moment compiler and `sos_decompose` read the
+pattern off the block's layout, and `SdpProblem.make` finds it by scanning
+the stacks it is given. On a one-hot block A'y is a scatter of the
+entries, and A(X) scatters the entries into a buffer of CHUNK_BYTES, a
+chunk of constraints at a time, for the same matrix-vector product on
+each chunk that the whole stack would take; its bytes are those of the
+whole-stack product (`_constraint_chunks`). `SolverOptions` holds the two
+target tolerances; every other setting of the iteration is a module
+constant.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -67,10 +70,10 @@ STALL_GAP_TOL = 2e-6
 STALL_WINDOW = 8
 # times a step is halved when its end point cannot be factored
 STEP_HALVINGS = 20
-# bytes of constraint matrices that _schur_matrix holds a product of at
-# once. At 1 MiB a chunk of W A_i and its product with W fit in a 2 MiB L2
-# cache together, so the one-hot Schur term reads and writes them there
-# instead of in main memory
+# bytes of constraint matrices that _schur_matrix and A(X) hold at once.
+# At 1 MiB a chunk of W A_i and its product with W fit in a 2 MiB L2 cache
+# together, so the one-hot Schur term reads and writes them there instead
+# of in main memory
 CHUNK_BYTES = 1 << 20
 # order at or below which _tril_inv inverts a triangular block directly
 TRIL_INV_LEAF = 64
@@ -112,24 +115,25 @@ def _check_block_dims(dims: Tuple[int, ...]) -> None:
 class SdpProblem:
     """Block-diagonal standard-form SDP data, each coefficient stored once.
 
-    `C` is one symmetric (n_b, n_b) matrix per block. `A` is one
-    C-contiguous (p, n_b, n_b) stack per block, so that `A[k][i]` is the
-    matrix of constraint i in block k, and `b` is the (p,) right-hand side.
-    `one_hot` holds, per block, the one-hot pattern of its stack
-    (`_entry_pattern`), or None for a block that is not one-hot. It must
-    be the pattern that `_one_hot_pattern` finds, since the Schur step and
-    A'y read the block through it. Every stack and every C must
+    `C` is one symmetric (n_b, n_b) matrix per block, and `b` is the (p,)
+    right-hand side. A one-hot block (`_entry_pattern`) is stored only as
+    its pattern in `one_hot`, with None in `A`. Any other block is stored
+    as a C-contiguous (p, n_b, n_b) stack in `A`, so that `A[k][i]` is the
+    matrix of constraint i in block k, with None in `one_hot`. A stored
+    pattern must be the one `_one_hot_pattern` finds in the block's dense
+    stack (`stack` rebuilds that stack), and every stack and every C must
     equal its transpose exactly: the constructor checks only the block
     dimensions, so a caller that builds the fields itself (the moment
     compiler, `sos_decompose`) guarantees the rest by construction.
 
-    `make` validates dense input, stores a symmetrized copy 0.5 (A + A') of
-    each stack and of each C, and scans the stacks for the pattern.
+    `make` validates dense input, symmetrizes it as 0.5 (A + A') and
+    0.5 (C + C'), scans each stack for its pattern, and keeps only the
+    stacks that have none.
     """
 
     block_dims: Tuple[int, ...]
     C: Tuple[np.ndarray, ...]
-    A: Tuple[np.ndarray, ...]
+    A: Tuple[Optional[np.ndarray], ...]
     b: np.ndarray
     one_hot: Tuple[Optional[tuple], ...]
 
@@ -182,20 +186,35 @@ class SdpProblem:
                 "coefficient matrices symmetric", f"A[{i}][{k}]: skew {skew:.3e}"
             )
         one_hot = tuple(_one_hot_pattern(Ab) for Ab in sym)
-        return SdpProblem(dims, tuple(Cs), tuple(sym), b, one_hot)
+        kept = tuple(
+            Ab if pattern is None else None for Ab, pattern in zip(sym, one_hot)
+        )
+        return SdpProblem(dims, tuple(Cs), kept, b, one_hot)
 
     @property
     def num_constraints(self) -> int:
         return len(self.b)
 
+    def stack(self, k: int) -> np.ndarray:
+        """The dense (p, n_b, n_b) constraint stack of block k: the stored
+        one, or a new one holding the entries of a one-hot block."""
+        if self.A[k] is not None:
+            return self.A[k]
+        n = self.block_dims[k]
+        owner, row, col, value = self.one_hot[k][4]
+        out = np.zeros((self.num_constraints, n, n))
+        out[owner, row, col] = value
+        return out
+
     @property
     def constraints(self) -> Tuple[Tuple[Tuple[np.ndarray, ...], float], ...]:
         """(per-block matrices, b_i) of each constraint, as views of the
-        stacks. Kept only for the benchmark's layer trace, which reads it
-        until solves carry their own trace (ROADMAP direction 4)."""
+        dense stacks (`stack`). Kept only for the benchmark's layer trace,
+        which reads it until solves carry their own trace (ROADMAP
+        direction 4)."""
+        stacks = [self.stack(k) for k in range(len(self.block_dims))]
         return tuple(
-            (tuple(Ab[i] for Ab in self.A), float(bi))
-            for i, bi in enumerate(self.b)
+            (tuple(Ab[i] for Ab in stacks), float(bi)) for i, bi in enumerate(self.b)
         )
 
     def dump_sdpa(self) -> str:
@@ -205,7 +224,8 @@ class SdpProblem:
 
         Convention: the emitted file encodes max <F0,Y> s.t. <Fi,Y>=c_i,
         Y >= 0 with F0 = -C, Fi = A_i, c = b, i.e. this problem's exact
-        negated-objective image in SDPA's dual slot.
+        negated-objective image in SDPA's dual slot. A one-hot block's
+        lines are its upper-triangle entries as they are stored.
         """
         head = [
             str(self.num_constraints),
@@ -214,12 +234,22 @@ class SdpProblem:
             " ".join(repr(bi) for bi in self.b.tolist()),
         ]
         entries = []
-        for blk, (Cb, Ab) in enumerate(zip(self.C, self.A), start=1):
+        for blk, (Cb, Ab, pattern) in enumerate(
+            zip(self.C, self.A, self.one_hot), start=1
+        ):
             r, c = np.triu_indices(Cb.shape[0])
-            vals = np.vstack([-Cb[r, c], Ab[:, r, c]])  # row 0: objective
-            idx, t = np.nonzero(vals)
-            blks = np.full(len(idx), blk)
-            entries.append((idx, blks, r[t] + 1, c[t] + 1, vals[idx, t]))
+            objective = -Cb[r, c]
+            t = np.flatnonzero(objective)
+            parts = [(np.zeros_like(t), r[t], c[t], objective[t])]
+            if pattern is None:
+                owner, t = np.nonzero(Ab[:, r, c])
+                parts.append((owner + 1, r[t], c[t], Ab[owner, r[t], c[t]]))
+            else:
+                upper = pattern[4][1] <= pattern[4][2]
+                owner, row, col, value = (a[upper] for a in pattern[4])
+                parts.append((owner + 1, row, col, value))
+            for i, row, col, value in parts:
+                entries.append((i, np.full(len(i), blk), row + 1, col + 1, value))
         cols = [np.concatenate(col) for col in zip(*entries)]
         order = np.argsort(cols[0], kind="stable")  # blocks stay in order
         body = zip(*(col[order].tolist() for col in cols))
@@ -347,34 +377,72 @@ def _max_step(
     return a
 
 
-def _apply_A(A: Sequence[np.ndarray], X: List[np.ndarray]) -> np.ndarray:
-    """(<A_i, X>)_i, summed over the blocks in block order: one
-    matrix-vector product per block, the one `np.tensordot` makes."""
-    p = len(A[0])
-    out = np.zeros(p)
-    for Ab, Xb in zip(A, X):
-        out += Ab.reshape(p, Xb.size) @ Xb.reshape(-1)
+def _constraint_chunks(
+    problem: SdpProblem, k: int
+) -> Iterator[Tuple[int, int, np.ndarray]]:
+    """(lo, hi, stack) with the matrices of constraints lo..hi-1 in block
+    k, over all constraints in order: a stored stack whole, and a one-hot
+    block's entries scattered into one reused buffer of about CHUNK_BYTES,
+    zero elsewhere, that is cleared again after each chunk.
+
+    A chunk holds a multiple of 16 matrices, and a last chunk of one joins
+    the chunk before it. Then one matrix-vector product per chunk gives
+    the bytes of the product with the whole stack: OpenBLAS's gemv kernel
+    (0.3.31, Haswell, one thread) sums the rows four at a time from the
+    first and the last p mod 4 in a loop of its own, so every row keeps
+    its place in a group, while numpy hands a single row to a dot
+    product, which sums in another order. Under more BLAS threads the
+    whole-stack product is split between the threads, and its bytes can
+    differ from those of the chunks."""
+    p, Ab, pattern = problem.num_constraints, problem.A[k], problem.one_hot[k]
+    if pattern is None:
+        yield 0, p, Ab
+        return
+    n = problem.block_dims[k]
+    owner, row, col, value = pattern[4]
+    step = 16 * max(1, CHUNK_BYTES // (16 * 8 * n * n))
+    bounds = list(range(0, p, step))
+    if len(bounds) > 1 and p - bounds[-1] == 1:
+        bounds.pop()
+    bounds.append(p)
+    buf = np.zeros((min(p, step + 1), n, n))
+    ends = np.searchsorted(owner, bounds)
+    for lo, hi, first, last in zip(bounds, bounds[1:], ends, ends[1:]):
+        chunk = buf[: hi - lo]
+        at = (owner[first:last] - lo, row[first:last], col[first:last])
+        chunk[at] = value[first:last]
+        yield lo, hi, chunk
+        chunk[at] = 0.0
+
+
+def _apply_A(problem: SdpProblem, X: List[np.ndarray]) -> np.ndarray:
+    """(<A_i, X>)_i, summed over the blocks in block order: per block, the
+    matrix-vector product that `np.tensordot` makes, on chunks of the
+    constraints (`_constraint_chunks`) with the same bytes."""
+    out = np.zeros(problem.num_constraints)
+    for k, Xb in enumerate(X):
+        x = Xb.reshape(-1)
+        for lo, hi, Ab in _constraint_chunks(problem, k):
+            out[lo:hi] += Ab.reshape(hi - lo, x.size) @ x
     return out
 
 
-def _apply_At(
-    A: Sequence[np.ndarray], patterns: Sequence, lam: np.ndarray
-) -> List[np.ndarray]:
-    """sum_i lam_i A_i, per block. A one-hot block (`patterns`) is a
-    scatter of lam_owner * value over its entries: each position has one
-    owner, so the dense contraction adds only exact zeros to that product.
-    Adding 0.0 turns a product of -0.0 into the +0.0 those sums give."""
+def _apply_At(problem: SdpProblem, lam: np.ndarray) -> List[np.ndarray]:
+    """sum_i lam_i A_i, per block. A one-hot block is a scatter of
+    lam_owner * value over its entries: each position has one owner, so
+    the dense contraction adds only exact zeros to that product. Adding
+    0.0 turns a product of -0.0 into the +0.0 those sums give."""
     out = []
-    for Ab, pattern in zip(A, patterns):
+    for Ab, pattern, n in zip(problem.A, problem.one_hot, problem.block_dims):
         if pattern is None:
             # one gemv, the one np.tensordot makes, except that for a single
             # entry it multiplies directly, keeping a -0.0 product
-            rows = Ab.reshape(len(lam), Ab.shape[1] * Ab.shape[2])
+            rows = Ab.reshape(len(lam), n * n)
             At = lam * rows if rows.size == 1 else lam @ rows
-            out.append(At.reshape(Ab.shape[1:]))
+            out.append(At.reshape(n, n))
             continue
         owner, row, col, value = pattern[4]
-        Mb = np.zeros(Ab.shape[1:])
+        Mb = np.zeros((n, n))
         Mb[row, col] = lam[owner] * value + 0.0
         out.append(Mb)
     return out
@@ -382,6 +450,22 @@ def _apply_At(
 
 def _inner(Xs: List[np.ndarray], Ys: List[np.ndarray]) -> float:
     return float(sum(np.vdot(X, Y) for X, Y in zip(Xs, Ys)))
+
+
+def _finite(Ms: Sequence[np.ndarray]) -> bool:
+    return all(np.isfinite(M).all() for M in Ms)
+
+
+def _direction_failure(step) -> str:
+    """Why the solver cannot step along a search direction (dX, dy, dS,
+    dtau, dkappa), or "". A nonfinite direction is caught here, before
+    the step length's eigenvalue solver meets it."""
+    if step is None:
+        return "Schur solve failed"
+    dX, dy, dS, dtau, dkappa = step
+    if not _finite([*dX, *dS, dy, np.array([dtau, dkappa])]):
+        return "nonfinite search direction"
+    return ""
 
 
 def _chol_blocks(
@@ -453,14 +537,16 @@ def _one_hot_pattern(Ab: np.ndarray):
     found by scanning the dense stack (`_entry_pattern` does the rest)."""
     if np.count_nonzero(Ab, axis=0).max(initial=0) > 1:
         return None
-    return _entry_pattern(Ab, np.flatnonzero(Ab))
+    flat = np.flatnonzero(Ab)
+    return _entry_pattern(Ab.shape[0], Ab.shape[1], flat, Ab.reshape(-1)[flat])
 
 
-def _entry_pattern(Ab: np.ndarray, candidates: np.ndarray):
-    """Aggregation pattern of a one-hot (p, n, n) C-contiguous block, or
-    None for any other block. `candidates` holds flat indices into Ab, in
-    any order and with repeats, among them every nonzero entry, so that
-    a caller that knows where the entries are spares a scan of the stack.
+def _entry_pattern(p: int, n: int, flat: np.ndarray, value: np.ndarray):
+    """Aggregation pattern of a (p, n, n) block with entries `value` at
+    the flat C-order indices `flat` and zeros elsewhere, or None when the
+    block is not one-hot. The indices come in any order, without repeats;
+    zero values are dropped. A caller that knows a block's entries builds
+    no stack to find its pattern.
 
     A block is one-hot when every matrix position is nonzero in at most
     one constraint and every column of a constraint matrix holds at most
@@ -474,10 +560,8 @@ def _entry_pattern(Ab: np.ndarray, candidates: np.ndarray):
     the owners in run order, and (owner, row, col, value) of every nonzero
     in `np.nonzero` order (by owner, then row, then col).
     """
-    p, n, _ = Ab.shape
-    flat = np.sort(candidates)
-    flat = flat[np.diff(flat, prepend=-1) > 0]
-    value = Ab.reshape(-1)[flat]
+    order = np.argsort(flat)
+    flat, value = flat[order], value[order]
     flat, value = flat[value != 0], value[value != 0]
     owner, rest = np.divmod(flat, n * n)
     row, col = np.divmod(rest, n)
@@ -506,28 +590,26 @@ def _svec_pattern(n: int) -> Tuple[np.ndarray, np.ndarray]:
     return positions, weights
 
 
-def _schur_matrix(
-    A: Sequence[np.ndarray], Gs: List[np.ndarray], patterns: Sequence
-) -> np.ndarray:
+def _schur_matrix(problem: SdpProblem, Gs: List[np.ndarray]) -> np.ndarray:
     """M_ij = sum over blocks of tr(A_i W A_j W), where W = G G' per block.
 
-    `patterns` holds each block's one-hot pattern, or None
-    (`SdpProblem.one_hot`). For a one-hot block, column j of the block's
+    For a one-hot block (`SdpProblem.one_hot`), column j of the block's
     term is a weighted sum of the entries of W A_i W at the positions A_j
     owns, so one gather and one segmented sum replace the dense
     contraction. W A_i needs no product: column b of it is v W[:, a] for
     the one entry v at (a, b) of A_i, the exact value of the product,
     since every other term of its sums is zero. So W A_i is scattered
     into one reused buffer, CHUNK_BYTES of constraints at a time, and a
-    single batched product with W gives their W A_i W. For any other block the term is <H_i, H_j> with H_i = G' A_i G: the rows
+    single batched product with W gives their W A_i W. For any other
+    block the term is <H_i, H_j> with H_i = G' A_i G: the rows
     of B are svec(H_i), the upper triangles with off-diagonal entries
     scaled by sqrt(2), and the term is B B', one symmetric rank-k update
     (SYRK) that is exactly symmetric and positive semidefinite. The H_i
     are formed CHUNK_BYTES at a time, so only B is held in full.
     """
-    p = len(A[0])
+    p = problem.num_constraints
     M = np.zeros((p, p))
-    for Ab, G, pattern in zip(A, Gs, patterns):
+    for Ab, G, pattern in zip(problem.A, Gs, problem.one_hot):
         n = G.shape[0]
         step = max(1, CHUNK_BYTES // (8 * n * n))
         if pattern is None:
@@ -601,6 +683,7 @@ def _schur_solver(M: np.ndarray, p: int):
         shifted = M.copy()
         shifted.flat[:: p + 1] += 1e-13 * max(1.0, float(np.trace(M)) / p)
         fac = _chol(shifted)
+        del shifted  # one p x p matrix less while the factor is inverted
     fac_inv = _tril_inv(fac) if fac is not None else None
 
     def solve_one(rhs: np.ndarray) -> Optional[np.ndarray]:
@@ -675,26 +758,29 @@ def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSo
     stops inside the stall band, and otherwise the last one.
     """
     opts = options or SolverOptions()
-    A, b, C = problem.A, problem.b, problem.C
+    b, C = problem.b, problem.C
     p, dims = problem.num_constraints, problem.block_dims
     norm_b = max(1.0, float(np.max(np.abs(b))) if p else 0.0)
     norm_C = max(1.0, max(float(np.max(np.abs(Cb))) for Cb in C))
 
     eta = 1.0
     if p:
-        eta = max(
-            1.0,
-            max(
-                float(np.sqrt(sum(float(np.sum(Ab[i] ** 2)) for Ab in A)))
-                for i in range(p)
-            ),
-        )
+        # the largest Frobenius norm of a constraint, its squares summed
+        # over the blocks in block order
+        squares = [
+            [
+                float(np.sum(Ai ** 2))
+                for _, _, Ab in _constraint_chunks(problem, k)
+                for Ai in Ab
+            ]
+            for k in range(len(dims))
+        ]
+        eta = max(1.0, max(float(np.sqrt(sum(norms))) for norms in zip(*squares)))
     X = [np.eye(d) for d in dims]
     S = [eta * np.eye(d) for d in dims]
     y = np.zeros(p)
     tau, kappa = 1.0, 1.0
     nu = sum(dims) + 1.0
-    patterns = problem.one_hot
     # order classes of the X blocks followed by the S blocks
     classes = _order_classes([*dims, *dims])
     # Cholesky factors of [*X, *S] (`_chol_blocks`); each step factors its
@@ -713,9 +799,9 @@ def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSo
     # every pass but the last ends in a step or a break; the last records
     # the end point of the last step allowed and stops before any test
     for passes in range(MAX_ITERATIONS + 1):
-        AX = _apply_A(A, X)
+        AX = _apply_A(problem, X)
         rp = b * tau - AX
-        Aty = _apply_At(A, patterns, y)
+        Aty = _apply_At(problem, y)
         Rd = [Cb * tau - Ab - Sb for Cb, Ab, Sb in zip(C, Aty, S)]
         cx = _inner(C, X)
         by = float(b @ y)
@@ -813,15 +899,15 @@ def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSo
         iterations += 1
         Gs, Gis, sigmas, Ws = _nt_scale(Ls, classes)
 
-        msolve = _schur_solver(_schur_matrix(A, Gs, patterns), p)
+        msolve = _schur_solver(_schur_matrix(problem, Gs), p)
 
         WCW = [W @ Cb @ W for W, Cb in zip(Ws, C)]
-        u = _apply_A(A, WCW)
+        u = _apply_A(problem, WCW)
         q = _inner(C, WCW)
         v_rhs = b + u
         Mi_v = msolve(v_rhs)
         WRdW = [W @ R @ W for W, R in zip(Ws, Rd)]
-        A_WRdW = _apply_A(A, WRdW)
+        A_WRdW = _apply_A(problem, WRdW)
         C_WRdW = _inner(C, WRdW)
         diff = u - b
 
@@ -845,7 +931,7 @@ def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSo
             den = float(diff @ Mi_v) - q - kappa / tau
             dtau = (r2 - float(diff @ Mi_r1)) / den
             dy = dtau * Mi_v + Mi_r1
-            Atdy = _apply_At(A, patterns, dy)
+            Atdy = _apply_At(problem, dy)
             dS = [
                 Cb * dtau - Ab + one_m * R
                 for Cb, Ab, R in zip(C, Atdy, Rd)
@@ -866,8 +952,9 @@ def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSo
 
         # predictor: sigma = 0, Rc = -X, so A(Rc) = -A(X), negation being exact
         aff = direction(0.0, [-Xb for Xb in X], -AX, -tau * kappa)
-        if aff is None:
-            status, message = SdpStatus.NUMERICAL_FAILURE, "Schur solve failed"
+        message = _direction_failure(aff)
+        if message:
+            status = SdpStatus.NUMERICAL_FAILURE
             break
         dX_a, dy_a, dS_a, dtau_a, dkap_a = aff
         a_aff = min(1.0, max_step(dX_a, dS_a, dtau_a, dkap_a))
@@ -883,9 +970,10 @@ def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSo
         # corrector; the tau-kappa row gets its own second-order term
         Rc = _corrector_rhs(Gs, Gis, sigmas, dX_a, dS_a, sigma * mu)
         r5 = sigma * mu - tau * kappa - dtau_a * dkap_a
-        step = direction(sigma, Rc, _apply_A(A, Rc), r5)
-        if step is None:
-            status, message = SdpStatus.NUMERICAL_FAILURE, "Schur solve failed"
+        step = direction(sigma, Rc, _apply_A(problem, Rc), r5)
+        message = _direction_failure(step)
+        if message:
+            status = SdpStatus.NUMERICAL_FAILURE
             break
         dX, dy, dS, dtau, dkappa = step
 
@@ -897,10 +985,7 @@ def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSo
             S_t = [Sb + a * dSb for Sb, dSb in zip(S, dS)]
             y_t = y + a * dy
             tau_t, kappa_t = tau + a * dtau, kappa + a * dkappa
-            finite = all(
-                np.isfinite(M).all()
-                for M in [*X_t, *S_t, y_t, np.array([tau_t, kappa_t])]
-            )
+            finite = _finite([*X_t, *S_t, y_t, np.array([tau_t, kappa_t])])
             Ls_t = _chol_blocks([*X_t, *S_t], classes) if finite else None
             if Ls_t is not None:
                 break

@@ -120,16 +120,20 @@ def sos_decompose(
                 reason=f"monomial {alpha} outside the basis product span",
             )
 
-    k = len(basis)
+    k, q = len(basis), len(monomials)
     # E_alpha has a unit entry wherever basis products hit alpha, so
     # <E_alpha, G> is the alpha-coefficient of z'Gz and the dual slack
     # of an infeasibility ray is itself a moment matrix. E is exactly
-    # symmetric, and its entries give the one-hot pattern without a scan
-    E = np.zeros((len(monomials), k, k))
-    E[group, rows, cols] = 1.0
-    E[group, cols, rows] = 1.0
-    upper, lower = (group * k + rows) * k + cols, (group * k + cols) * k + rows
-    pattern = _entry_pattern(E, np.r_[upper, lower])
+    # symmetric and one-hot, so it is stored as its entries, unless the
+    # basis repeats a monomial
+    upper = (group * k + rows) * k + cols
+    lower = ((group * k + cols) * k + rows)[rows != cols]
+    flat = np.r_[upper, lower]
+    pattern = _entry_pattern(q, k, flat, np.ones(len(flat)))
+    E = None
+    if pattern is None:
+        E = np.zeros((q, k, k))
+        E.reshape(-1)[flat] = 1.0
     target = np.array([p.coeff(alpha) for alpha in monomials], dtype=float)
     problem = SdpProblem((k,), (np.eye(k),), (E,), target, (pattern,))
     sol = solve(problem, options)

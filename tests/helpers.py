@@ -41,14 +41,15 @@ def make_strictly_feasible_sdp(rng) -> Tuple[SdpProblem, List[np.ndarray]]:
 def kkt_residuals(problem: SdpProblem, sol) -> Tuple[float, float, float]:
     """Relative primal, dual and complementarity residuals of a solution."""
     b = problem.b
+    A = [problem.stack(k) for k in range(len(problem.block_dims))]
     ax = sum(
         np.tensordot(Ab, Xb, axes=([1, 2], [0, 1]))
-        for Ab, Xb in zip(problem.A, sol.X)
+        for Ab, Xb in zip(A, sol.X)
     )
     primal = float(np.max(np.abs(ax - b))) / max(1.0, float(np.max(np.abs(b))))
     dual = max(
         float(np.max(np.abs(Cb - Zb - np.tensordot(sol.dual, Ab, axes=(0, 0)))))
-        for Cb, Zb, Ab in zip(problem.C, sol.Z, problem.A)
+        for Cb, Zb, Ab in zip(problem.C, sol.Z, A)
     )
     dual /= max(1.0, max(float(np.max(np.abs(Cb))) for Cb in problem.C))
     comp = sum(float(np.sum(Xb * Zb)) for Xb, Zb in zip(sol.X, sol.Z))

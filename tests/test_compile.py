@@ -214,6 +214,19 @@ def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def stored_as(problem, k, ref):
+    """Whether block k of problem holds the dense stack `ref` bit for bit:
+    a one-hot block as the pattern the scan finds in ref, and no stack;
+    any other block as ref itself."""
+    pattern, scanned = problem.one_hot[k], sdp._one_hot_pattern(ref)
+    if pattern is None:
+        return scanned is None and same_bits(problem.A[k], ref)
+    if scanned is None or problem.A[k] is not None:
+        return False
+    flat = list(pattern[:4]) + list(pattern[4])
+    return all(same_bits(a, b) for a, b in zip(flat, list(scanned[:4]) + list(scanned[4])))
+
+
 def unit_row_programs():
     """Q_r and the lifts (localizing blocks) and Q-hat (scalar rows) on the
     disk, lens and degenerate cube at orders 3 and 4: z_0 = 1 is their one
@@ -250,9 +263,9 @@ def test_selection_matches_svd_elimination(label, program):
     problem, decode = program.to_sdp()
     z_part, N = program._eliminate()
     assert "N" not in decode and same_bits(decode["z_part"], z_part)
-    for B, C, A in zip(program.blocks, problem.C, problem.A):
+    for k, (B, C) in enumerate(zip(program.blocks, problem.C)):
         assert same_bits(C, B.apply(z_part))
-        assert same_bits(A, -B.apply(N.T))
+        assert stored_as(problem, k, -B.apply(N.T))
     assert same_bits(problem.b, -(N.T @ program.objective))
     u = np.random.default_rng(1).normal(size=N.shape[1])
     u[:2] = 0.0, -0.0
@@ -264,19 +277,16 @@ def test_selection_matches_svd_elimination(label, program):
     [program for _, program in unit_row_programs()][::3] + rho_programs(),
 )
 def test_compiled_stacks_symmetric_and_patterns_from_compile(program):
-    # the compiler builds SdpProblem itself: every C and stack must equal
-    # its transpose, and each block's pattern must be the scan's, entry for
-    # entry, None included
+    # the compiler builds SdpProblem itself: every C and stored stack must
+    # equal its transpose, and each block's pattern must be the scan's of
+    # its dense stack, entry for entry, None included
     problem, _ = program.to_sdp()
-    for C, A, pattern in zip(problem.C, problem.A, problem.one_hot):
-        assert same_bits(C, C.T) and same_bits(A, A.transpose(0, 2, 1))
-        assert A.flags.c_contiguous
-        scanned = sdp._one_hot_pattern(A)
-        assert (pattern is None) == (scanned is None)
-        if pattern is not None:
-            flat = list(pattern[:4]) + list(pattern[4])
-            ref = list(scanned[:4]) + list(scanned[4])
-            assert all(same_bits(a, b) for a, b in zip(flat, ref))
+    _, N = program._eliminate()
+    for k, (B, C, A) in enumerate(zip(program.blocks, problem.C, problem.A)):
+        assert same_bits(C, C.T)
+        if A is not None:
+            assert same_bits(A, A.transpose(0, 2, 1)) and A.flags.c_contiguous
+        assert stored_as(problem, k, -B.apply(N.T))
     one_hot = [pattern is not None for pattern in problem.one_hot]
     if program.num_equalities == 1:
         assert one_hot[0]  # the moment block
@@ -312,9 +322,25 @@ def test_selection_holds_no_basis_or_second_stack():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    held = sum(A.nbytes for A in problem.A)
-    smallest = min(min(A.nbytes for A in problem.A), 924 * 923 * 8)
+    stored = [A for A in problem.A if A is not None]
+    held = sum(A.nbytes for A in stored)
+    smallest = min(min(A.nbytes for A in stored), 924 * 923 * 8)
     assert peak < held + smallest
+
+
+def test_ladder_compile_builds_no_moment_stack():
+    # Q_3 on the 6-ball: the one-hot (923, 84, 84) moment block, 52.1 MB
+    # dense, is stored as its entries; the localizing block of 1 - |x|^2
+    # is not one-hot, and its (923, 28, 28) stack of 5.8 MB is built
+    program = build_qr(ball_quartic(6), 3)
+    tracemalloc.start()
+    try:
+        problem, _ = program.to_sdp()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert problem.A[0] is None and problem.A[1].shape == (923, 28, 28)
+    assert peak < 10e6
 
 
 # ---- elimination through the SVD basis --------------------------------------
@@ -358,8 +384,10 @@ def test_apply_is_the_sum_of_terms_bytes():
     for program in rho_programs():
         _, N = program._eliminate()
         problem, _ = program.to_sdp()
-        for B, A in zip(program.blocks, problem.A):
-            assert A.flags.c_contiguous and same_bits(A, -sum_of_terms(B, N.T))
+        for k, B in enumerate(program.blocks):
+            A = problem.A[k]
+            assert A is None or A.flags.c_contiguous
+            assert stored_as(problem, k, -sum_of_terms(B, N.T))
 
 
 def test_svd_path_holds_one_layer_beyond_the_stacks():

@@ -56,14 +56,15 @@ def test_tracer_installs_and_uninstalls():
 
 def test_traced_to_sdp_reports_stack_density():
     # the wrapped MomentSdp.to_sdp counts nonzeros through
-    # SdpProblem.constraints, which must stay a view of the stacks
+    # SdpProblem.constraints, which must hold the matrices of the stacks
     f = Polynomial.make(
         2, {(0, 0): 2.0, (1, 0): -2.0, (0, 1): -2.0, (2, 0): 1.0, (0, 2): 1.0}
     )
     program = build_qhat(PolyOptProblem(f, unit_disk()))
     problem, _ = program.to_sdp()
-    nonzeros = sum(np.count_nonzero(Ab) for Ab in problem.A)
-    entries = sum(Ab.size for Ab in problem.A)
+    stacks = [problem.stack(k) for k in range(len(problem.block_dims))]
+    nonzeros = sum(np.count_nonzero(Ab) for Ab in stacks)
+    entries = sum(Ab.size for Ab in stacks)
 
     tracer = Tracer()
     tracer.install()

@@ -190,9 +190,10 @@ def test_tensors_rows_and_coefficients(K, order):
         for g, rj in zip(K.constraints, K.half_degrees()):
             d = order - rj if form == "localizing" else 0
             tensors.append(ref_localizing_tensor(K.n, order, d, g))
-        for C, A, (ref_C, ref_A) in zip(
-            problem.C, problem.A, ref_stacks(tensors, program)
+        for k, (C, (ref_C, ref_A)) in enumerate(
+            zip(problem.C, ref_stacks(tensors, program))
         ):
+            A = problem.stack(k)
             assert np.array_equal(C, ref_C) and np.array_equal(A, ref_A)
 
 
@@ -256,10 +257,10 @@ def test_kernel_deflation_matches_reference_kernel(K):
                 ref_block_tensor(kept, idx, g)
                 for _, _, g, kept in _rho_blocks(K, j, d_j)
             ]
-            for C, A, (ref_C, ref_A) in zip(
-                problem.C, problem.A, ref_stacks(tensors, program)
+            for k, (C, (ref_C, ref_A)) in enumerate(
+                zip(problem.C, ref_stacks(tensors, program))
             ):
-                for M, ref in ((C, ref_C), (A, ref_A)):
+                for M, ref in ((C, ref_C), (problem.stack(k), ref_A)):
                     assert np.max(np.abs(M - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 

@@ -89,8 +89,8 @@ def test_primal_infeasible_ray():
     lam, Zs = s.ray_dual
     # ray certifies: b'lam = 1 with A*(lam) + Z = 0, Z >= 0
     assert float(P.b @ lam) == pytest.approx(1.0)
-    for Ab, Zb in zip(P.A, Zs):
-        atl = np.tensordot(lam, Ab, axes=(0, 0))
+    for k, Zb in enumerate(Zs):
+        atl = np.tensordot(lam, P.stack(k), axes=(0, 0))
         assert np.max(np.abs(atl + Zb)) <= 1e-7
         assert min_eigenvalue(Zb) >= -1e-9
 
@@ -222,6 +222,30 @@ def test_failure_exits_report_the_residuals_of_their_iterate(monkeypatch):
         assert set(sol.residuals) == set(want)
         for key, value in want.items():
             assert sol.residuals[key] == pytest.approx(value, rel=1e-5, abs=1e-15)
+
+
+def huge_objective(scale):
+    """min <scale I, X> s.t. tr X = 1 over one 3 x 3 block."""
+    return SdpProblem.make([3], [scale * np.eye(3)], [[np.eye(3)]], [1.0])
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e300])
+def test_huge_objective_fails_instead_of_raising(scale):
+    # the search direction overflows; the solve stops before the step
+    # length's eigenvalue solver, which raised LinAlgError on it
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = solve(huge_objective(scale))
+    assert s.status is SdpStatus.NUMERICAL_FAILURE
+    assert s.message == "nonfinite search direction"
+    assert s.X is not None and np.isfinite(s.X[0]).all()
+    assert set(s.residuals) == {"primal", "dual", "gap", "complementarity"}
+
+
+def test_large_objective_stops_without_progress():
+    # at 1e150 the directions stay finite, and the loop stops on its own
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = solve(huge_objective(1e150))
+    assert (s.status, s.message) == (SdpStatus.MAX_ITERATIONS, "no progress")
 
 
 def test_hsd_random_suite_kkt():
@@ -364,6 +388,39 @@ def test_rejects_asymmetry_naming_constraint_and_block():
     assert R.A[0].flags.c_contiguous and np.array_equal(R.A[0], A)
 
 
+def test_make_keeps_no_stack_of_a_one_hot_block():
+    # block 0 is one-hot: each position, and each column of a matrix, holds
+    # one entry at most; in block 1 position (0, 0) is in both constraints
+    A0 = np.zeros((2, 2, 2))
+    A0[0, 0, 0] = 1.0
+    A0[1, 0, 1] = A0[1, 1, 0] = 0.5
+    A1 = np.stack([np.eye(2), np.ones((2, 2))])
+    P = SdpProblem.make([2, 2], [np.eye(2), np.eye(2)], [A0, A1], [1.0, 2.0])
+    assert P.A[0] is None and P.one_hot[0] is not None
+    assert P.one_hot[1] is None and same_bytes(P.A[1], A1)
+    assert same_bytes(P.stack(0), A0) and P.stack(1) is P.A[1]
+    # the layer trace reads each constraint's matrices, rebuilt from entries
+    assert [(tuple(M.tolist() for M in mats), bi) for mats, bi in P.constraints] == [
+        ((A0[i].tolist(), A1[i].tolist()), bi) for i, bi in enumerate([1.0, 2.0])
+    ]
+
+
+@pytest.mark.parametrize(
+    "program",
+    [
+        lambda: build_qr(ball_quartic(3), 3),
+        lambda: moment_program_of(build_sdr(example_hyperbola_disk(), d=3)),
+    ],
+)
+def test_sdpa_dump_of_entries_is_the_dump_of_the_stacks(program):
+    # a one-hot block is written from its entries, in the lines its dense
+    # stack gives
+    P = program().to_sdp()[0]
+    assert P.A[0] is None
+    dense = SdpProblem(P.block_dims, P.C, tuple(stacks(P)), P.b, (None,) * len(P.A))
+    assert P.dump_sdpa() == dense.dump_sdpa()
+
+
 # sha256 of dump_sdpa as the per-entry loop rendered it; pins the vectorized
 # rendering to the same bytes
 SDPA_SHA256 = {
@@ -406,16 +463,26 @@ def schur_reference(A, Ws):
 )
 def test_schur_matrix_matches_dense_reference(problem, one_hot):
     P = problem()
-    patterns = [sdp._one_hot_pattern(Ab) for Ab in P.A]
-    classified = [pattern is not None for pattern in patterns]
+    classified = [pattern is not None for pattern in P.one_hot]
     assert classified == (one_hot or [False] * len(P.A))
     rng = np.random.default_rng(3)
     # the solver passes the NT factors G of W = G G'
     Gs = [rng.standard_normal((d, d)) / np.sqrt(d) for d in P.block_dims]
-    M = sdp._schur_matrix(P.A, Gs, patterns)
-    ref = schur_reference(P.A, [G @ G.T for G in Gs])
+    M = sdp._schur_matrix(P, Gs)
+    ref = schur_reference(stacks(P), [G @ G.T for G in Gs])
     assert np.max(np.abs(M - ref)) <= 1e-12 * np.max(np.abs(ref))
     assert np.array_equal(M, M.T)
+
+
+def stacks(P):
+    """The dense constraint stack of every block of P."""
+    return [P.stack(k) for k in range(len(P.block_dims))]
+
+
+def one_block(P, k):
+    """Block k of P alone, with the identity as its objective."""
+    n = P.block_dims[k]
+    return SdpProblem((n,), (np.eye(n),), (P.A[k],), P.b, (P.one_hot[k],))
 
 
 def one_hot_term_by_products(Ab, W, pattern):
@@ -434,14 +501,14 @@ def one_hot_term_by_products(Ab, W, pattern):
 
 @pytest.mark.parametrize("step", [7, 30])
 def test_one_hot_term_in_chunks_equals_full_products(monkeypatch, step):
-    Ab = build_qr(ball_quartic(3), 3).to_sdp()[0].A[0]
+    P = build_qr(ball_quartic(3), 3).to_sdp()[0]
+    Ab, pattern = P.stack(0), P.one_hot[0]
     p, n, _ = Ab.shape
     # p = 83: 12 or 3 chunks, of which the last is ragged
     assert p % step and p > 2 * step
     monkeypatch.setattr(sdp, "CHUNK_BYTES", step * 8 * n * n)
-    pattern = sdp._one_hot_pattern(Ab)
     G = np.random.default_rng(step).standard_normal((n, n)) / np.sqrt(n)
-    M = sdp._schur_matrix([Ab], [G], [pattern])
+    M = sdp._schur_matrix(one_block(P, 0), [G])
     # the gathered W A_i is the product itself, so the term is bit for bit
     assert np.array_equal(M, one_hot_term_by_products(Ab, G @ G.T, pattern))
 
@@ -464,7 +531,7 @@ def test_two_entries_in_a_column_is_not_one_hot():
     B[2, 0, 1] = B[2, 1, 0] = 2.0
     assert sdp._one_hot_pattern(B) is not None
     G = np.random.default_rng(4).standard_normal((3, 3))
-    M = sdp._schur_matrix([A], [G], [None])
+    M = sdp._schur_matrix(SdpProblem((3,), (np.eye(3),), (A,), np.zeros(3), (None,)), [G])
     ref = schur_reference([A], [G @ G.T])
     assert np.max(np.abs(M - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -480,9 +547,14 @@ def test_two_entries_in_a_column_is_not_one_hot():
     ],
 )
 def test_moment_blocks_are_one_hot(program):
-    Ab = program().to_sdp()[0].A[0]
-    pattern = sdp._one_hot_pattern(Ab)
-    assert pattern is not None
+    program = program()
+    P = program.to_sdp()[0]
+    # the stack of the SVD path, which the selected block's entries are
+    _, N = program._eliminate()
+    Ab = -program.blocks[0].apply(N.T)
+    assert sdp._one_hot_pattern(Ab) is not None
+    pattern = P.one_hot[0]
+    assert pattern is not None and P.A[0] is None
     # the (owner, row, col, value) entries are the whole block, by owner
     owner, row, col, value = pattern[4]
     assert np.all(np.diff(owner) >= 0)
@@ -501,7 +573,7 @@ def test_apply_At_scatters_one_hot_blocks():
     for lam in (rng.normal(size=P.num_constraints), np.zeros(P.num_constraints)):
         lam[::4] = 0.0
         lam[1::7] = -0.0
-        for Ab, M in zip(P.A, sdp._apply_At(P.A, P.one_hot, lam)):
+        for Ab, M in zip(stacks(P), sdp._apply_At(P, lam)):
             assert M.tobytes() == np.tensordot(lam, Ab, axes=(0, 0)).tobytes()
 
 
@@ -514,17 +586,32 @@ def moment_program_of(sdr):
 
 def test_one_hot_term_holds_no_full_stack():
     # Q_4 on the 4-ball: a (494, 70, 70) moment block, 19.4 MB
-    Ab = build_qr(ball_quartic(4), 4).to_sdp()[0].A[0]
-    p, n, _ = Ab.shape
-    pattern = sdp._one_hot_pattern(Ab)
+    P = one_block(build_qr(ball_quartic(4), 4).to_sdp()[0], 0)
+    p, n = P.num_constraints, P.block_dims[0]
     G = np.random.default_rng(0).standard_normal((n, n)) / np.sqrt(n)
     tracemalloc.start()
     try:
-        sdp._schur_matrix([Ab], [G], [pattern])
+        sdp._schur_matrix(P, [G])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < p * n * n * 8
+
+
+def test_schur_solver_drops_the_shifted_copy():
+    # M, its shifted copy, the factor and the inverse built from it are
+    # four p x p matrices; the copy goes once it is factored
+    rng = np.random.default_rng(8)
+    p = 300
+    Q = rng.standard_normal((p, p))
+    M = Q @ Q.T / p + np.eye(p)
+    tracemalloc.start()
+    try:
+        sdp._schur_solver(M, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * p * p
 
 
 def test_schur_solver_residual():
@@ -585,46 +672,90 @@ def symmetric_stack(rng, p, n):
     return A + A.transpose(0, 2, 1)
 
 
-def tensordot_apply_A(A, X):
-    out = np.zeros(len(A[0]))
-    for Ab, Xb in zip(A, X):
+def tensordot_apply_A(P, X):
+    out = np.zeros(P.num_constraints)
+    for Ab, Xb in zip(stacks(P), X):
         out += np.tensordot(Ab, Xb, axes=([1, 2], [0, 1]))
     return out
 
 
-def tensordot_apply_At(A, patterns, lam):
-    out = []
-    for Ab, pattern in zip(A, patterns):
-        if pattern is None:
-            out.append(np.tensordot(lam, Ab, axes=(0, 0)))
-            continue
-        owner, row, col, value = pattern[4]
-        Mb = np.zeros(Ab.shape[1:])
-        Mb[row, col] = lam[owner] * value + 0.0
-        out.append(Mb)
-    return out
+def tensordot_apply_At(P, lam):
+    return [np.tensordot(lam, Ab, axes=(0, 0)) for Ab in stacks(P)]
 
 
 def test_apply_A_and_At_are_the_contraction():
     # one gemv per block gives np.tensordot's bytes on dense stacks, on
     # one-hot moment stacks, with one constraint (p = 1) and with none
     rng = np.random.default_rng(3)
-    P = build_qr(ball_quartic(3), 3).to_sdp()[0]
+
+    def dense(A):
+        dims = tuple(Ab.shape[1] for Ab in A)
+        C = tuple(np.eye(n) for n in dims)
+        return SdpProblem(dims, C, tuple(A), np.zeros(len(A[0])), (None,) * len(A))
+
     cases = [
-        (list(P.A), list(P.one_hot)),
-        ([symmetric_stack(rng, 7, n) for n in (1, 4, 9)], [None] * 3),
-        ([symmetric_stack(rng, 1, n) for n in (1, 6)], [None] * 2),
-        ([np.zeros((0, n, n)) for n in (1, 3)], [None] * 2),
+        build_qr(ball_quartic(3), 3).to_sdp()[0],
+        dense([symmetric_stack(rng, 7, n) for n in (1, 4, 9)]),
+        dense([symmetric_stack(rng, 1, n) for n in (1, 6)]),
+        dense([np.zeros((0, n, n)) for n in (1, 3)]),
     ]
-    for A, patterns in cases:
-        p = len(A[0])
-        X = [symmetric_stack(rng, 1, Ab.shape[1])[0] for Ab in A]
-        assert same_bytes(sdp._apply_A(A, X), tensordot_apply_A(A, X))
-        lam = rng.normal(size=p)
+    for P in cases:
+        X = [symmetric_stack(rng, 1, n)[0] for n in P.block_dims]
+        assert same_bytes(sdp._apply_A(P, X), tensordot_apply_A(P, X))
+        lam = rng.normal(size=P.num_constraints)
         lam[::3] = -0.0
-        dense = tensordot_apply_At(A, [None] * len(A), lam)
-        for M, ref in zip(sdp._apply_At(A, patterns, lam), dense):
+        for M, ref in zip(sdp._apply_At(P, lam), tensordot_apply_At(P, lam)):
             assert same_bytes(M, ref)
+
+
+def first_constraints(P, k, p):
+    """Block k of P, one-hot, cut to its first p constraints and stored
+    as its entries."""
+    n = P.block_dims[k]
+    owner, row, col, value = P.one_hot[k][4]
+    keep = owner < p
+    flat = (owner[keep] * n + row[keep]) * n + col[keep]
+    pattern = sdp._entry_pattern(p, n, flat, value[keep])
+    return SdpProblem((n,), (np.eye(n),), (None,), np.zeros(p), (pattern,))
+
+
+@pytest.mark.parametrize(
+    "p, bounds",
+    [
+        # p = 0, 1 and 3 modulo 16, and below one chunk
+        (48, [0, 16, 32, 48]),
+        (49, [0, 16, 32, 49]),
+        (51, [0, 16, 32, 48, 51]),
+        (7, [0, 7]),
+        (1, [0, 1]),
+    ],
+)
+def test_apply_A_on_entries_is_the_whole_stack_product(monkeypatch, p, bounds):
+    # A(X) of a block stored as its entries runs on chunks of 16 rows; a
+    # last chunk of one row joins the one before, since numpy hands a
+    # single row to a dot product. The bytes are np.tensordot's over the
+    # whole stack
+    P = first_constraints(build_qr(ball_quartic(3), 3).to_sdp()[0], 0, p)
+    n = P.block_dims[0]
+    monkeypatch.setattr(sdp, "CHUNK_BYTES", 16 * 8 * n * n)
+    stack = P.stack(0)
+    chunks = [(lo, hi, Ab.copy()) for lo, hi, Ab in sdp._constraint_chunks(P, 0)]
+    assert [lo for lo, _, _ in chunks] + [p] == bounds
+    assert all(np.array_equal(Ab, stack[lo:hi]) for lo, hi, Ab in chunks)
+    rng = np.random.default_rng(p)
+    for _ in range(3):
+        X = [symmetric_stack(rng, 1, n)[0]]
+        assert same_bytes(sdp._apply_A(P, X), tensordot_apply_A(P, X))
+
+
+def test_apply_A_on_a_ladder_block_is_the_whole_stack_product():
+    # Q_4 on the 4-ball at the default chunk size: the (494, 70, 70) moment
+    # block in 16-row chunks, 494 = 14 mod 16
+    P = build_qr(ball_quartic(4), 4).to_sdp()[0]
+    assert P.A[0] is None
+    rng = np.random.default_rng(4)
+    X = [symmetric_stack(rng, 1, n)[0] for n in P.block_dims]
+    assert same_bytes(sdp._apply_A(P, X), tensordot_apply_A(P, X))
 
 
 @pytest.mark.parametrize(

@@ -85,9 +85,10 @@ class TestSosDecompose:
         assert value < -1e-9
 
     def test_gram_problem_pattern_is_the_scan(self, monkeypatch):
-        # the Gram problem is built without SdpProblem.make: its stack must
-        # equal its transpose and its pattern must be the scan's, entry for
-        # entry, or None with the scan for a basis that repeats a monomial
+        # the Gram problem is built without SdpProblem.make: its pattern
+        # must be the scan's of the dense stack E, entry for entry, or None
+        # with the scan for a basis that repeats a monomial, and then the
+        # stored stack is E
         problems = []
 
         def recording(problem, options=None):
@@ -98,15 +99,22 @@ class TestSosDecompose:
         p = random_sos_polynomial(np.random.default_rng(3), 2, 2)
         sos_decompose(p)
         sos_decompose(poly1([1.0, 2.0, 1.0]), basis=[(0,), (1,), (1,)])
+        bases = [monomial_basis(2, p.degree() // 2), [(0,), (1,), (1,)]]
         patterns = []
-        for problem in problems:
-            (E,), (pattern,) = problem.A, problem.one_hot
-            assert np.array_equal(E, E.transpose(0, 2, 1))
+        for problem, basis in zip(problems, bases):
+            # a unit entry wherever basis products hit the monomial
+            _, rows, cols, group = sos._gram_constraint_index(basis)
+            E = np.zeros((problem.num_constraints, len(basis), len(basis)))
+            E[group, rows, cols] = 1.0
+            E[group, cols, rows] = 1.0
+            (stored,), (pattern,) = problem.A, problem.one_hot
             scanned = sdp._one_hot_pattern(E)
             patterns.append(pattern)
             if pattern is None:
                 assert scanned is None
+                assert stored.tobytes() == E.tobytes()
                 continue
+            assert stored is None
             for a, b in zip([*pattern[:4], *pattern[4]], [*scanned[:4], *scanned[4]]):
                 assert a.tobytes() == b.tobytes()
         assert patterns[0] is not None and patterns[1] is None
