@@ -46,7 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -205,6 +205,19 @@ class SdpProblem:
         out = np.zeros((self.num_constraints, n, n))
         out[owner, row, col] = value
         return out
+
+    @cached_property
+    def _whole_stacks(self) -> Tuple[Optional[np.ndarray], ...]:
+        """Per block, the stack that A(X) reads whole: the stored one, or a
+        one-hot block's, built once from its entries, when it fits in
+        CHUNK_BYTES; None for a larger one-hot block, which A(X) builds a
+        chunk at a time (`_constraint_chunks`). Rebuilding a small block
+        in every A(X) would cost more than the product itself."""
+        p = self.num_constraints
+        return tuple(
+            self.stack(k) if Ab is not None or 8 * p * n * n <= CHUNK_BYTES else None
+            for k, (Ab, n) in enumerate(zip(self.A, self.block_dims))
+        )
 
     @property
     def constraints(self) -> Tuple[Tuple[Tuple[np.ndarray, ...], float], ...]:
@@ -381,9 +394,10 @@ def _constraint_chunks(
     problem: SdpProblem, k: int
 ) -> Iterator[Tuple[int, int, np.ndarray]]:
     """(lo, hi, stack) with the matrices of constraints lo..hi-1 in block
-    k, over all constraints in order: a stored stack whole, and a one-hot
-    block's entries scattered into one reused buffer of about CHUNK_BYTES,
-    zero elsewhere, that is cleared again after each chunk.
+    k, over all constraints in order: a stack of `_whole_stacks` whole, and
+    a larger one-hot block's entries scattered into one reused buffer of
+    about CHUNK_BYTES, zero elsewhere, that is cleared again after each
+    chunk.
 
     A chunk holds a multiple of 16 matrices, and a last chunk of one joins
     the chunk before it. Then one matrix-vector product per chunk gives
@@ -394,12 +408,12 @@ def _constraint_chunks(
     product, which sums in another order. Under more BLAS threads the
     whole-stack product is split between the threads, and its bytes can
     differ from those of the chunks."""
-    p, Ab, pattern = problem.num_constraints, problem.A[k], problem.one_hot[k]
-    if pattern is None:
+    p, Ab = problem.num_constraints, problem._whole_stacks[k]
+    if Ab is not None:
         yield 0, p, Ab
         return
     n = problem.block_dims[k]
-    owner, row, col, value = pattern[4]
+    owner, row, col, value = problem.one_hot[k][4]
     step = 16 * max(1, CHUNK_BYTES // (16 * 8 * n * n))
     bounds = list(range(0, p, step))
     if len(bounds) > 1 and p - bounds[-1] == 1:

@@ -312,26 +312,10 @@ def test_compiled_programs_skip_make_and_the_scan(monkeypatch):
 
 
 def test_selection_holds_no_basis_or_second_stack():
-    # Q_3 on the 6-ball: a (923, 84, 84) moment stack of 52.1 MB and a
-    # (923, 28, 28) localizing stack of 5.8 MB. The SVD path held the
-    # (924, 923) basis N (6.8 MB) and a negated copy of each stack
-    program = build_qr(ball_quartic(6), 3)
-    tracemalloc.start()
-    try:
-        problem, _ = program.to_sdp()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    stored = [A for A in problem.A if A is not None]
-    held = sum(A.nbytes for A in stored)
-    smallest = min(min(A.nbytes for A in stored), 924 * 923 * 8)
-    assert peak < held + smallest
-
-
-def test_ladder_compile_builds_no_moment_stack():
     # Q_3 on the 6-ball: the one-hot (923, 84, 84) moment block, 52.1 MB
-    # dense, is stored as its entries; the localizing block of 1 - |x|^2
-    # is not one-hot, and its (923, 28, 28) stack of 5.8 MB is built
+    # dense, is stored as its entries, and only the (923, 28, 28)
+    # localizing stack of 5.8 MB is built. The SVD path held the
+    # (924, 923) basis N (6.8 MB) and a negated copy of each stack
     program = build_qr(ball_quartic(6), 3)
     tracemalloc.start()
     try:
@@ -341,6 +325,10 @@ def test_ladder_compile_builds_no_moment_stack():
         tracemalloc.stop()
     assert problem.A[0] is None and problem.A[1].shape == (923, 28, 28)
     assert peak < 10e6
+    stored = [A for A in problem.A if A is not None]
+    held = sum(A.nbytes for A in stored)
+    smallest = min(min(A.nbytes for A in stored), 924 * 923 * 8)
+    assert peak < held + smallest
 
 
 # ---- elimination through the SVD basis --------------------------------------

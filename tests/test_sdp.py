@@ -695,6 +695,8 @@ def test_apply_A_and_At_are_the_contraction():
 
     cases = [
         build_qr(ball_quartic(3), 3).to_sdp()[0],
+        # the (494, 70, 70) moment block in chunks of 16, 494 = 14 mod 16
+        build_qr(ball_quartic(4), 4).to_sdp()[0],
         dense([symmetric_stack(rng, 7, n) for n in (1, 4, 9)]),
         dense([symmetric_stack(rng, 1, n) for n in (1, 6)]),
         dense([np.zeros((0, n, n)) for n in (1, 3)]),
@@ -746,16 +748,6 @@ def test_apply_A_on_entries_is_the_whole_stack_product(monkeypatch, p, bounds):
     for _ in range(3):
         X = [symmetric_stack(rng, 1, n)[0]]
         assert same_bytes(sdp._apply_A(P, X), tensordot_apply_A(P, X))
-
-
-def test_apply_A_on_a_ladder_block_is_the_whole_stack_product():
-    # Q_4 on the 4-ball at the default chunk size: the (494, 70, 70) moment
-    # block in 16-row chunks, 494 = 14 mod 16
-    P = build_qr(ball_quartic(4), 4).to_sdp()[0]
-    assert P.A[0] is None
-    rng = np.random.default_rng(4)
-    X = [symmetric_stack(rng, 1, n)[0] for n in P.block_dims]
-    assert same_bytes(sdp._apply_A(P, X), tensordot_apply_A(P, X))
 
 
 @pytest.mark.parametrize(
