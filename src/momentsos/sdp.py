@@ -33,12 +33,13 @@ block as its entries (its one-hot pattern), any other block as a dense
 (p, n_b, n_b) stack. The moment compiler and `sos_decompose` read the
 pattern off the block's layout, and `SdpProblem.make` finds it by scanning
 the stacks it is given. On a one-hot block A'y is a scatter of the
-entries, and A(X) scatters the entries into a buffer of CHUNK_BYTES, a
-chunk of constraints at a time, for the same matrix-vector product on
-each chunk that the whole stack would take; its bytes are those of the
-whole-stack product (`_constraint_chunks`). `SolverOptions` holds the two
-target tolerances; every other setting of the iteration is a module
-constant.
+entries. A(X) scatters a larger one-hot block's entries into a buffer of
+CHUNK_BYTES, a chunk of constraints at a time, for the same
+matrix-vector product on each chunk that the whole stack would take; its
+bytes are those of the whole-stack product (`_constraint_chunks`). A
+one-hot block that fits in CHUNK_BYTES is built once per problem and
+read whole. `SolverOptions` holds the two target tolerances; every other
+setting of the iteration is a module constant.
 """
 
 from __future__ import annotations
@@ -128,7 +129,8 @@ class SdpProblem:
 
     `make` validates dense input, symmetrizes it as 0.5 (A + A') and
     0.5 (C + C'), scans each stack for its pattern, and keeps only the
-    stacks that have none.
+    stacks that have none. The solver builds the dense stack of a small
+    one-hot block once, at its first A(X) (`_whole_stacks`).
     """
 
     block_dims: Tuple[int, ...]
@@ -433,11 +435,16 @@ def _apply_A(problem: SdpProblem, X: List[np.ndarray]) -> np.ndarray:
     """(<A_i, X>)_i, summed over the blocks in block order: per block, the
     matrix-vector product that `np.tensordot` makes, on chunks of the
     constraints (`_constraint_chunks`) with the same bytes."""
-    out = np.zeros(problem.num_constraints)
-    for k, Xb in enumerate(X):
+    p = problem.num_constraints
+    out = np.zeros(p)
+    for k, (Ab, Xb) in enumerate(zip(problem._whole_stacks, X)):
         x = Xb.reshape(-1)
-        for lo, hi, Ab in _constraint_chunks(problem, k):
-            out[lo:hi] += Ab.reshape(hi - lo, x.size) @ x
+        if Ab is not None:
+            # a small problem's A(X) is mostly per-call overhead
+            out += Ab.reshape(p, x.size) @ x
+            continue
+        for lo, hi, chunk in _constraint_chunks(problem, k):
+            out[lo:hi] += chunk.reshape(hi - lo, x.size) @ x
     return out
 
 
@@ -467,7 +474,8 @@ def _inner(Xs: List[np.ndarray], Ys: List[np.ndarray]) -> float:
 
 
 def _finite(Ms: Sequence[np.ndarray]) -> bool:
-    return all(np.isfinite(M).all() for M in Ms)
+    # one test on all entries costs less than one per block
+    return bool(np.isfinite(np.concatenate([np.ravel(M) for M in Ms])).all())
 
 
 def _direction_failure(step) -> str:
