@@ -1,7 +1,11 @@
 """Interior-point solver unit tests: known optima, KKT quality, rays."""
 
 import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -695,8 +699,6 @@ def test_apply_A_and_At_are_the_contraction():
 
     cases = [
         build_qr(ball_quartic(3), 3).to_sdp()[0],
-        # the (494, 70, 70) moment block in chunks of 16, 494 = 14 mod 16
-        build_qr(ball_quartic(4), 4).to_sdp()[0],
         dense([symmetric_stack(rng, 7, n) for n in (1, 4, 9)]),
         dense([symmetric_stack(rng, 1, n) for n in (1, 6)]),
         dense([np.zeros((0, n, n)) for n in (1, 3)]),
@@ -748,6 +750,44 @@ def test_apply_A_on_entries_is_the_whole_stack_product(monkeypatch, p, bounds):
     for _ in range(3):
         X = [symmetric_stack(rng, 1, n)[0]]
         assert same_bytes(sdp._apply_A(P, X), tensordot_apply_A(P, X))
+
+
+# A(X) of Q_4 on the 4-ball against np.tensordot over the whole stacks,
+# run under one BLAS thread: under more, OpenBLAS splits the whole-stack
+# product between threads and its bytes differ from the chunks'
+LADDER_APPLY_A = """
+import sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+from helpers import ball_quartic
+from momentsos import sdp
+from momentsos.hierarchy import build_qr
+P = build_qr(ball_quartic(4), 4).to_sdp()[0]
+assert P.A[0] is None and P._whole_stacks[0] is None
+rng = np.random.default_rng(4)
+X = [rng.standard_normal((n, n)) for n in P.block_dims]
+X = [M + M.T for M in X]
+ref = np.zeros(P.num_constraints)
+for k, Xb in enumerate(X):
+    ref += np.tensordot(P.stack(k), Xb, axes=([1, 2], [0, 1]))
+assert sdp._apply_A(P, X).tobytes() == ref.tobytes()
+"""
+
+
+def test_apply_A_on_a_ladder_block_is_the_whole_stack_product():
+    # the (494, 70, 70) moment block in chunks of 16 at the default
+    # CHUNK_BYTES, 494 = 14 mod 16
+    tests = str(Path(__file__).resolve().parent)
+    src = str(Path(sdp.__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", LADDER_APPLY_A, tests],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize(
