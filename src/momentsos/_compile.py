@@ -41,7 +41,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .poly import Polynomial, PreconditionFailure, SemialgebraicSet, basis_size
-from .moments import BlockSpec, MomentVector, _basis_and_index, _moment_pattern
+from .moments import BlockSpec, MomentVector, _basis, _moment_pattern
 from .sdp import (
     BLOCK_CAP,
     SdpProblem,
@@ -334,19 +334,20 @@ def relaxation_blocks(K: SemialgebraicSet, order: int, form: str) -> List[BlockS
     """M_order(z) >= 0 and, for each g_j of K, M_{order - r_j}(g_j z) >= 0
     (form "localizing") or the scalar row L_z(g_j) >= 0 (form "scalar")."""
     s = basis_size(K.n, 2 * order)
-    blocks = [_pattern_block("moment", _basis_and_index(K.n, order)[0], None, s)]
+    blocks = [_pattern_block("moment", _basis(K.n, order), None, s)]
     for j, (g, rj) in enumerate(zip(K.constraints, K.half_degrees()), start=1):
-        basis = _basis_and_index(K.n, order - rj if form == "localizing" else 0)[0]
+        basis = _basis(K.n, order - rj if form == "localizing" else 0)
         blocks.append(_pattern_block(f"{form}[{j}]", basis, g, s))
     return blocks
 
 
 def coefficient_row(n: int, order: int, p: Polynomial) -> np.ndarray:
     """Row vector r with r'z = L_z(p); the y0 row is that of the constant 1."""
-    outside = [a for a in p.terms if len(a) != n or sum(a) > 2 * order]
-    if outside:
+    outside = (p.exponents.sum(axis=1) > 2 * order) | (p.n != n)
+    if outside.any():
+        alpha = tuple(p.exponents[np.argmax(outside)].tolist())
         raise PreconditionFailure(
-            "deg p <= 2*order", f"{outside[0]} outside N^{n}_{2 * order}"
+            "deg p <= 2*order", f"{alpha} outside N^{n}_{2 * order}"
         )
     pattern = _moment_pattern(np.zeros((1, n), dtype=int), p)
     return np.bincount(pattern.index, pattern.coef, basis_size(n, 2 * order))

@@ -51,7 +51,7 @@ def _fmt(v: float) -> str:
 
 
 def _emit(args, artifact: dict) -> None:
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w") as fh:
             json.dump(artifact, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -412,6 +412,19 @@ def cmd_probe(args) -> int:
 # ---- argument parsing -----------------------------------------------------------
 
 
+# every flag a command may take; each command registers only those it reads
+FLAGS = {
+    "--order": dict(type=int, help="explicit relaxation/lift order"),
+    "--dmax": dict(type=int, help="maximum certification/relaxation order"),
+    "--tol": dict(type=float, help="closure tolerance"),
+    "--tau": dict(type=float, help="relative rank threshold for flatness"),
+    "--seed": dict(type=int, help="seed for all sampling flows"),
+    "--out": dict(help="write the JSON artifact to this path"),
+    "--force": dict(action="store_true", help="build the SDr without a certificate"),
+    "--dump-sdpa": dict(help="write the relaxation SDP in SDPA format"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="momentsos",
@@ -419,34 +432,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text):
+    def add(name, func, help_text, *flags):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("file", help="JSON problem file")
-        p.add_argument("--order", type=int, default=None,
-                       help="explicit relaxation/lift order")
-        p.add_argument("--dmax", type=int, default=None,
-                       help="maximum certification/relaxation order")
-        p.add_argument("--tol", type=float, default=None,
-                       help="closure tolerance")
-        p.add_argument("--tau", type=float, default=None,
-                       help="relative rank threshold for flatness")
-        p.add_argument("--seed", type=int, default=None,
-                       help="seed for all sampling flows")
-        p.add_argument("--out", default=None,
-                       help="write the JSON artifact to this path")
-        p.add_argument("--force", action="store_true",
-                       help="build the SDr without a certificate")
-        p.add_argument("--dump-sdpa", dest="dump_sdpa", default=None,
-                       help="write the relaxation SDP in SDPA format")
+        for flag, spec in FLAGS.items():
+            if flag in flags + ("--out",):
+                p.add_argument(flag, **spec)
         p.set_defaults(func=func)
-        return p
 
-    add("solve", cmd_solve, "run the relaxation hierarchy on min f over K")
-    add("certify", cmd_certify, "per-constraint convexity certification")
-    add("sdr", cmd_sdr, "build the semidefinite lift of a certified set")
+    add("solve", cmd_solve, "run the relaxation hierarchy on min f over K",
+        "--order", "--dmax", "--tol", "--tau", "--seed", "--dump-sdpa")
+    add("certify", cmd_certify, "per-constraint convexity certification",
+        "--dmax", "--tol", "--seed")
+    add("sdr", cmd_sdr, "build the semidefinite lift of a certified set",
+        "--order", "--dmax", "--tol", "--seed", "--force")
     add("jensen", cmd_jensen, "check L_y(f) >= f(L_y(X)) for a moment vector")
     add("sos-check", cmd_sos_check, "SOS and SOS-convexity decomposition")
-    add("probe", cmd_probe, "boundary nondegeneracy probe")
+    add("probe", cmd_probe, "boundary nondegeneracy probe", "--seed")
     return parser
 
 

@@ -53,12 +53,13 @@ from ._compile import (
     moment_program,
     relaxation_blocks,
 )
-from .moments import MomentVector, _basis_and_index, _grlex_index, _moment_pattern
+from .moments import MomentVector, _basis, _moment_pattern
 from .poly import (
     Monomial,
     Polynomial,
     PreconditionFailure,
     SemialgebraicSet,
+    _grlex_index,
     basis_size,
     monomial_basis,
 )
@@ -71,15 +72,14 @@ from .sos import SosWitness
 
 def lift_to_xy(p: Polynomial, side: str) -> Polynomial:
     """Embed p(X) into R[X, Y] as p(X) (side="x") or p(Y) (side="y")."""
-    n = p.n
-    zero = (0,) * n
+    zero = np.zeros_like(p.exponents)
     if side == "x":
-        terms = {alpha + zero: c for alpha, c in p.terms.items()}
+        exponents = np.hstack([p.exponents, zero])
     elif side == "y":
-        terms = {zero + alpha: c for alpha, c in p.terms.items()}
+        exponents = np.hstack([zero, p.exponents])
     else:
         raise PreconditionFailure('side in {"x", "y"}', side)
-    return Polynomial.make(2 * n, terms)
+    return Polynomial(2 * p.n, exponents, p.coefficients)
 
 
 def gradient_pairing(g: Polynomial) -> Polynomial:
@@ -97,18 +97,14 @@ def gradient_pairing(g: Polynomial) -> Polynomial:
 
 def _quadratic_part(g: Polynomial) -> np.ndarray:
     """Q with g = c + b'x + x'Qx; requires deg g <= 2."""
-    n = g.n
-    Q = np.zeros((n, n))
-    for alpha, c in g.terms.items():
-        if sum(alpha) != 2:
-            continue
-        idx = [i for i, e in enumerate(alpha) for _ in range(e)]
-        i, j = idx
-        if i == j:
-            Q[i, i] += c
-        else:
-            Q[i, j] += 0.5 * c
-            Q[j, i] += 0.5 * c
+    quadratic = g.exponents.sum(axis=1) == 2
+    E, half = g.exponents[quadratic] > 0, 0.5 * g.coefficients[quadratic]
+    # the first and last variable of each term; X_i^2 adds half twice
+    i = np.argmax(E, axis=1)
+    j = g.n - 1 - np.argmax(E[:, ::-1], axis=1)
+    Q = np.zeros((g.n, g.n))
+    np.add.at(Q, (i, j), half)
+    np.add.at(Q, (j, i), half)
     return Q
 
 
@@ -135,15 +131,14 @@ def _rho_blocks(
     half = K.half_degrees()
     ideal = lift_to_xy(K.constraints[j - 1], "y")
     budget = 2 * (d_j - half[j - 1])
-    gammas, _ = ideal.term_arrays
-    lead = gammas[np.argmax(_grlex_index(gammas))]
+    lead = ideal.exponents[np.argmax(_grlex_index(ideal.exponents))]
 
     def kept(D: int, w: int) -> List[Monomial]:
         basis = monomial_basis(n2, D)
         max_p_deg = min(D - ideal.degree(), budget - w - D)
         keep = np.ones(len(basis), dtype=bool)
         if max_p_deg >= 0:
-            keep[_grlex_index(_basis_and_index(n2, max_p_deg)[0] + lead)] = False
+            keep[_grlex_index(_basis(n2, max_p_deg) + lead)] = False
         return [a for a, k in zip(basis, keep) if k]
 
     blocks = [(0, "x", Polynomial.constant(n2, 1.0), kept(d_j, 0))]
@@ -186,7 +181,7 @@ def rho_program(K: SemialgebraicSet, j: int, d_j: int) -> MomentSdp:
 
     # column 0 of the pattern of S(g_j(Y) z) pairs each m with the constant
     # monomial, so its entries are the coefficients of g_j(Y) m
-    multipliers = _basis_and_index(n2, 2 * (d_j - half[j - 1]))[0]
+    multipliers = _basis(n2, 2 * (d_j - half[j - 1]))
     pattern = _moment_pattern(multipliers, lift_to_xy(g_j, "y"))
     first = pattern.col == 0
     eq_rows = np.zeros((len(multipliers), s))

@@ -131,12 +131,8 @@ def ball_augment(K: SemialgebraicSet, M: float) -> SemialgebraicSet:
     """Append the redundant ball constraint M^2 - ||X||^2 >= 0."""
     if not M > 0:
         raise PreconditionFailure("M > 0", str(M))
-    terms = {tuple([0] * K.n): M * M}
-    for i in range(K.n):
-        a = [0] * K.n
-        a[i] = 2
-        terms[tuple(a)] = -1.0
-    g = Polynomial.make(K.n, terms)
+    exponents = np.vstack([np.zeros((1, K.n), dtype=int), 2 * np.eye(K.n, dtype=int)])
+    g = Polynomial.from_arrays(K.n, exponents, np.r_[M * M, -np.ones(K.n)])
     return SemialgebraicSet(K.n, K.constraints + (g,), ball_bound=float(M))
 
 

@@ -7,10 +7,9 @@ downstream relaxations.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -18,6 +17,7 @@ from .poly import (
     Monomial,
     Polynomial,
     PreconditionFailure,
+    _grlex_index,
     _monomial_values,
     basis_size,
     monomial_basis,
@@ -26,27 +26,11 @@ from .sdp import numeric_rank
 
 
 @lru_cache(maxsize=None)
-def _basis_and_index(n: int, d: int) -> Tuple[np.ndarray, Dict[Monomial, int]]:
-    """monomial_basis(n, d) as a read-only (s(d), n) exponent array, and the
-    map from exponent tuple to position."""
-    basis = monomial_basis(n, d)
-    exponents = np.array(basis, dtype=int).reshape(-1, n)
+def _basis(n: int, d: int) -> np.ndarray:
+    """monomial_basis(n, d) as a read-only (s(d), n) exponent array."""
+    exponents = np.array(monomial_basis(n, d), dtype=int).reshape(-1, n)
     exponents.flags.writeable = False
-    return exponents, {alpha: i for i, alpha in enumerate(basis)}
-
-
-def _grlex_index(exponents: np.ndarray) -> np.ndarray:
-    """Position of each exponent row in the graded-lex order of
-    monomial_basis, the same for every degree bound: the sum over variables
-    j of C(t_j + n-j-1, n-j), with t_j the row's degree in variables j..n-1
-    (monomials of lower degree for j = 0, then those of equal degree that
-    agree with the row before variable j-1 and exceed it there)."""
-    n = exponents.shape[1]
-    tails = np.cumsum(exponents[:, ::-1], axis=1)[:, ::-1]
-    v = np.arange(n, 0, -1)
-    rows = range(int(tails.max(initial=0)) + n)
-    binom = np.array([[math.comb(a, b) for b in range(n + 1)] for a in rows])
-    return binom[tails + v - 1, v].sum(axis=1)
+    return exponents
 
 
 class MomentPattern(NamedTuple):
@@ -77,7 +61,7 @@ def _moment_pattern(
     if g is None:
         gammas, coefs = np.zeros((1, n), dtype=int), np.ones(1)
     else:
-        gammas, coefs = g.term_arrays
+        gammas, coefs = g.exponents, g.coefficients
     exponent = (basis[rows, None] + basis[cols, None] + gammas).reshape(-1, n)
     return MomentPattern(
         np.repeat(rows, len(coefs)),
@@ -104,7 +88,7 @@ class BlockSpec:
         label: str, basis, g: Optional[Polynomial] = None
     ) -> "BlockSpec":
         """S(g z), or S(z) when g is None, over the exponent rows `basis`."""
-        coef = np.ones(1) if g is None else g.term_arrays[1]
+        coef = np.ones(1) if g is None else g.coefficients
         index = _moment_pattern(basis, g).index.reshape(len(basis), len(basis), -1)
         return BlockSpec(label, np.ascontiguousarray(np.moveaxis(index, 2, 0)), coef)
 
@@ -139,18 +123,6 @@ class BlockSpec:
             layer *= c
             out += layer
         return out
-
-
-def _collect_terms(n: int, pattern: MomentPattern, weights) -> Polynomial:
-    """sum_k weights[k] X^exponent[k] over the pattern's entries; equal
-    monomials are summed in entry order, and terms keep first appearance."""
-    _, first, inverse = np.unique(
-        pattern.index, return_index=True, return_inverse=True
-    )
-    sums = np.bincount(inverse, weights=weights)
-    keys = pattern.exponent[first].tolist()
-    order = np.argsort(first)
-    return Polynomial.make(n, {tuple(keys[k]): sums[k] for k in order})
 
 
 @dataclass(frozen=True)
@@ -193,8 +165,7 @@ class MomentVector:
         if len(points) == 0:
             raise PreconditionFailure("at least one atom")
         n = points.shape[1]
-        basis, _ = _basis_and_index(n, 2 * order)
-        atoms = _monomial_values(points, basis)
+        atoms = _monomial_values(points, _basis(n, 2 * order))
         # a numpy sum, not a BLAS product: independent of the thread count
         vals = (np.asarray(weights, dtype=float)[:, None] * atoms).sum(axis=0)
         return MomentVector(n, order, vals, provenance="measure")
@@ -202,13 +173,12 @@ class MomentVector:
     # ---- indexing --------------------------------------------------------
 
     def index_of(self, alpha: Monomial) -> int:
-        _, idx = _basis_and_index(self.n, 2 * self.order)
-        key = tuple(alpha)
-        if key not in idx:
+        key = np.array([alpha], dtype=int)
+        if key.shape != (1, self.n) or key.min() < 0 or key.sum() > 2 * self.order:
             raise PreconditionFailure(
-                "degree within 2*order", f"{key} exceeds {2 * self.order}"
+                "degree within 2*order", f"{tuple(alpha)} exceeds {2 * self.order}"
             )
-        return idx[key]
+        return int(_grlex_index(key)[0])
 
     @property
     def y0(self) -> float:
@@ -238,9 +208,11 @@ def riesz(y: MomentVector, p: Polynomial) -> float:
         raise PreconditionFailure(
             "deg(p) <= 2*order(y)", f"{p.degree()} > {2 * y.order}"
         )
+    # term by term, in stored order: no BLAS dot, whose rounding would
+    # depend on the thread count
     total = 0.0
-    for alpha, c in p.terms.items():
-        total += c * y.values[y.index_of(alpha)]
+    for c, v in zip(p.coefficients.tolist(), y.values[_grlex_index(p.exponents)]):
+        total += c * v
     return total
 
 
@@ -254,7 +226,7 @@ def moment_matrix(y: MomentVector, d: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _moment_matrix_index(n: int, d: int) -> np.ndarray:
     """The moment index of each entry of M_d, read-only."""
-    index = BlockSpec.from_pattern("moment", _basis_and_index(n, d)[0]).index[0]
+    index = BlockSpec.from_pattern("moment", _basis(n, d)).index[0]
     index.flags.writeable = False
     return index
 
@@ -267,8 +239,7 @@ def localizing_matrix(y: MomentVector, g: Polynomial, d: int) -> np.ndarray:
         raise PreconditionFailure(
             "2d + deg g <= 2*order(y)", f"{2 * d + g.degree()} > {2 * y.order}"
         )
-    basis, _ = _basis_and_index(y.n, d)
-    return BlockSpec.from_pattern("localizing", basis, g).apply(y.values)
+    return BlockSpec.from_pattern("localizing", _basis(y.n, d), g).apply(y.values)
 
 
 class FlatnessReport(NamedTuple):

@@ -1,26 +1,29 @@
 """Sparse multivariate polynomial arithmetic and calculus.
 
-Monomials are exponent tuples alpha in N^n, polynomials are finite maps
-alpha -> coefficient. Everything downstream (moment matrices, Gram bases,
-SDP lifts) indexes into the graded-lexicographic monomial basis produced by
-:func:`monomial_basis`, so that ordering is fixed here once and never
-revisited.
+Monomials are exponent tuples alpha in N^n; a polynomial stores its terms
+as an exponent array and a coefficient vector. Everything downstream
+(moment matrices, Gram bases, SDP lifts) indexes into the
+graded-lexicographic monomial basis produced by :func:`monomial_basis`,
+whose positions `_grlex_index` computes, so that ordering is fixed here once
+and never revisited.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
+from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 Monomial = Tuple[int, ...]
 
-# Coefficients with magnitude at or below this are dropped after arithmetic.
+# Input coefficients with magnitude at or below this are dropped by `make`
+# and `from_json`, and printed terms by `__str__`; arithmetic never prunes.
 ZERO_TOL = 1e-12
 
 
@@ -31,12 +34,6 @@ class PreconditionFailure(ValueError):
         self.clause = clause
         msg = clause if not detail else f"{clause}: {detail}"
         super().__init__(msg)
-
-
-def grlex_key(alpha: Monomial) -> tuple:
-    # graded lex: sort by total degree, then lexicographically with X1 the
-    # most significant variable (larger exponent on X1 comes first).
-    return (sum(alpha), tuple(-e for e in alpha))
 
 
 def monomial_basis(n: int, d: int) -> List[Monomial]:
@@ -63,6 +60,29 @@ def basis_size(n: int, d: int) -> int:
     return math.comb(n + d, d)
 
 
+@lru_cache(maxsize=None)
+def _binomials(rows: int, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The read-only table C(t + n-j-1, n-j) for t < rows and j < n, flat
+    at j * rows + t, and the offsets j * rows."""
+    table = np.array(
+        [math.comb(t + n - j - 1, n - j) for j in range(n) for t in range(rows)]
+    )
+    table.flags.writeable = False
+    return table, np.arange(n) * rows
+
+
+def _grlex_index(exponents: np.ndarray) -> np.ndarray:
+    """Position of each exponent row in the graded-lex order of
+    monomial_basis, the same for every degree bound: the sum over variables
+    j of C(t_j + n-j-1, n-j), with t_j the row's degree in variables j..n-1
+    (monomials of lower degree for j = 0, then those of equal degree that
+    agree with the row before variable j-1 and exceed it there)."""
+    tails = np.cumsum(exponents[:, ::-1], axis=1)[:, ::-1]
+    rows = int(tails[:, 0].max(initial=0)) + 1
+    table, offsets = _binomials(rows, exponents.shape[1])
+    return table[tails + offsets].sum(axis=1)
+
+
 def _monomial_values(points: np.ndarray, exponents: np.ndarray) -> np.ndarray:
     """out[k, t] = prod_i points[k, i] ** exponents[t, i] for points (N, n)
     and exponents (T, n).
@@ -84,87 +104,109 @@ def _monomial_values(points: np.ndarray, exponents: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Polynomial:
     """Sparse real polynomial in n variables.
 
-    `terms` maps exponent tuples to nonzero coefficients. Instances are
-    treated as immutable; use the arithmetic operators, which prune
-    coefficients below ZERO_TOL.
+    Term t is coefficients[t] * X^exponents[t], with `exponents` a read-only
+    (T, n) integer array of distinct rows and `coefficients` a read-only
+    (T,) vector of nonzeros. Instances are immutable. Arithmetic merges
+    equal monomials and drops only exact zeros; coefficients at or below
+    ZERO_TOL are dropped only at input (`make`, `from_json`).
     """
 
     n: int
-    terms: Mapping[Monomial, float] = field(default_factory=dict)
+    exponents: np.ndarray
+    coefficients: np.ndarray
 
     def __post_init__(self):
-        for alpha in self.terms:
-            if len(alpha) != self.n:
-                raise PreconditionFailure(
-                    "monomial length equals variable count",
-                    f"{alpha} vs n={self.n}",
-                )
-            if any(e < 0 for e in alpha):
-                raise PreconditionFailure("exponents nonnegative", str(alpha))
+        self.exponents.flags.writeable = False
+        self.coefficients.flags.writeable = False
 
     # ---- constructors -------------------------------------------------
 
     @staticmethod
+    def from_arrays(n: int, exponents, coefficients) -> "Polynomial":
+        """sum_t coefficients[t] X^exponents[t] over exponent rows (T, n).
+
+        Equal rows are summed in input order, from 0.0 (`np.bincount`), as
+        a dict accumulated term by term would; terms keep their first
+        appearance, and only exact zeros are dropped."""
+        exponents = np.asarray(exponents, dtype=int).reshape(-1, n)
+        _, first, inverse = np.unique(
+            _grlex_index(exponents), return_index=True, return_inverse=True
+        )
+        sums = np.bincount(inverse, weights=coefficients, minlength=len(first))
+        order = np.argsort(first)
+        order = order[sums[order] != 0.0]
+        return Polynomial(n, exponents[first[order]], sums[order])
+
+    @staticmethod
+    def sum_of(n: int, polys: Iterable["Polynomial"]) -> "Polynomial":
+        """The sum of `polys`, merged once over all their terms in order."""
+        polys = [Polynomial.zero(n), *polys]
+        return Polynomial.from_arrays(
+            n,
+            np.concatenate([p.exponents for p in polys]),
+            np.concatenate([p.coefficients for p in polys]),
+        )
+
+    @staticmethod
     def make(n: int, terms: Mapping[Monomial, float]) -> "Polynomial":
-        """Normalized constructor: merges duplicates, prunes near-zeros."""
-        clean: Dict[Monomial, float] = {}
-        for alpha, c in terms.items():
-            key = tuple(int(e) for e in alpha)
-            clean[key] = clean.get(key, 0.0) + float(c)
-        clean = {a: c for a, c in clean.items() if abs(c) > ZERO_TOL}
-        return Polynomial(n, clean)
+        """The polynomial of an input map from distinct monomials alpha to
+        coefficients, without those at or below ZERO_TOL in magnitude."""
+        for alpha in terms:
+            if len(alpha) != n:
+                raise PreconditionFailure(
+                    "monomial length equals variable count", f"{alpha} vs n={n}"
+                )
+            if any(e < 0 or e != int(e) for e in alpha):
+                raise PreconditionFailure("exponents nonnegative integers", str(alpha))
+        exponents = np.array(list(terms), dtype=int).reshape(len(terms), n)
+        coefficients = np.array(list(terms.values()), dtype=float)
+        keep = np.abs(coefficients) > ZERO_TOL
+        return Polynomial(n, exponents[keep], coefficients[keep])
 
     @staticmethod
     def zero(n: int) -> "Polynomial":
-        return Polynomial(n, {})
+        return Polynomial(n, np.zeros((0, n), dtype=int), np.zeros(0))
 
     @staticmethod
     def constant(n: int, c: float) -> "Polynomial":
-        return Polynomial.make(n, {tuple([0] * n): c})
+        return Polynomial(n, np.zeros((1, n), dtype=int), np.ones(1)) * float(c)
 
     @staticmethod
     def variable(n: int, i: int) -> "Polynomial":
         """The coordinate polynomial X_{i+1} (0-based index i)."""
         if not 0 <= i < n:
             raise PreconditionFailure("variable index in range", f"i={i}, n={n}")
-        alpha = [0] * n
-        alpha[i] = 1
-        return Polynomial(n, {tuple(alpha): 1.0})
+        return Polynomial.monomial(n, tuple(int(k == i) for k in range(n)))
 
     @staticmethod
     def monomial(n: int, alpha: Monomial, c: float = 1.0) -> "Polynomial":
-        return Polynomial.make(n, {tuple(alpha): c})
+        return Polynomial.make(n, {tuple(alpha): 1.0}) * float(c)
 
     # ---- basic queries ------------------------------------------------
 
+    @cached_property
+    def terms(self) -> Mapping[Monomial, float]:
+        """The terms as a read-only map from exponent tuple to coefficient,
+        in stored order."""
+        keys = map(tuple, self.exponents.tolist())
+        return MappingProxyType(dict(zip(keys, self.coefficients.tolist())))
+
     def degree(self) -> int:
         """Max total degree over stored terms; 0 for the zero polynomial."""
-        if not self.terms:
-            return 0
-        return max(sum(a) for a in self.terms)
-
-    @cached_property
-    def term_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The exponent matrix (T, n) and the coefficient vector (T,) of the
-        terms, in stored order; computed once and read-only."""
-        exponents = np.array(list(self.terms), dtype=int).reshape(-1, self.n)
-        coefficients = np.array(list(self.terms.values()), dtype=float)
-        exponents.flags.writeable = False
-        coefficients.flags.writeable = False
-        return exponents, coefficients
+        return int(self.exponents.sum(axis=1).max(initial=0))
 
     def l1_norm(self) -> float:
-        return sum(abs(c) for c in self.terms.values())
+        return sum(np.abs(self.coefficients).tolist())
 
     def coeff(self, alpha: Monomial) -> float:
         return self.terms.get(tuple(alpha), 0.0)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not len(self.coefficients)
 
     def __call__(self, x: Sequence[float]) -> float:
         return self.eval(x)
@@ -180,9 +222,9 @@ class Polynomial:
         if pts.ndim not in (1, 2) or pts.shape[-1] != self.n:
             raise PreconditionFailure("dim(x) = n", f"{pts.shape} vs {self.n}")
         batch = pts.reshape(-1, self.n)
-        values = _monomial_values(batch, self.term_arrays[0])
+        values = _monomial_values(batch, self.exponents)
         total = np.zeros(len(batch))
-        for t, c in enumerate(self.terms.values()):
+        for t, c in enumerate(self.coefficients.tolist()):
             total += c * values[:, t]
         return total if pts.ndim == 2 else float(total[0])
 
@@ -198,15 +240,16 @@ class Polynomial:
         if isinstance(other, (int, float)):
             other = Polynomial.constant(self.n, other)
         self._check_same_n(other)
-        out = dict(self.terms)
-        for alpha, c in other.terms.items():
-            out[alpha] = out.get(alpha, 0.0) + c
-        return Polynomial.make(self.n, out)
+        return Polynomial.from_arrays(
+            self.n,
+            np.concatenate([self.exponents, other.exponents]),
+            np.concatenate([self.coefficients, other.coefficients]),
+        )
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.n, {a: -c for a, c in self.terms.items()})
+        return Polynomial(self.n, self.exponents, -self.coefficients)
 
     def __sub__(self, other) -> "Polynomial":
         if isinstance(other, (int, float)):
@@ -218,18 +261,15 @@ class Polynomial:
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, float)):
-            if other == 0:
-                return Polynomial.zero(self.n)
-            return Polynomial.make(
-                self.n, {a: c * other for a, c in self.terms.items()}
-            )
+            coefficients = self.coefficients * other
+            keep = coefficients != 0.0
+            return Polynomial(self.n, self.exponents[keep], coefficients[keep])
         self._check_same_n(other)
-        out: Dict[Monomial, float] = {}
-        for a, ca in self.terms.items():
-            for b, cb in other.terms.items():
-                key = tuple(x + y for x, y in zip(a, b))
-                out[key] = out.get(key, 0.0) + ca * cb
-        return Polynomial.make(self.n, out)
+        return Polynomial.from_arrays(
+            self.n,
+            self.exponents[:, None] + other.exponents[None],
+            np.multiply.outer(self.coefficients, other.coefficients).reshape(-1),
+        )
 
     __rmul__ = __mul__
 
@@ -248,7 +288,7 @@ class Polynomial:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.n == other.n and dict(self.terms) == dict(other.terms)
+        return self.n == other.n and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.n, frozenset(self.terms.items())))
@@ -259,14 +299,11 @@ class Polynomial:
         """Partial derivative with respect to X_{i+1}."""
         if not 0 <= i < self.n:
             raise PreconditionFailure("variable index in range", f"i={i}")
-        out: Dict[Monomial, float] = {}
-        for alpha, c in self.terms.items():
-            if alpha[i] == 0:
-                continue
-            beta = list(alpha)
-            beta[i] -= 1
-            out[tuple(beta)] = out.get(tuple(beta), 0.0) + c * alpha[i]
-        return Polynomial.make(self.n, out)
+        rows = self.exponents[:, i] > 0
+        exponents = self.exponents[rows]
+        coefficients = self.coefficients[rows] * exponents[:, i]
+        exponents[:, i] -= 1
+        return Polynomial(self.n, exponents, coefficients)
 
     def gradient(self) -> List["Polynomial"]:
         return [self.diff(i) for i in range(self.n)]
@@ -295,9 +332,9 @@ class Polynomial:
             raise PreconditionFailure("univariate outer polynomial", f"n={self.n}")
         result = Polynomial.zero(inner.n)
         power = Polynomial.constant(inner.n, 1.0)
-        by_degree = sorted(self.terms.items(), key=lambda kv: kv[0][0])
+        degrees = self.exponents[:, 0].tolist()
         prev = 0
-        for (k,), c in by_degree:
+        for k, c in sorted(zip(degrees, self.coefficients.tolist())):
             for _ in range(k - prev):
                 power = power * inner
             prev = k
@@ -306,12 +343,17 @@ class Polynomial:
 
     # ---- rendering / serialization -------------------------------------
 
+    def _grlex_terms(self) -> List[Tuple[Monomial, float]]:
+        """(alpha, coefficient) of every stored term, graded-lex ordered."""
+        order = np.argsort(_grlex_index(self.exponents))
+        keys = map(tuple, self.exponents[order].tolist())
+        return list(zip(keys, self.coefficients[order].tolist()))
+
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
         parts = []
-        for alpha in sorted(self.terms, key=grlex_key):
-            c = self.terms[alpha]
+        for alpha, c in self._grlex_terms():
+            if abs(c) <= ZERO_TOL:
+                continue
             mono = "*".join(
                 f"X{i + 1}" + (f"^{e}" if e > 1 else "")
                 for i, e in enumerate(alpha)
@@ -321,14 +363,15 @@ class Polynomial:
                 parts.append(f"{c:+g}*{mono}")
             else:
                 parts.append(f"{c:+g}")
-        out = " ".join(parts)
+        out = " ".join(parts) or "0"
         return out[1:] if out.startswith("+") else out
 
     def to_json(self) -> List[dict]:
-        """List of {"exponents": [...], "coeff": c}, graded-lex ordered."""
+        """List of {"exponents": [...], "coeff": c}, graded-lex ordered,
+        one per stored term."""
         return [
-            {"exponents": list(alpha), "coeff": self.terms[alpha]}
-            for alpha in sorted(self.terms, key=grlex_key)
+            {"exponents": list(alpha), "coeff": c}
+            for alpha, c in self._grlex_terms()
         ]
 
     @staticmethod
@@ -336,7 +379,7 @@ class Polynomial:
         """Parse the serialized term list; duplicate monomials are an error."""
         terms: Dict[Monomial, float] = {}
         for item in data:
-            alpha = tuple(int(e) for e in item["exponents"])
+            alpha = tuple(item["exponents"])
             if len(alpha) != n:
                 raise PreconditionFailure(
                     "monomial length equals variable count", str(alpha)
@@ -411,14 +454,11 @@ def theta_polynomial(n: int, r: int) -> Polynomial:
     """theta_r(X) = 1 + sum_{k=1..r} sum_i X_i^{2k} / k!."""
     if r < 0:
         raise PreconditionFailure("r >= 0", str(r))
-    terms: Dict[Monomial, float] = {tuple([0] * n): 1.0}
+    exponents, weights = [np.zeros((1, n), dtype=int)], [1.0]
     for k in range(1, r + 1):
-        w = 1.0 / math.factorial(k)
-        for i in range(n):
-            alpha = [0] * n
-            alpha[i] = 2 * k
-            terms[tuple(alpha)] = terms.get(tuple(alpha), 0.0) + w
-    return Polynomial.make(n, terms)
+        exponents.append(2 * k * np.eye(n, dtype=int))
+        weights += [1.0 / math.factorial(k)] * n
+    return Polynomial.from_arrays(n, np.vstack(exponents), weights)
 
 
 def theta_perturbation(f: Polynomial, eps: float, r: int) -> Polynomial:
@@ -441,11 +481,11 @@ def _shift_scale_powers(p: Polynomial, u: Sequence[float]) -> List[Polynomial]:
     Exact binomial expansion per term, collected by s-degree.
     """
     n = p.n
-    out: Dict[int, Dict[Monomial, float]] = {}
+    parts: Dict[int, List[Polynomial]] = {}
     x_minus_u = [
         Polynomial.variable(n, i) - Polynomial.constant(n, u[i]) for i in range(n)
     ]
-    for alpha, c in p.terms.items():
+    for alpha, c in zip(p.exponents.tolist(), p.coefficients.tolist()):
         # product over i of (u_i + s*(X_i - u_i))^alpha_i, tracked as a map
         # s-degree -> Polynomial in X
         acc: Dict[int, Polynomial] = {0: Polynomial.constant(n, c)}
@@ -468,11 +508,9 @@ def _shift_scale_powers(p: Polynomial, u: Sequence[float]) -> List[Polynomial]:
                     nxt[sd + b] = term if cur is None else cur + term
             acc = nxt
         for sd, poly in acc.items():
-            tgt = out.setdefault(sd, {})
-            for a2, c2 in poly.terms.items():
-                tgt[a2] = tgt.get(a2, 0.0) + c2
-    top = max(out) if out else 0
-    return [Polynomial.make(n, out.get(k, {})) for k in range(top + 1)]
+            parts.setdefault(sd, []).append(poly)
+    top = max(parts, default=0)
+    return [Polynomial.sum_of(n, parts.get(k, [])) for k in range(top + 1)]
 
 
 def averaged_hessian_remainder(

@@ -17,7 +17,6 @@ import numpy as np
 
 from .moments import (
     MomentVector,
-    _collect_terms,
     _moment_pattern,
     mean_point,
     moment_matrix,
@@ -44,7 +43,7 @@ class SosWitness:
 
     def reconstruct(self, n: int) -> Polynomial:
         pattern = _moment_pattern(self.basis)
-        return _collect_terms(n, pattern, self.gram.reshape(-1))
+        return Polynomial.from_arrays(n, pattern.exponent, self.gram.reshape(-1))
 
     def to_json(self) -> dict:
         return {
@@ -207,8 +206,6 @@ class SosConvexity:
     status: str  # "sos_convex" | "not_sos_convex" | solver failure passthrough
     witness: Optional[MatrixSosWitness] = None
     reason: str = ""
-    # pointwise Hessian violation when one was found by sampling
-    counterexample: Optional[dict] = None
 
     @property
     def is_sos_convex(self) -> bool:
@@ -218,23 +215,19 @@ class SosConvexity:
 def scalarize_hessian(f: Polynomial) -> Polynomial:
     """(X,W) -> W' Hess f(X) W as a polynomial in 2n variables."""
     n = f.n
-    hess = f.hessian()
-    out = Polynomial.zero(2 * n)
-    for i in range(n):
-        for j in range(n):
-            h = hess[i][j]
-            if h.is_zero():
-                continue
-            terms = {}
-            for alpha, c in h.terms.items():
-                w = [0] * (2 * n)
-                w[: n] = list(alpha)
-                w[n + i] += 1
-                w[n + j] += 1
-                key = tuple(w)
-                terms[key] = terms.get(key, 0.0) + c
-            out = out + Polynomial.make(2 * n, terms)
-    return out
+    w = np.eye(n, dtype=int)
+    return Polynomial.sum_of(
+        2 * n,
+        (
+            Polynomial(
+                2 * n,
+                np.hstack([h.exponents, np.zeros_like(h.exponents) + w[i] + w[j]]),
+                h.coefficients,
+            )
+            for i, row in enumerate(f.hessian())
+            for j, h in enumerate(row)
+        ),
+    )
 
 
 def _w_linear_basis(n: int, x_degree: int) -> List[Monomial]:
@@ -248,7 +241,10 @@ def _w_linear_basis(n: int, x_degree: int) -> List[Monomial]:
     return out
 
 
-def _hessian_counterexample(f: Polynomial) -> Optional[dict]:
+def hessian_counterexample(f: Polynomial) -> Optional[dict]:
+    """A sampled point and direction where Hess f has a negative eigenvalue,
+    or None when none of the 201 points (0 and 200 seeded draws from
+    [-2, 2]^n) shows one."""
     rng = np.random.default_rng(0)
     pts = np.array(
         [np.zeros(f.n)] + [rng.uniform(-2.0, 2.0, size=f.n) for _ in range(200)]
@@ -288,15 +284,12 @@ def is_sos_convex(
             )
             return SosConvexity(status="sos_convex", witness=witness)
         return SosConvexity(
-            status="not_sos_convex",
-            reason="constant Hessian indefinite",
-            counterexample=_hessian_counterexample(f),
+            status="not_sos_convex", reason="constant Hessian indefinite"
         )
     if deg % 2 == 1:
         return SosConvexity(
             status="not_sos_convex",
             reason="odd degree: top-order Hessian part cannot be a square",
-            counterexample=_hessian_counterexample(f),
         )
 
     h = scalarize_hessian(f)
@@ -315,7 +308,6 @@ def is_sos_convex(
         return SosConvexity(
             status="not_sos_convex",
             reason="no degree-matched Gram certificate for the scalarized Hessian",
-            counterexample=_hessian_counterexample(f),
         )
     return SosConvexity(status=dec.status, reason=dec.reason)
 
@@ -426,19 +418,20 @@ ADMISSIBLE_TRIES = 200
 def _integrated_quadratic_form(H: List[List[Polynomial]]) -> Polynomial:
     """X' (int_0^1 int_0^t H(sX) ds dt) X for a polynomial matrix H."""
     n = len(H)
-    out = Polynomial.zero(n)
-    xs = [Polynomial.variable(n, i) for i in range(n)]
+    w = np.eye(n, dtype=int)
+    parts = []
     for i in range(n):
         for j in range(n):
-            entry = H[i][j]
-            if entry.is_zero():
-                continue
-            acc = Polynomial.zero(n)
-            for alpha, c in entry.terms.items():
-                k = sum(alpha)
-                acc = acc + Polynomial.monomial(n, alpha, c / ((k + 1) * (k + 2)))
-            out = out + xs[i] * acc * xs[j]
-    return out
+            # int_0^1 int_0^t s^k ds dt = 1/((k+1)(k+2)) for a term of degree k
+            k = H[i][j].exponents.sum(axis=1)
+            parts.append(
+                Polynomial(
+                    n,
+                    H[i][j].exponents + w[i] + w[j],
+                    H[i][j].coefficients / ((k + 1) * (k + 2)),
+                )
+            )
+    return Polynomial.sum_of(n, parts)
 
 
 def random_sos_convex(
@@ -473,14 +466,8 @@ def random_sos_convex(
                 for _ in range(n)
             ]
             H = [
-                [
-                    sum(
-                        (L[i][t] * L[j][t] for t in range(k)),
-                        Polynomial.zero(n),
-                    )
-                    for j in range(n)
-                ]
-                for i in range(n)
+                [Polynomial.sum_of(n, (a * b for a, b in zip(Li, Lj))) for Lj in L]
+                for Li in L
             ]
             f = _integrated_quadratic_form(H)
         else:
@@ -489,18 +476,10 @@ def random_sos_convex(
             for _ in range(int(rng.integers(1, 4))):
                 a = rng.standard_normal(n)
                 b = float(rng.standard_normal())
-                aff = Polynomial.make(
-                    n,
-                    {
-                        tuple(int(i == t) for t in range(n)): a[i]
-                        for i in range(n)
-                    },
-                ) + Polynomial.constant(n, b)
+                aff = Polynomial.from_arrays(n, np.eye(n), a) + b
                 power = 2 * int(rng.integers(1, deg // 2 + 1))
                 f = f + float(rng.uniform(0.2, 1.5)) * aff ** min(power, deg)
-        f = f + Polynomial.make(
-            n, {tuple(int(i == t) for t in range(n)): rng.standard_normal() for i in range(n)}
-        )
+        f = f + Polynomial.from_arrays(n, np.eye(n), rng.standard_normal(n))
         if f.degree() < 2 or f.degree() % 2 == 1:
             continue
         conv = is_sos_convex(f)

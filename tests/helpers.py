@@ -132,3 +132,52 @@ def grid_minimize(f, K: SemialgebraicSet, lo, hi, steps=1001, refine_rounds=5):
         lo = best_x - span
         hi = best_x + span
     return best_val, best_x
+
+
+# ---- dict reference for polynomial arithmetic ----------------------------------
+# Polynomials as {exponent tuple: coefficient} in insertion order, with equal
+# monomials accumulated term by term from 0.0 and exact zeros dropped: the
+# arithmetic that Polynomial's exponent/coefficient arrays must reproduce bit
+# for bit and in the same term order.
+
+
+def ref_merge(pairs):
+    out = {}
+    for alpha, c in pairs:
+        out[alpha] = out.get(alpha, 0.0) + c
+    return {alpha: c for alpha, c in out.items() if c != 0.0}
+
+
+def ref_add(p, q):
+    return ref_merge([*p.items(), *q.items()])
+
+
+def ref_neg(p):
+    return {alpha: -c for alpha, c in p.items()}
+
+
+def ref_mul(p, q):
+    return ref_merge(
+        (tuple(x + y for x, y in zip(a, b)), ca * cb)
+        for a, ca in p.items()
+        for b, cb in q.items()
+    )
+
+
+def ref_pow(p, k, n):
+    """Square-and-multiply from the constant 1, as Polynomial.__pow__."""
+    result, base = {(0,) * n: 1.0}, p
+    while k:
+        if k & 1:
+            result = ref_mul(result, base)
+        base = ref_mul(base, base) if k > 1 else base
+        k >>= 1
+    return result
+
+
+def ref_diff(p, i):
+    return ref_merge(
+        (alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :], c * alpha[i])
+        for alpha, c in p.items()
+        if alpha[i]
+    )

@@ -369,6 +369,37 @@ def test_probe_prints_degenerate_row(tmp_path, capsys):
     assert rep["degenerate"] and 0.0 <= rep["min_gradient_norm"] < 1e-6
 
 
+# ---- flags ----
+
+# the flags each command reads; every other flag is a usage error
+READS = {
+    "solve": {"--order", "--dmax", "--tol", "--tau", "--seed", "--dump-sdpa", "--out"},
+    "certify": {"--dmax", "--tol", "--seed", "--out"},
+    "sdr": {"--order", "--dmax", "--tol", "--seed", "--force", "--out"},
+    "jensen": {"--out"},
+    "sos-check": {"--out"},
+    "probe": {"--seed", "--out"},
+}
+FLAG_VALUES = {
+    "--order": ["2"], "--dmax": ["2"], "--tol": ["1e-6"], "--tau": ["1e-6"],
+    "--seed": ["1"], "--dump-sdpa": ["q.dat-s"], "--out": ["a.json"], "--force": [],
+}
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_flags_per_command(command, capsys):
+    parser = cli.build_parser()
+    for flag, value in FLAG_VALUES.items():
+        argv = [command, "problem.json", flag, *value]
+        if flag in READS[command]:
+            assert parser.parse_args(argv).func.__name__.startswith("cmd_")
+            continue
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
 # ---- determinism and SDPA dump ----
 
 

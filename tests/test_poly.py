@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import ref_add, ref_diff, ref_mul, ref_neg, ref_pow
 from momentsos.poly import (
     Polynomial,
     PreconditionFailure,
@@ -160,6 +161,51 @@ def test_zero_pruning():
     assert q.is_zero()
     assert q.degree() == 0
     assert q.l1_norm() == 0.0
+    # arithmetic keeps a coefficient below ZERO_TOL; only input drops it
+    x = Polynomial.variable(2, 0)
+    kept = x * 1e-13 + 1.0
+    assert kept.terms == {(1, 0): 1e-13, (0, 0): 1.0}
+    assert (kept - 1.0).l1_norm() == 1e-13
+    assert (kept * x).diff(0).terms == {(1, 0): 2e-13, (0, 0): 1.0}
+    assert Polynomial.make(2, dict(kept.terms)).terms == {(0, 0): 1.0}
+    assert len(kept.to_json()) == 2
+    assert Polynomial.from_json(2, kept.to_json()).terms == {(0, 0): 1.0}
+    assert str(kept) == "1"
+
+
+def coefficient_bits(terms):
+    return [(alpha, float(c).hex()) for alpha, c in terms.items()]
+
+
+@st.composite
+def polynomial_terms(draw, n):
+    """A {monomial: coefficient} map whose coefficients include values below
+    ZERO_TOL and values that cancel exactly."""
+    exponent = st.tuples(*[st.integers(0, 3)] * n)
+    coefficient = st.floats(-4.0, 4.0, allow_nan=False) | st.sampled_from(
+        [1.0, -1.0, 0.5, -0.5, 1e-13, -1e-13]
+    )
+    terms = draw(st.dictionaries(exponent, coefficient, max_size=6))
+    return {alpha: c for alpha, c in terms.items() if c != 0.0}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.integers(1, 3))
+def test_arithmetic_matches_dict_reference(data, n):
+    p_terms = data.draw(polynomial_terms(n))
+    q_terms = data.draw(polynomial_terms(n))
+    p = Polynomial.from_arrays(n, list(p_terms), list(p_terms.values()))
+    q = Polynomial.from_arrays(n, list(q_terms), list(q_terms.values()))
+    assert coefficient_bits(p.terms) == coefficient_bits(p_terms)
+    cases = [
+        (p + q, ref_add(p_terms, q_terms)),
+        (p - q, ref_add(p_terms, ref_neg(q_terms))),
+        (p * q, ref_mul(p_terms, q_terms)),
+        (p ** 3, ref_pow(p_terms, 3, n)),
+    ]
+    cases += [(p.diff(i), ref_diff(p_terms, i)) for i in range(n)]
+    for got, ref in cases:
+        assert coefficient_bits(got.terms) == coefficient_bits(ref)
 
 
 def test_l1_norm():
@@ -313,6 +359,16 @@ def test_polynomial_json_round_trip():
         p = random_polynomial(rng, 3, 4)
         q = Polynomial.from_json(3, p.to_json())
         assert q == p
+
+
+def test_input_rejects_fractional_and_negative_exponents():
+    for alpha in [(1.5, 0), (-1, 2)]:
+        with pytest.raises(PreconditionFailure, match="nonnegative integers"):
+            Polynomial.make(2, {alpha: 1.0, (1, 0): 2.0})
+        with pytest.raises(PreconditionFailure, match="nonnegative integers"):
+            Polynomial.from_json(2, [{"exponents": list(alpha), "coeff": 1.0}])
+    p = Polynomial.from_json(2, [{"exponents": [2.0, 0], "coeff": 1.0}])
+    assert p.terms == {(2, 0): 1.0}
 
 
 def test_polynomial_json_rejects_duplicates():

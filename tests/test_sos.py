@@ -10,6 +10,8 @@ from momentsos.moments import MomentVector, mean_point, moment_matrix, riesz
 from momentsos.poly import Polynomial, PreconditionFailure, monomial_basis
 from momentsos.sdp import min_eigenvalue
 from momentsos.sos import (
+    SosWitness,
+    hessian_counterexample,
     is_sos_convex,
     jensen_check,
     jensen_composed_check,
@@ -161,6 +163,16 @@ class TestSosDecompose:
         assert back.basis == dec.witness.basis
         np.testing.assert_allclose(back.gram, dec.witness.gram)
 
+    def test_residual_shows_a_tiny_gram_perturbation(self):
+        # (X+1)^2 = z'Gz over z = (1, X) with G all ones; a 1e-13 change of
+        # G is below the input pruning threshold, yet the residual shows it
+        p, basis = poly1([1.0, 2.0, 1.0]), [(0,), (1,)]
+        G = np.ones((2, 2))
+        assert (p - SosWitness(basis, G, 0.0).reconstruct(1)).is_zero()
+        G[1, 1] += 1e-13
+        residual = (p - SosWitness(basis, G, 0.0).reconstruct(1)).l1_norm()
+        assert residual == pytest.approx(1e-13, rel=1e-2, abs=0.0)
+
 
 class TestSosConvexity:
     def test_accepts_quartic_powers(self):
@@ -202,15 +214,16 @@ class TestSosConvexity:
         x2 = Polynomial.variable(2, 1)
         res = is_sos_convex(x1 * x2)
         assert not res.is_sos_convex
-        assert res.counterexample is not None
+        assert hessian_counterexample(x1 * x2) is not None
 
     def test_rejects_quartic_well(self):
         # X^4 - X^2 has f''(0) = -2
         f = poly1([0.0, 0.0, -1.0, 0.0, 1.0])
         res = is_sos_convex(f)
         assert not res.is_sos_convex
-        assert res.counterexample is not None
-        assert res.counterexample["hessian_eigenvalue"] < -1.0
+        counterexample = hessian_counterexample(f)
+        assert counterexample is not None
+        assert counterexample["hessian_eigenvalue"] < -1.0
 
     def test_rejects_odd_degree(self):
         res = is_sos_convex(poly1([0.0, 0.0, 0.0, 1.0]))
