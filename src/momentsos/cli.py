@@ -453,7 +453,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    # solve reads --order only as the order of the SDP it dumps
+    if args.command == "solve" and args.order is not None and not args.dump_sdpa:
+        parser.error("argument --order: solve takes it only with --dump-sdpa")
     try:
         return args.func(args)
     except CliError as exc:

@@ -16,12 +16,13 @@ by gathering from W A_i W the entries each constraint owns. W A_i is
 gathered from the columns of W, not multiplied, and one batched product
 with W forms W A_i W a cache-sized chunk of constraints at a time. Any
 other block adds B B', one symmetric rank-k update, where row i of B is
-svec(G' A_i G). The Cholesky factor is inverted once per iteration by
-recursive 2x2 blocking, so each Schur solve is two matrix-vector
-products. The other per-block LAPACK calls (Cholesky, the scaling's SVD
-and inverse, the step length's solves and eigenvalues) run once per
-block order on a stack of the blocks of that order, with results
-byte-identical to per-block calls (`_order_classes`).
+svec(G' A_i G). The Cholesky factor is inverted once per iteration, over
+itself, by recursive 2x2 blocking, so each Schur solve is two
+matrix-vector products, and one Schur system is held at a time. The
+other per-block LAPACK calls (Cholesky, the scaling's SVD and inverse,
+the step length's solves and eigenvalues) run once per block order on a
+stack of the blocks of that order, with results byte-identical to
+per-block calls (`_order_classes`).
 
 The solver starts from a data-scaled identity point that is strictly
 feasible for the embedding (not for the problem itself) and reports
@@ -222,15 +223,32 @@ class SdpProblem:
         )
 
     @property
-    def constraints(self) -> Tuple[Tuple[Tuple[np.ndarray, ...], float], ...]:
-        """(per-block matrices, b_i) of each constraint, as views of the
-        dense stacks (`stack`). Kept only for the benchmark's layer trace,
-        which reads it until solves carry their own trace (ROADMAP
-        direction 4)."""
-        stacks = [self.stack(k) for k in range(len(self.block_dims))]
-        return tuple(
-            (tuple(Ab[i] for Ab in stacks), float(bi)) for i, bi in enumerate(self.b)
-        )
+    def constraints(self) -> Iterator[Tuple[Tuple[np.ndarray, ...], float]]:
+        """(per-block matrices, b_i) of each constraint, in order and one
+        constraint at a time: the matrices of `stack`, a view of a stored
+        stack or a new matrix holding a one-hot block's entries, so no
+        dense stack of a one-hot block is built. Kept only for the
+        benchmark's layer trace, which reads it until solves carry their own
+        trace (ROADMAP direction 4)."""
+        p = self.num_constraints
+        # each constraint's run in the entries of a one-hot block, which are
+        # sorted by owner
+        runs = [
+            None if pattern is None else np.searchsorted(pattern[4][0], range(p + 1))
+            for pattern in self.one_hot
+        ]
+        blocks = list(zip(self.A, self.one_hot, runs, self.block_dims))
+        for i, bi in enumerate(self.b):
+            mats = []
+            for Ab, pattern, run, n in blocks:
+                if Ab is not None:
+                    mats.append(Ab[i])
+                    continue
+                _, row, col, value = (a[run[i] : run[i + 1]] for a in pattern[4])
+                Mi = np.zeros((n, n))
+                Mi[row, col] = value
+                mats.append(Mi)
+            yield tuple(mats), float(bi)
 
     def dump_sdpa(self) -> str:
         """Sparse SDPA rendering: one line per nonzero upper-triangle entry,
@@ -671,41 +689,51 @@ def _schur_matrix(problem: SdpProblem, Gs: List[np.ndarray]) -> np.ndarray:
 
 
 def _tril_inv(L: np.ndarray) -> np.ndarray:
-    """Inverse of a nonsingular lower-triangular matrix.
+    """Inverse of a nonsingular lower-triangular matrix, written over L,
+    which is returned. The strict upper triangle of L must be zero.
 
     Recursive 2x2 blocking: with L = [L11 0; L21 L22], the inverse is
     [L11^-1, 0; -L22^-1 L21 L11^-1, L22^-1], so each level is two half-size
-    inverses and two matrix products, and `np.linalg.inv` (a general LU)
-    runs only on diagonal blocks of order TRIL_INV_LEAF or less. Those keep
-    the rounding-level entries LU may leave above their diagonal, so up to
-    that order the result is `np.linalg.inv(L)` itself.
+    inverses, in place, and two matrix products, whose result replaces L21
+    once they have read it. `np.linalg.inv` (a general LU) runs only on
+    diagonal blocks of order TRIL_INV_LEAF or less. Those keep the
+    rounding-level entries LU may leave above their diagonal, so up to that
+    order the result is `np.linalg.inv(L)` itself.
     """
     n = L.shape[0]
     if n <= TRIL_INV_LEAF:
-        return np.linalg.inv(L)
+        L[...] = np.linalg.inv(L)
+        return L
     h = n // 2
-    inv = np.zeros_like(L)
-    inv[:h, :h] = _tril_inv(L[:h, :h])
-    inv[h:, h:] = _tril_inv(L[h:, h:])
-    inv[h:, :h] = -inv[h:, h:] @ (L[h:, :h] @ inv[:h, :h])
-    return inv
+    _tril_inv(L[:h, :h])
+    _tril_inv(L[h:, h:])
+    L[h:, :h] = -L[h:, h:] @ (L[h:, :h] @ L[:h, :h])
+    return L
 
 
 def _schur_solver(M: np.ndarray, p: int):
     """Factorized solver for the Schur system, with iterative refinement.
 
-    The Cholesky factor is inverted once (`_tril_inv`), so that each solve
-    and each refinement pass is two matrix-vector products. Refinement
-    keeps directions accurate when M is nearly singular close to the
-    boundary; falls back to least squares if the factorization fails
-    outright.
+    M is factored with a shift of 1e-13 times its mean diagonal entry on
+    the diagonal, added in place and taken off again by writing the saved
+    diagonal back, so M is unchanged bit for bit when this returns and no
+    shifted copy is made. `_chol`'s jitter retry sees the shifted M;
+    refinement and the least-squares fallback see M itself. The Cholesky
+    factor is inverted once, over itself (`_tril_inv`), so that each
+    solve and each refinement pass is two matrix-vector products.
+    Refinement keeps directions accurate when M is nearly singular close to
+    the boundary; falls back to least squares if the factorization fails
+    outright. The solver holds M and the inverse factor, two p x p
+    matrices.
     """
     fac = None
     if p:
-        shifted = M.copy()
-        shifted.flat[:: p + 1] += 1e-13 * max(1.0, float(np.trace(M)) / p)
-        fac = _chol(shifted)
-        del shifted  # one p x p matrix less while the factor is inverted
+        diagonal = M.diagonal().copy()
+        M.flat[:: p + 1] += 1e-13 * max(1.0, float(np.trace(M)) / p)
+        try:
+            fac = _chol(M)
+        finally:
+            M.flat[:: p + 1] = diagonal
     fac_inv = _tril_inv(fac) if fac is not None else None
 
     def solve_one(rhs: np.ndarray) -> Optional[np.ndarray]:
@@ -778,6 +806,14 @@ def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSo
     Every exit but an improving ray builds its result from the record of
     one iterate (`_result`): the optimal one, the best one when the loop
     stops inside the stall band, and otherwise the last one.
+
+    The p x p Schur matrix and its factor set the working memory, and one
+    Schur system is held at a time: the last iteration's solver is dropped
+    before the next M is built, and `_schur_solver` shifts M in place and
+    inverts the factor over itself. So at most three p x p matrices
+    are live at once: M and the copy of its transpose while M is
+    symmetrized, or M, its factor and a jitter retry's sum while M is
+    factored.
     """
     opts = options or SolverOptions()
     b, C = problem.b, problem.C
@@ -921,6 +957,9 @@ def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSo
         iterations += 1
         Gs, Gis, sigmas, Ws = _nt_scale(Ls, classes)
 
+        # the last iteration's solver holds its M and inverse factor; they
+        # go before the next M is built, so one Schur system is held at a time
+        msolve = Mi_v = None
         msolve = _schur_solver(_schur_matrix(problem, Gs), p)
 
         WCW = [W @ Cb @ W for W, Cb in zip(Ws, C)]

@@ -187,6 +187,19 @@ def test_dump_sdpa_rejects_inadmissible_order(tmp_path, capsys):
     assert out == "" and not dump.exists()
 
 
+def test_solve_order_needs_dump_sdpa(tmp_path, capsys):
+    # solve reads --order only as the order of the dumped SDP, so without
+    # --dump-sdpa it is a usage error rather than silently ignored
+    prob = write(tmp_path, "disk.json", DISK)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve", prob, "--order", "3"])
+    assert exc.value.code == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.startswith("usage: ")
+    assert "error: argument --order: solve takes it only with --dump-sdpa" in cap.err
+
+
 def test_solve_needs_objective(tmp_path, capsys):
     prob = write(tmp_path, "noobj.json", LENS)
     code, _, err = run(["solve", prob], capsys)

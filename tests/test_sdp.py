@@ -603,8 +603,8 @@ def test_one_hot_term_holds_no_full_stack():
 
 
 def test_schur_solver_drops_the_shifted_copy():
-    # M, its shifted copy, the factor and the inverse built from it are
-    # four p x p matrices; the copy goes once it is factored
+    # M is shifted in place and the factor is inverted over itself, so the
+    # solver allocates one p x p matrix and the inverse's temporaries
     rng = np.random.default_rng(8)
     p = 300
     Q = rng.standard_normal((p, p))
@@ -633,6 +633,91 @@ def test_schur_solver_residual():
         assert np.linalg.norm(M @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
 
+def tril_inv_out_of_place(L):
+    """The recursive triangular inverse built in a new buffer, as
+    `sdp._tril_inv` computes it over its argument."""
+    n = L.shape[0]
+    if n <= sdp.TRIL_INV_LEAF:
+        return np.linalg.inv(L)
+    h = n // 2
+    inv = np.zeros_like(L)
+    inv[:h, :h] = tril_inv_out_of_place(L[:h, :h])
+    inv[h:, h:] = tril_inv_out_of_place(L[h:, h:])
+    inv[h:, :h] = -inv[h:, h:] @ (L[h:, :h] @ inv[:h, :h])
+    return inv
+
+
+def shifted_copy_solve(M, rhs):
+    """The Schur solve of `sdp._schur_solver` from a shifted copy of M,
+    factored and inverted in new buffers, with the same refinement."""
+    p = len(M)
+    shifted = M.copy()
+    shifted.flat[:: p + 1] += 1e-13 * max(1.0, float(np.trace(M)) / p)
+    fac = sdp._chol(shifted)
+    if fac is None:
+        return np.linalg.lstsq(M, rhs, rcond=None)[0]
+    fac_inv = tril_inv_out_of_place(fac)
+    sol = fac_inv.T @ (fac_inv @ rhs)
+    scale = np.sqrt(rhs @ rhs) + 1e-300
+    res_norm = np.inf
+    for _ in range(4):
+        r = rhs - M @ sol
+        rn = np.sqrt(r @ r)
+        if rn <= 1e-14 * scale or rn >= res_norm:
+            break
+        res_norm = rn
+        sol = sol + fac_inv.T @ (fac_inv @ r)
+    return sol
+
+
+@pytest.mark.parametrize("kind", ["spd", "ill_conditioned", "indefinite"])
+def test_schur_solver_restores_M_and_solves_as_a_shifted_copy(kind):
+    # the shift goes on M's diagonal in place and comes off exactly, and the
+    # factor is inverted over itself: the solutions are those of a shifted
+    # copy, bit for bit. An indefinite M fails both Cholesky attempts, so
+    # the least-squares fallback must see M without the shift
+    rng = np.random.default_rng(13)
+    p = 150  # past TRIL_INV_LEAF, so the inverse recurses
+    Q, _ = np.linalg.qr(rng.standard_normal((p, p)))
+    spectrum = {
+        "spd": np.linspace(1.0, 10.0, p),
+        "ill_conditioned": np.logspace(-12, 0, p),
+        "indefinite": np.linspace(-1.0, 10.0, p),
+    }[kind]
+    M = (Q * spectrum) @ Q.T
+    M = 0.5 * (M + M.T)
+    before = M.copy()
+    msolve = sdp._schur_solver(M, p)
+    assert same_bytes(M, before)
+    for _ in range(3):
+        rhs = rng.standard_normal(p)
+        assert same_bytes(msolve(rhs), shifted_copy_solve(before, rhs))
+    assert same_bytes(M, before)
+
+
+def test_solve_holds_one_schur_system():
+    # Q_3 on the 6-ball: p = 923, an 84 x 84 one-hot moment block and a
+    # 28 x 28 dense localizing block. At most three p x p matrices are live
+    # at once: M and the copy of its transpose while it is symmetrized, M,
+    # its factor and a jitter retry's sum while it is factored. The last
+    # iteration's M and inverse factor are dropped before the next M is
+    # built; on top come the one-hot term's chunk buffers and the rows of
+    # the dense term
+    P = build_qr(ball_quartic(6), 3).to_sdp()[0]
+    p = P.num_constraints
+    dense_rows = sum(
+        8 * p * n * (n + 1) // 2 for Ab, n in zip(P.A, P.block_dims) if Ab is not None
+    )
+    tracemalloc.start()
+    try:
+        sol = sdp.solve(P)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert p == 923 and sol.is_optimal
+    assert peak <= 3 * 8 * p * p + 4 * sdp.CHUNK_BYTES + dense_rows
+
+
 def cholesky_factor(rng, p, cond):
     """Cholesky factor of a random SPD matrix with condition number cond."""
     Q, _ = np.linalg.qr(rng.standard_normal((p, p)))
@@ -648,7 +733,10 @@ def cholesky_factor(rng, p, cond):
 def test_tril_inv_matches_inverse(p, cond):
     rng = np.random.default_rng(p)
     L = cholesky_factor(rng, p, cond)
-    Li = sdp._tril_inv(L)
+    arg = L.copy()
+    Li = sdp._tril_inv(arg)
+    # the inverse is written over the factor, with no second p x p buffer
+    assert Li is arg
     ref = np.linalg.inv(L)
     if p <= sdp.TRIL_INV_LEAF:
         # a leaf is the LU inverse itself, so small solves are unchanged

@@ -2,7 +2,7 @@
 
 Run from the root of a source checkout:
 
-    python3 tools/solve_digest.py relax-ladder [--seed 1] > digest.txt
+    python3 tools/solve_digest.py relax-ladder [--seed 1] [--peak] > digest.txt
 
 It builds the workload of `perfbench/workloads.py` (imported, not edited),
 runs its warm-up, then one round with `solve` patched in `sdp`, `_compile`
@@ -12,6 +12,12 @@ and the sha256 of the bytes of X, Z and the dual vector (null when absent).
 Two checkouts solve byte for byte alike when their digests are equal, so
 comparing them is a plain `diff`. The BLAS thread count is 1 unless
 OPENBLAS_NUM_THREADS is set.
+
+With --peak the round runs under tracemalloc, and each line also gets
+"peak_mb": the traced peak during that solve above the traced memory at
+its start, in MB (10^6 bytes). tracemalloc sees Python objects and numpy
+arrays, not the work space of BLAS or LAPACK. Without --peak the output is
+the digest alone.
 """
 
 import os
@@ -22,6 +28,7 @@ import argparse  # noqa: E402
 import hashlib  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
+import tracemalloc  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -60,6 +67,11 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("workload", choices=sorted(workloads.WORKLOADS))
     ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument(
+        "--peak",
+        action="store_true",
+        help="add each solve's tracemalloc peak above its start (peak_mb)",
+    )
     args = ap.parse_args(argv)
 
     workload = workloads.WORKLOADS[args.workload](args.seed)
@@ -67,15 +79,26 @@ def main(argv=None):
     original = sdp.solve
 
     def solve(problem, options=None):
+        # without --peak tracemalloc is off, and these read zeros
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
         sol = original(problem, options)
-        print(json.dumps(digest(problem, sol), sort_keys=True), flush=True)
+        # read before the digest, whose SDPA rendering allocates too
+        peak = tracemalloc.get_traced_memory()[1] - start
+        line = digest(problem, sol)
+        if args.peak:
+            line["peak_mb"] = peak / 1e6
+        print(json.dumps(line, sort_keys=True), flush=True)
         return sol
 
     for module in (sdp, _compile, sos):
         setattr(module, "solve", solve)
+    if args.peak:
+        tracemalloc.start()
     try:
         workload.round(workloads.Recorder())
     finally:
+        tracemalloc.stop()
         for module in (sdp, _compile, sos):
             setattr(module, "solve", original)
     return 0
