@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 from types import MappingProxyType
@@ -475,54 +474,39 @@ def theta_perturbation(f: Polynomial, eps: float, r: int) -> Polynomial:
     return f + eps * (theta_polynomial(f.n, r0) + theta_polynomial(f.n, r))
 
 
-def _shift_scale_powers(p: Polynomial, u: Sequence[float]) -> List[Polynomial]:
-    """Expand p(u + s*(X-u)) as sum_k s^k q_k(X); returns [q_0, ..., q_D].
+def _ray_average(h: Polynomial) -> Polynomial:
+    """int_0^1 int_0^t h(sX) ds dt: a term of degree k is divided by
+    int_0^1 int_0^t s^k ds dt = 1/((k+1)(k+2)), in stored order."""
+    k = h.exponents.sum(axis=1)
+    return Polynomial(h.n, h.exponents, h.coefficients / ((k + 1) * (k + 2)))
 
-    Exact binomial expansion per term, collected by s-degree.
-    """
-    n = p.n
-    parts: Dict[int, List[Polynomial]] = {}
-    x_minus_u = [
-        Polynomial.variable(n, i) - Polynomial.constant(n, u[i]) for i in range(n)
-    ]
-    for alpha, c in zip(p.exponents.tolist(), p.coefficients.tolist()):
-        # product over i of (u_i + s*(X_i - u_i))^alpha_i, tracked as a map
-        # s-degree -> Polynomial in X
-        acc: Dict[int, Polynomial] = {0: Polynomial.constant(n, c)}
-        for i, e in enumerate(alpha):
-            if e == 0:
-                continue
-            vi_pows = [Polynomial.constant(n, 1.0)]
-            for _ in range(e):
-                vi_pows.append(vi_pows[-1] * x_minus_u[i])
-            nxt: Dict[int, Polynomial] = {}
-            for sd, poly in acc.items():
-                for b in range(e + 1):
-                    w = math.comb(e, b) * (u[i] ** (e - b))
-                    if w == 0.0 and b < e:
-                        continue
-                    term = poly * vi_pows[b] * w
-                    if term.is_zero():
-                        continue
-                    cur = nxt.get(sd + b)
-                    nxt[sd + b] = term if cur is None else cur + term
-            acc = nxt
-        for sd, poly in acc.items():
-            parts.setdefault(sd, []).append(poly)
-    top = max(parts, default=0)
-    return [Polynomial.sum_of(n, parts.get(k, [])) for k in range(top + 1)]
+
+def _translate(p: Polynomial, u: Sequence[float]) -> Polynomial:
+    """p(X + u), with (X_i + u_i)^e = sum_b C(e, b) u_i^(e-b) X_i^b expanded
+    variable by variable on the exponent arrays and merged once."""
+    exponents, coefficients = p.exponents, p.coefficients
+    for i, ui in enumerate(map(float, u)):
+        if ui == 0.0:
+            continue
+        e = exponents[:, i]
+        moved, weighted = [], []
+        for b in range(int(e.max(initial=0)) + 1):
+            rows = np.flatnonzero(e >= b)
+            w = [math.comb(k, b) * ui ** (k - b) for k in e[rows].tolist()]
+            moved.append(exponents[rows])
+            moved[-1][:, i] = b
+            weighted.append(coefficients[rows] * w)
+        exponents, coefficients = np.concatenate(moved), np.concatenate(weighted)
+    return Polynomial.from_arrays(p.n, exponents, coefficients)
 
 
 def averaged_hessian_remainder(
     f: Polynomial, u: Sequence[float]
 ) -> List[List[Polynomial]]:
-    """F(X,u) = int_0^1 int_0^t Hess f(u + s(X-u)) ds dt, entrywise.
-
-    Each Hessian entry is polynomial in s, so the double integral reduces to
-    exact rational weights int_0^1 int_0^t s^k ds dt = 1/((k+1)(k+2)).
-    The result satisfies
-    f(X) = f(u) + grad f(u)'(X-u) + (X-u)' F(X,u) (X-u)
-    up to float rounding.
+    """F(X,u) = int_0^1 int_0^t Hess f(u + s(X-u)) ds dt, entrywise: each
+    Hessian entry h is translated to u, averaged along rays (`_ray_average`,
+    as `random_sos_convex` integrates its candidates) and translated back.
+    Then f(X) = f(u) + grad f(u)'(X-u) + (X-u)' F(X,u) (X-u) up to rounding.
     """
     if len(u) != f.n:
         raise PreconditionFailure("dim(u) = n", f"{len(u)} vs {f.n}")
@@ -531,31 +515,20 @@ def averaged_hessian_remainder(
     out: List[List[Polynomial]] = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            qs = _shift_scale_powers(hess[i][j], u)
-            entry = Polynomial.zero(n)
-            for k, q in enumerate(qs):
-                weight = Fraction(1, (k + 1) * (k + 2))
-                entry = entry + float(weight) * q
+            entry = _translate(_ray_average(_translate(hess[i][j], u)), np.negative(u))
             out[i][j] = entry
             out[j][i] = entry
     return out
 
 
-def taylor_remainder_identity(
-    f: Polynomial, u: Sequence[float]
-) -> Polynomial:
+def taylor_remainder_identity(f: Polynomial, u: Sequence[float]) -> Polynomial:
     """Residual f(X) - [f(u) + grad f(u)'(X-u) + (X-u)'F(X,u)(X-u)].
 
     Zero up to rounding; exposed for validation.
     """
     n = f.n
     F = averaged_hessian_remainder(f, u)
-    grad = f.gradient()
-    xu = [Polynomial.variable(n, i) - Polynomial.constant(n, u[i]) for i in range(n)]
-    recon = Polynomial.constant(n, f.eval(u))
-    for i in range(n):
-        recon = recon + grad[i].eval(u) * xu[i]
-    for i in range(n):
-        for j in range(n):
-            recon = recon + xu[i] * F[i][j] * xu[j]
-    return f - recon
+    xu = [Polynomial.variable(n, i) - float(u[i]) for i in range(n)]
+    linear = [g.eval(u) * x for g, x in zip(f.gradient(), xu)]
+    quadratic = [xu[i] * F[i][j] * xu[j] for i in range(n) for j in range(n)]
+    return f - Polynomial.sum_of(n, linear + quadratic) - f.eval(u)

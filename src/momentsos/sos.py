@@ -22,7 +22,13 @@ from .moments import (
     moment_matrix,
     riesz,
 )
-from .poly import Monomial, Polynomial, PreconditionFailure, monomial_basis
+from .poly import (
+    Monomial,
+    Polynomial,
+    PreconditionFailure,
+    _ray_average,
+    monomial_basis,
+)
 from .sdp import (
     SdpProblem,
     SdpStatus,
@@ -265,23 +271,15 @@ def hessian_counterexample(f: Polynomial) -> Optional[dict]:
 def is_sos_convex(
     f: Polynomial, options: Optional[SolverOptions] = None
 ) -> SosConvexity:
-    """Decide W' Hess f(X) W in Sigma^2[X,W], equivalent to Hess f = L L'."""
+    """Decide W' Hess f(X) W in Sigma^2[X,W], equivalent to Hess f = L L'.
+    For deg f <= 2 the witness is the constant Hessian, zero for affine f."""
     n = f.n
     deg = f.degree()
-    if deg <= 1:
-        witness = MatrixSosWitness(
-            n, SosWitness(_w_linear_basis(n, 0), np.zeros((n, n)), 0.0)
-        )
-        return SosConvexity(status="sos_convex", witness=witness)
-    if deg == 2:
-        hess = f.hessian()
-        H = np.array([[h.coeff(tuple([0] * n)) for h in row] for row in hess])
+    if deg <= 2:
+        H = f.hessian_at(np.zeros((1, n)))[0]
         H = 0.5 * (H + H.T)
-        w_min = min_eigenvalue(H)
-        if w_min >= -1e-9 * (1.0 + float(np.max(np.abs(H)))):
-            witness = MatrixSosWitness(
-                n, SosWitness(_w_linear_basis(n, 0), H, 0.0)
-            )
+        if min_eigenvalue(H) >= -1e-9 * (1.0 + float(np.max(np.abs(H)))):
+            witness = MatrixSosWitness(n, SosWitness(_w_linear_basis(n, 0), H, 0.0))
             return SosConvexity(status="sos_convex", witness=witness)
         return SosConvexity(
             status="not_sos_convex", reason="constant Hessian indefinite"
@@ -293,11 +291,6 @@ def is_sos_convex(
         )
 
     h = scalarize_hessian(f)
-    if h.is_zero():
-        witness = MatrixSosWitness(
-            n, SosWitness(_w_linear_basis(n, 0), np.zeros((n, n)), 0.0)
-        )
-        return SosConvexity(status="sos_convex", witness=witness)
     basis = _w_linear_basis(n, (deg - 2) // 2)
     dec = sos_decompose(h, basis=basis, options=options)
     if dec.status == "sos":
@@ -370,15 +363,12 @@ def univariate_convexity_witness(f_uni: Polynomial) -> Optional[float]:
     if fpp.is_zero():
         return None
     if fpp.degree() % 2 == 1 or fpp.coeff((fpp.degree(),)) < 0:
-        # negative somewhere far out along the dominant term
-        t = 1.0
-        for _ in range(200):
-            if fpp.eval([t]) < 0:
-                return t
-            if fpp.eval([-t]) < 0:
-                return -t
-            t *= 2.0
-        return t
+        # f'' < 0 far out: the first of t = 1, -1, 2, -2, ..., +-2^199, or 2^200
+        t = 2.0 ** np.arange(200)
+        probes = np.column_stack([t, -t]).reshape(-1, 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            negative = np.flatnonzero(fpp.eval(probes) < 0)
+        return float(probes[negative[0], 0]) if len(negative) else 2.0**200
     dec = sos_decompose(fpp)
     if dec.is_sos:
         return None
@@ -416,22 +406,18 @@ ADMISSIBLE_TRIES = 200
 
 
 def _integrated_quadratic_form(H: List[List[Polynomial]]) -> Polynomial:
-    """X' (int_0^1 int_0^t H(sX) ds dt) X for a polynomial matrix H."""
+    """X' (int_0^1 int_0^t H(sX) ds dt) X for a polynomial matrix H, from
+    the `_ray_average` of each entry (as `averaged_hessian_remainder` at 0)."""
     n = len(H)
     w = np.eye(n, dtype=int)
-    parts = []
-    for i in range(n):
-        for j in range(n):
-            # int_0^1 int_0^t s^k ds dt = 1/((k+1)(k+2)) for a term of degree k
-            k = H[i][j].exponents.sum(axis=1)
-            parts.append(
-                Polynomial(
-                    n,
-                    H[i][j].exponents + w[i] + w[j],
-                    H[i][j].coefficients / ((k + 1) * (k + 2)),
-                )
-            )
-    return Polynomial.sum_of(n, parts)
+    return Polynomial.sum_of(
+        n,
+        (
+            Polynomial(n, h.exponents + w[i] + w[j], h.coefficients)
+            for i, row in enumerate(H)
+            for j, h in enumerate(map(_ray_average, row))
+        ),
+    )
 
 
 def random_sos_convex(

@@ -296,6 +296,33 @@ def test_remainder_univariate_cube():
     assert F[0][0] == Polynomial.variable(1, 0)
 
 
+def test_remainder_exact_cubic_and_quartic():
+    x = Polynomial.variable(1, 0)
+    # f'' = 6(1 + s(X-1)) averaged with weights 1/2 and 1/6: 3 + (X-1)
+    assert averaged_hessian_remainder(x**3, [1.0])[0][0] == x + 2.0
+    # 12 X^2 / (3 * 4)
+    assert averaged_hessian_remainder(x**4, [0.0])[0][0] == x**2
+
+
+def test_remainder_matches_quadrature():
+    # F(x,u) = int_0^1 (1-s) Hess f(u + s(x-u)) ds, by 20-point Gauss-Legendre,
+    # which is exact for these degrees up to rounding
+    s, w = np.polynomial.legendre.leggauss(20)
+    s, w = 0.5 * (s + 1.0), 0.5 * w
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        n = int(rng.integers(1, 4))
+        f = random_polynomial(rng, n, int(rng.integers(2, 7)))
+        u = rng.uniform(-1, 1, size=n)
+        F = averaged_hessian_remainder(f, u)
+        for x in rng.uniform(-1.5, 1.5, size=(4, n)):
+            got = np.array([[entry.eval(x) for entry in row] for row in F])
+            ref = np.einsum(
+                "k,kij->ij", w * (1.0 - s), f.hessian_at(u + s[:, None] * (x - u))
+            )
+            assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+
+
 def test_remainder_linear_is_zero():
     f = Polynomial.make(3, {(1, 0, 0): 2.0, (0, 0, 1): -1.0, (0, 0, 0): 5.0})
     F = averaged_hessian_remainder(f, [0.3, -0.7, 1.1])

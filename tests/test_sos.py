@@ -233,6 +233,11 @@ class TestSosConvexity:
     def test_affine_trivially_accepted(self):
         f = Polynomial.make(2, {(1, 0): 2.0, (0, 0): -1.0})
         assert is_sos_convex(f).is_sos_convex
+        # the zero Hessian is the witness, an n x n zero Gram matrix
+        f = Polynomial.make(3, {(1, 0, 0): 2.0, (0, 0, 1): -1.0, (0, 0, 0): 5.0})
+        res = is_sos_convex(f)
+        assert res.status == "sos_convex"
+        np.testing.assert_array_equal(res.witness.scalarized.gram, np.zeros((3, 3)))
 
     def test_scalarize_hessian_quartic(self):
         # f = X^4: W' f'' W = 12 X^2 W^2
@@ -371,9 +376,31 @@ class TestJensenComposed:
         assert t is not None
         fpp = poly1([0.0, 6.0])
         assert fpp.eval([t]) < 0
+        # the first of 1, -1, 2, -2, 4, ... where f'' < 0
+        assert t == -1.0
+        # f'' = 100 - X^4
+        f = poly1([0.0, 0.0, 50.0, 0.0, 0.0, 0.0, -1.0 / 30.0])
+        assert univariate_convexity_witness(f) == 4.0
 
 
 class TestGenerators:
+    def test_integrated_quadratic_form_inverts_hessian(self):
+        # X' (int int Hess f(sX)) X = f - f(0) - grad f(0)'X, the u = 0 case
+        # of averaged_hessian_remainder
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            n = int(rng.integers(1, 4))
+            basis = monomial_basis(n, int(rng.integers(2, 7)))
+            f = Polynomial.make(
+                n, {a: rng.standard_normal() for a in basis if rng.random() < 0.6}
+            )
+            zero = np.zeros(n)
+            affine = f.eval(zero) + Polynomial.from_arrays(
+                n, np.eye(n), [g.eval(zero) for g in f.gradient()]
+            )
+            resid = sos._integrated_quadratic_form(f.hessian()) - (f - affine)
+            assert resid.l1_norm() <= 1e-12 * max(1.0, f.l1_norm())
+
     def test_random_sos_convex_certified(self):
         rng = np.random.default_rng(0)
         f, conv = random_sos_convex(rng, 2, 4)

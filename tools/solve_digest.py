@@ -7,7 +7,9 @@ Run from the root of a source checkout:
 It builds the workload of `perfbench/workloads.py` (imported, not edited),
 runs its warm-up, then one round with `solve` patched in `sdp`, `_compile`
 and `sos`, and prints, per solve in call order: the sha256 of the problem's
-SDPA rendering, the status, accuracy, iterations, message and residuals,
+stored arrays (the block dimensions, then per block C and either its dense
+constraint stack or its one-hot entries, then b, each array hashed with its
+dtype and shape), the status, accuracy, iterations, message and residuals,
 and the sha256 of the bytes of X, Z and the dual vector (null when absent).
 Two checkouts solve byte for byte alike when their digests are equal, so
 comparing them is a plain `diff`. The BLAS thread count is 1 unless
@@ -49,9 +51,27 @@ def _sha(arrays):
     return h.hexdigest()
 
 
+def _problem_sha(problem) -> str:
+    h = hashlib.sha256()
+
+    def add(a):
+        a = np.ascontiguousarray(a)
+        h.update(f"{a.dtype.str} {a.shape}".encode())
+        h.update(a)  # the buffer itself, not a copy of it
+
+    add(np.array(problem.block_dims))
+    for Cb, Ab, pattern in zip(problem.C, problem.A, problem.one_hot):
+        add(Cb)
+        # a one-hot block's (owner, row, col, value) entries
+        for a in [Ab] if pattern is None else pattern[4]:
+            add(a)
+    add(problem.b)
+    return h.hexdigest()
+
+
 def digest(problem, sol) -> dict:
     return {
-        "problem": hashlib.sha256(problem.dump_sdpa().encode()).hexdigest(),
+        "problem": _problem_sha(problem),
         "status": sol.status.value,
         "accuracy": sol.accuracy,
         "iterations": sol.iterations,
@@ -83,7 +103,7 @@ def main(argv=None):
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
         sol = original(problem, options)
-        # read before the digest, whose SDPA rendering allocates too
+        # read before the digest, which allocates too
         peak = tracemalloc.get_traced_memory()[1] - start
         line = digest(problem, sol)
         if args.peak:
