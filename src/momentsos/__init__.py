@@ -15,7 +15,6 @@ from .convexcert import (
     ConstraintRecord,
     ConvexityCertificate,
     ProbeReport,
-    RhoWeights,
     SdrRepresentation,
     build_sdr,
     certify_convexity,
@@ -26,10 +25,8 @@ from .convexcert import (
     slater_heuristic,
 )
 from .hierarchy import (
-    CertificateRejected,
     HierarchyOptions,
     PolyOptProblem,
-    PutinarCertificate,
     RelaxationResult,
     ball_augment,
     build_qhat,
@@ -59,10 +56,10 @@ from .sdp import (
     solve,
 )
 from .sos import (
+    GramIdentity,
     JensenReport,
     SosConvexity,
     SosDecomposition,
-    SosWitness,
     is_sos_convex,
     jensen_check,
     jensen_composed_check,
@@ -74,9 +71,9 @@ from .sos import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CertificateRejected",
     "ConstraintRecord",
     "ConvexityCertificate",
+    "GramIdentity",
     "HierarchyOptions",
     "JensenReport",
     "MomentVector",
@@ -84,9 +81,7 @@ __all__ = [
     "Polynomial",
     "PreconditionFailure",
     "ProbeReport",
-    "PutinarCertificate",
     "RelaxationResult",
-    "RhoWeights",
     "SdpProblem",
     "SdpSolution",
     "SdpStatus",
@@ -95,7 +90,6 @@ __all__ = [
     "SolverOptions",
     "SosConvexity",
     "SosDecomposition",
-    "SosWitness",
     "ball_augment",
     "build_qhat",
     "build_qr",

@@ -190,7 +190,7 @@ def cmd_solve(args) -> int:
     if final.dual_certificate is not None:
         cert = final.dual_certificate
         print(
-            f"certificate: {len(cert.sigmas)} SOS multipliers, "
+            f"certificate: {len(cert.grams)} SOS multipliers, "
             f"residual {cert.residual:.3e}"
         )
 
@@ -364,9 +364,11 @@ def cmd_sos_check(args) -> int:
     dec = sos_decompose(objective)
     artifact = {"sos": {"status": dec.status}}
     if dec.status == "sos":
-        print(f"sum of squares: yes (residual {dec.witness.residual:.3e}, "
-              f"basis size {len(dec.witness.basis)})")
-        artifact["sos"]["residual"] = dec.witness.residual
+        (_, basis, _), = dec.witness.grams
+        residual = dec.witness.residual
+        print(f"sum of squares: yes (residual {residual:.3e}, "
+              f"basis size {len(basis)})")
+        artifact["sos"]["residual"] = residual
     elif dec.status == "infeasible":
         print("sum of squares: no (pseudo-moment separation found)")
     else:

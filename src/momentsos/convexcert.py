@@ -15,7 +15,9 @@ the doubled variables (X, Y):
 
 |rho_j| <= tol for every j is a numerical certificate of convexity; the dual
 weights give the SOS identity <grad g_j(Y), X - Y> - rho_j =
-sigma_j0 + sum_k sigma_jk g_k(X) + sum_{k != j} psi_jk g_k(Y) + psi_j g_j(Y).
+sigma_j0 + sum_k sigma_jk g_k(X) + sum_{k != j} psi_jk g_k(Y) + psi_j g_j(Y),
+a GramIdentity with bound rho_j and the free term psi_j g_j(Y), which a
+record keeps only when it passes the identity's acceptance rule.
 Quadratic concave g_j skip the SDP: <grad g(Y), X-Y> =
 g(X) - g(Y) + (X-Y)' (-Q) (X-Y) with Q the quadratic-part matrix, which is
 already of that form at d_j = 1.
@@ -64,7 +66,7 @@ from .poly import (
     monomial_basis,
 )
 from .sdp import SolverOptions, min_eigenvalue
-from .sos import SosWitness
+from .sos import GramIdentity
 
 
 # ---- polynomials in the doubled variables (X, Y) ----------------------------
@@ -194,33 +196,13 @@ def rho_program(K: SemialgebraicSet, j: int, d_j: int) -> MomentSdp:
 
 
 @dataclass
-class RhoWeights:
-    """Dual weights of one rho_j solve: sigma[k] multiplies g_k(X) (with
-    g_0 = 1), psi[k] multiplies g_k(Y) for k != j, and psi_free is the
-    unconstrained polynomial multiplying g_j(Y)."""
-
-    sigma: Dict[int, SosWitness]
-    psi: Dict[int, SosWitness]
-    psi_free: Polynomial
-    residual: float
-
-    def to_json(self) -> dict:
-        return {
-            "sigma": {str(k): w.to_json() for k, w in self.sigma.items()},
-            "psi": {str(k): w.to_json() for k, w in self.psi.items()},
-            "psi_free": self.psi_free.to_json(),
-            "residual": self.residual,
-        }
-
-
-@dataclass
 class ConstraintRecord:
     j: int
     d_j: int
     rho_j: float
     method: str  # "rho_sdp" | "quadratic_concave_shortcut"
     closed: bool
-    weights: Optional[RhoWeights] = None
+    weights: Optional[GramIdentity] = None
     note: str = ""
 
     def to_json(self) -> dict:
@@ -287,64 +269,43 @@ class ConvexityCertificate:
         return out
 
 
-def _shortcut_weights(K: SemialgebraicSet, j: int) -> RhoWeights:
+def _shortcut_weights(K: SemialgebraicSet, j: int) -> GramIdentity:
     """Closed-form weights for quadratic concave g_j:
     <grad g(Y), X-Y> = g(X) - g(Y) + (X-Y)'(-Q)(X-Y)."""
-    n = K.n
+    n2 = 2 * K.n
     g = K.constraints[j - 1]
     Q = _quadratic_part(g)
     # (X-Y)'(-Q)(X-Y) over the degree-one basis (X_1..X_n, Y_1..Y_n)
-    basis = monomial_basis(2 * n, 1)[1:]
+    basis = monomial_basis(n2, 1)[1:]
     gram = np.block([[-Q, Q], [Q, -Q]])
-    sigma0 = SosWitness(basis, gram, 0.0)
-    one = monomial_basis(2 * n, 0)
-    sigma_j = SosWitness(one, np.array([[1.0]]), 0.0)
-    psi_free = Polynomial.constant(2 * n, -1.0)
-    weights = RhoWeights(
-        sigma={0: sigma0, j: sigma_j}, psi={}, psi_free=psi_free, residual=0.0
-    )
-    defect = _weight_defect(K, j, 0.0, weights)
-    weights.residual = defect.l1_norm()
-    return weights
-
-
-def _weight_defect(
-    K: SemialgebraicSet, j: int, rho: float, w: RhoWeights
-) -> Polynomial:
-    n2 = 2 * K.n
-    acc = gradient_pairing(K.constraints[j - 1]) - Polynomial.constant(n2, rho)
-    for k, wit in w.sigma.items():
-        p = wit.reconstruct(n2)
-        if k == 0:
-            acc = acc - p
-        else:
-            acc = acc - p * lift_to_xy(K.constraints[k - 1], "x")
-    for k, wit in w.psi.items():
-        acc = acc - wit.reconstruct(n2) * lift_to_xy(K.constraints[k - 1], "y")
-    acc = acc - w.psi_free * lift_to_xy(K.constraints[j - 1], "y")
-    return acc
+    one = Polynomial.constant(n2, 1.0)
+    grams = [
+        (one, basis, gram),
+        (lift_to_xy(g, "x"), monomial_basis(n2, 0), np.array([[1.0]])),
+    ]
+    free = [(Polynomial.constant(n2, -1.0), lift_to_xy(g, "y"))]
+    return GramIdentity(gradient_pairing(g), 0.0, grams, free)
 
 
 def _recover_rho_weights(
     K: SemialgebraicSet, j: int, d_j: int, sol: MomentSolution
-) -> RhoWeights:
-    """Dual weights from the Gram blocks and equality multipliers."""
+) -> GramIdentity:
+    """Dual weights from the Gram blocks and equality multipliers, unjudged:
+    sigma_k multiplies g_k(X) (g_0 = 1) and psi_k multiplies g_k(Y) for
+    k != j, in program order; the free term is psi_j g_j(Y)."""
     n2 = 2 * K.n
-    sigma: Dict[int, SosWitness] = {}
-    psi: Dict[int, SosWitness] = {}
-    for (k, side, _, basis), G in zip(_rho_blocks(K, j, d_j), sol.gram_blocks):
-        (sigma if side == "x" else psi)[k] = SosWitness(basis, G, 0.0)
-
+    g_j = K.constraints[j - 1]
+    grams = [
+        (weight, basis, G)
+        for (_, _, weight, basis), G in zip(_rho_blocks(K, j, d_j), sol.gram_blocks)
+    ]
     # mu[0] belongs to z_0 = 1, then one multiplier per monomial m of the
     # equality rows L_z(g_j(Y) m) = 0: psi_j = sum_m mu_m m
     mu = sol.eq_multipliers
     multipliers = monomial_basis(n2, 2 * (d_j - K.half_degrees()[j - 1]))
     psi_free = Polynomial.make(n2, dict(zip(multipliers, mu[1:].tolist())))
-
-    rho = float(mu[0])
-    weights = RhoWeights(sigma=sigma, psi=psi, psi_free=psi_free, residual=0.0)
-    weights.residual = _weight_defect(K, j, rho, weights).l1_norm()
-    return weights
+    free = [(psi_free, lift_to_xy(g_j, "y"))]
+    return GramIdentity(gradient_pairing(g_j), float(mu[0]), grams, free)
 
 
 # the sampling probes treat |g_j| <= BOUNDARY_BAND as on {g_j = 0}; they
@@ -593,6 +554,12 @@ def certify_convexity(
                     rec.weights = _recover_rho_weights(K, j, d, sol)
                 break
         records.append(rec)
+
+    for rec in records:
+        why = rec.weights.rejection() if rec.weights is not None else None
+        if why is not None:
+            rec.weights = None
+            rec.note = "; ".join(filter(None, [rec.note, f"weights rejected: {why}"]))
 
     if all(rec.closed for rec in records):
         status = "certified_numerically"

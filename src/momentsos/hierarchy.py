@@ -2,7 +2,9 @@
 
 Q_r relaxes min f over K = {g_j >= 0} to min L_y(f) over pseudo-moments y
 with M_r(y) >= 0 and M_{r-r_j}(g_j y) >= 0, r_j = ceil(deg g_j / 2). Its
-dual searches Putinar representations f - lambda = sigma_0 + sum sigma_j g_j.
+dual searches Putinar representations f - lambda = sigma_0 + sum sigma_j g_j,
+read off a solve as a GramIdentity with bound lambda* and attached to the
+result only when it passes the identity's acceptance rule.
 The simplified relaxation Q-hat keeps a single moment matrix at the minimal
 order d and replaces each localizing block by the scalar row L_y(g_j) >= 0;
 its dual multipliers are nonnegative scalars. Q-hat is exact for SOS-convex
@@ -32,8 +34,8 @@ from .poly import (
     SemialgebraicSet,
     monomial_basis,
 )
-from .sdp import SolverOptions, min_eigenvalue
-from .sos import SosWitness, is_sos_convex
+from .sdp import SolverOptions
+from .sos import GramIdentity, is_sos_convex
 
 
 @dataclass(frozen=True)
@@ -61,57 +63,24 @@ class PolyOptProblem:
         return max([r_obj, 1] + list(half))
 
 
-class CertificateRejected(RuntimeError):
-    """Dual certificate reconstruction missed the residual tolerance."""
+def scalar_multipliers(cert: GramIdentity) -> Optional[List[float]]:
+    """The lambda_j of a Putinar certificate when every sigma_j (j >= 1) is
+    a constant, as for a Q-hat dual; else None."""
+    out = []
+    for _, basis, G in cert.grams[1:]:
+        if G.shape != (1, 1) or any(sum(a) != 0 for a in basis):
+            return None
+        out.append(float(G[0, 0]))
+    return out
 
-    def __init__(self, residual: float, detail: str = ""):
-        self.residual = residual
-        msg = f"certificate rejected: residual {residual:.3e}"
-        super().__init__(msg if not detail else f"{msg} ({detail})")
 
-
-@dataclass
-class PutinarCertificate:
-    """f - lambda_star = sigma_0 + sum_j sigma_j g_j with SOS sigma_j.
-
-    For a Q-hat dual the sigma_j, j >= 1, degenerate to nonnegative scalars
-    (constant witnesses over the basis {1}).
-    """
-
-    lambda_star: float
-    sigmas: List[SosWitness]  # sigma_0, ..., sigma_m
-    residual: float
-
-    def scalar_multipliers(self) -> Optional[List[float]]:
-        """The lambda_j when every sigma_j (j >= 1) is a constant; else None."""
-        out = []
-        for w in self.sigmas[1:]:
-            if w.gram.shape != (1, 1) or any(sum(a) != 0 for a in w.basis):
-                return None
-            out.append(float(w.gram[0, 0]))
-        return out
-
-    def multiplier_polynomials(self, n: int) -> List[Polynomial]:
-        return [w.reconstruct(n) for w in self.sigmas]
-
-    def defect(self, problem: PolyOptProblem) -> Polynomial:
-        polys = self.multiplier_polynomials(problem.n)
-        acc = problem.objective - Polynomial.constant(problem.n, self.lambda_star)
-        acc = acc - polys[0]
-        for w, g in zip(polys[1:], problem.feasible_set.constraints):
-            acc = acc - w * g
-        return acc
-
-    def qc_form_report(self) -> Dict[str, bool]:
-        """A posteriori check whether the certificate lands in the convex
-        Putinar cone: scalar multipliers and an SOS-convex sigma_0."""
-        scalars = self.scalar_multipliers()
-        report = {"scalar_multipliers": scalars is not None}
-        # sigma_0 as a polynomial; SOS-convexity decided on its own merits
-        n = len(self.sigmas[0].basis[0]) if self.sigmas[0].basis else 1
-        sigma0 = self.sigmas[0].reconstruct(n)
-        report["sigma0_sos_convex"] = bool(is_sos_convex(sigma0).is_sos_convex)
-        return report
+def qc_form_report(cert: GramIdentity) -> Dict[str, bool]:
+    """A posteriori check whether a Putinar certificate lands in the convex
+    Putinar cone: scalar multipliers and an SOS-convex sigma_0."""
+    return {
+        "scalar_multipliers": scalar_multipliers(cert) is not None,
+        "sigma0_sos_convex": bool(is_sos_convex(cert.sigma(0)).is_sos_convex),
+    }
 
 
 @dataclass
@@ -119,7 +88,7 @@ class RelaxationResult:
     order: int
     lower_bound: float
     moments: Optional[MomentVector]
-    dual_certificate: Optional[PutinarCertificate] = None
+    dual_certificate: Optional[GramIdentity] = None
     exactness: str = "none"  # flat_rank | convex_mean_point | sos_convex_single_shot
     minimizer: Optional[np.ndarray] = None
     kind: str = "qr"  # "qhat" | "qr"
@@ -164,40 +133,29 @@ def recover_dual_certificate(
     solution: MomentSolution,
     r: int,
     kind: str = "qr",
-) -> PutinarCertificate:
-    """Assemble the Putinar certificate from the Gram blocks of a solved
-    relaxation and verify the reconstruction identity.
+) -> GramIdentity:
+    """The Putinar certificate f - lambda* = sigma_0 + sum_j sigma_j g_j
+    read off the Gram blocks of a solved relaxation, unjudged.
 
-    lambda_star is the multiplier of the y_0 = 1 row; each localizing Gram
-    becomes an SOS witness for sigma_j (scalar lambda_j for Q-hat rows).
+    lambda* is the multiplier of the y_0 = 1 row; each localizing Gram
+    becomes the Gram matrix of sigma_j (a scalar lambda_j for Q-hat rows).
     """
     if not solution.is_optimal:
         raise PreconditionFailure("solution optimal", solution.status.value)
     f, K = problem.objective, problem.feasible_set
     n = K.n
-    lam_star = float(solution.eq_multipliers[0])
     half = list(K.half_degrees())
-
-    sigmas: List[SosWitness] = []
-    for j, G in enumerate(solution.gram_blocks):
+    weights = [Polynomial.constant(n, 1.0), *K.constraints]
+    grams = []
+    for j, (w, G) in enumerate(zip(weights, solution.gram_blocks)):
         if j == 0:
             basis = monomial_basis(n, r)
         elif kind == "qhat":
             basis = monomial_basis(n, 0)
         else:
             basis = monomial_basis(n, r - half[j - 1])
-        scale = 1.0 + float(np.max(np.abs(G)))
-        if min_eigenvalue(G) < -1e-7 * scale:
-            raise CertificateRejected(
-                float(min_eigenvalue(G)), f"Gram block {j} not PSD"
-            )
-        sigmas.append(SosWitness(basis, np.asarray(G, dtype=float), 0.0))
-
-    cert = PutinarCertificate(lam_star, sigmas, residual=0.0)
-    cert.residual = cert.defect(problem).l1_norm()
-    if cert.residual > 1e-6 * (1.0 + f.l1_norm()):
-        raise CertificateRejected(cert.residual)
-    return cert
+        grams.append((w, basis, np.asarray(G, dtype=float)))
+    return GramIdentity(f, float(solution.eq_multipliers[0]), grams)
 
 
 def lagrangian(
@@ -312,6 +270,23 @@ def _attach_minimizer(
     return True
 
 
+def _attach_certificate(
+    result: RelaxationResult,
+    problem: PolyOptProblem,
+    solution: MomentSolution,
+    r: int,
+    kind: str,
+) -> None:
+    """Attach the solve's Putinar certificate when it passes the acceptance
+    rule; otherwise note why and leave it unset."""
+    cert = recover_dual_certificate(problem, solution, r, kind)
+    why = cert.rejection()
+    if why is None:
+        result.dual_certificate = cert
+    else:
+        result.note = (result.note + f" certificate rejected: {why};").strip()
+
+
 def _stall_band(result: RelaxationResult, solution: MomentSolution) -> bool:
     """A solve accepted from the stall band grants no exactness tag; note it."""
     if solution.sdp_solution.accuracy != "stall_band":
@@ -355,12 +330,7 @@ def solve_hierarchy(
     )
     results.append(res)
     if sol.is_optimal:
-        try:
-            res.dual_certificate = recover_dual_certificate(
-                problem, sol, qhat.order, kind="qhat"
-            )
-        except CertificateRejected as exc:
-            res.note = (res.note + f" {exc};").strip()
+        _attach_certificate(res, problem, sol, qhat.order, "qhat")
         if not _stall_band(res, sol):
             conv_all = is_sos_convex(problem.objective).is_sos_convex and all(
                 is_sos_convex(-1.0 * g).is_sos_convex for g in K.constraints
@@ -403,10 +373,7 @@ def solve_hierarchy(
             if prev_bound is None
             else max(prev_bound, res.lower_bound)
         )
-        try:
-            res.dual_certificate = recover_dual_certificate(problem, sol, r)
-        except CertificateRejected as exc:
-            res.note = (res.note + f" {exc};").strip()
+        _attach_certificate(res, problem, sol, r, "qr")
         if _stall_band(res, sol):
             continue
 

@@ -6,11 +6,17 @@ in primal standard form, solved directly. SOS-convexity of f (Hessian
 factoring as L L') is decided through the standard scalarization: f is
 SOS-convex iff (X,W) -> W' Hess f(X) W is SOS in the doubled variables, over
 the basis of monomials with W-degree exactly one.
+
+Every certificate of the package is one GramIdentity, target - bound =
+sum_k w_k sigma_k + sum_l q_l h_l with Gram matrices behind the sigma_k: the
+SOS and scalarized-Hessian witnesses here, the Putinar certificates of
+`hierarchy` and the rho_j weights of `convexcert`. Constructors only build
+it; callers judge it by the one rule of `GramIdentity.rejection`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -39,37 +45,99 @@ from .sdp import (
 )
 
 
+# The one acceptance rule of every Gram identity: each Gram matrix has least
+# eigenvalue at least -GRAM_EIG_TOL, and the residual ||defect||_1 is at most
+# RESIDUAL_TOL * (1 + ||target||_1)
+GRAM_EIG_TOL = 1e-7
+RESIDUAL_TOL = 1e-7
+
+
 @dataclass
-class SosWitness:
-    """Gram certificate: p = z'Gz over `basis`, G PSD, small residual."""
+class GramIdentity:
+    """The SOS identity target - bound = sum_k w_k sigma_k + sum_l q_l h_l,
+    with sigma_k = z_k' G_k z_k over the monomial vector z_k of basis_k.
 
-    basis: List[Monomial]
-    gram: np.ndarray
-    residual: float
+    `grams` holds the weighted Gram terms (w_k, basis_k, G_k) and `free` the
+    unconstrained terms (q_l, h_l). An SOS witness is one term of weight 1
+    at bound 0, a Putinar certificate has bound lambda* and weights 1, g_j,
+    and a rho_j certificate adds the free term psi_free * g_j(Y). Building
+    one judges nothing; `rejection` applies the acceptance rule."""
 
-    def reconstruct(self, n: int) -> Polynomial:
-        pattern = _moment_pattern(self.basis)
-        return Polynomial.from_arrays(n, pattern.exponent, self.gram.reshape(-1))
+    target: Polynomial
+    bound: float
+    grams: List[Tuple[Polynomial, List[Monomial], np.ndarray]]
+    free: List[Tuple[Polynomial, Polynomial]] = field(default_factory=list)
+
+    def sigma(self, k: int) -> Polynomial:
+        """z_k' G_k z_k, the k-th Gram term without its weight."""
+        _, basis, G = self.grams[k]
+        pattern = _moment_pattern(basis)
+        return Polynomial.from_arrays(self.target.n, pattern.exponent, G.reshape(-1))
+
+    def defect(self) -> Polynomial:
+        """target - bound - sum_k sigma_k w_k - sum_l q_l h_l, subtracted
+        in that order, which fixes the residual's rounding."""
+        acc = self.target - Polynomial.constant(self.target.n, self.bound)
+        for k, (w, _, _) in enumerate(self.grams):
+            acc = acc - self.sigma(k) * w
+        for q, h in self.free:
+            acc = acc - q * h
+        return acc
+
+    @property
+    def residual(self) -> float:
+        return self.defect().l1_norm()
+
+    def rejection(self) -> Optional[str]:
+        """Why the identity fails the acceptance rule, or None."""
+        for k, (_, _, G) in enumerate(self.grams):
+            low = min_eigenvalue(G)
+            if low < -GRAM_EIG_TOL:
+                return f"Gram block {k} not PSD (min eig {low:.3e})"
+        residual = self.residual
+        if residual > RESIDUAL_TOL * (1.0 + self.target.l1_norm()):
+            return f"residual {residual:.3e}"
+        return None
 
     def to_json(self) -> dict:
+        """Each term as a list in the order of its tuple, each polynomial as
+        [exponent rows, coefficients] in stored order. The residual is
+        written for the reader and never read back."""
+
+        def poly(p: Polynomial) -> list:
+            return [p.exponents.tolist(), p.coefficients.tolist()]
+
         return {
-            "basis": [list(a) for a in self.basis],
-            "gram": [float(v) for v in self.gram.reshape(-1)],
+            "n": self.target.n,
+            "target": poly(self.target),
+            "bound": float(self.bound),
+            "grams": [
+                [poly(w), [list(a) for a in basis], G.tolist()]
+                for w, basis, G in self.grams
+            ],
+            "free": [[poly(q), poly(h)] for q, h in self.free],
             "residual": self.residual,
         }
 
     @staticmethod
-    def from_json(data: dict) -> "SosWitness":
-        basis = [tuple(a) for a in data["basis"]]
-        k = len(basis)
-        gram = np.asarray(data["gram"], dtype=float).reshape(k, k)
-        return SosWitness(basis, gram, float(data["residual"]))
+    def from_json(data: dict) -> "GramIdentity":
+        n = int(data["n"])
+
+        def poly(pair: list) -> Polynomial:
+            return Polynomial.from_arrays(n, *pair)
+
+        grams = [
+            (poly(w), [tuple(a) for a in basis], np.array(G, dtype=float))
+            for w, basis, G in data["grams"]
+        ]
+        free = [(poly(q), poly(h)) for q, h in data["free"]]
+        return GramIdentity(poly(data["target"]), float(data["bound"]), grams, free)
 
 
 @dataclass
 class SosDecomposition:
     status: str  # "sos" | "infeasible" | "max_iterations" | "numerical_failure"
-    witness: Optional[SosWitness] = None
+    witness: Optional[GramIdentity] = None
     # for infeasible: pseudo-moments y_bar with M(y_bar) >= 0, L_y(p) < 0
     certificate_direction: Optional[Dict[Monomial, float]] = None
     reason: str = ""
@@ -154,14 +222,14 @@ def sos_decompose(
         G[rows, cols] += shift
         off = rows != cols
         G[cols[off], rows[off]] += shift[off]
-        witness = SosWitness(basis, G, 0.0)
-        recon = witness.reconstruct(p.n)
-        witness.residual = (p - recon).l1_norm()
-        if witness.residual > 1e-7 * (1.0 + p.l1_norm()) or min_eigenvalue(G) < -1e-7:
+        one = Polynomial.constant(p.n, 1.0)
+        witness = GramIdentity(p, 0.0, [(one, basis, G)])
+        why = witness.rejection()
+        if why is not None:
             return SosDecomposition(
                 status="numerical_failure",
                 witness=witness,
-                reason=f"witness invariant violated (residual {witness.residual:.2e})",
+                reason=f"witness invariant violated ({why})",
             )
         return SosDecomposition(status="sos", witness=witness)
     if sol.status is SdpStatus.UNBOUNDED:
@@ -196,21 +264,10 @@ def ray_moment_matrix(
 
 
 @dataclass
-class MatrixSosWitness:
-    """Scalarized certificate for Hess f = L L': an SOS witness for
-    (X,W) -> W' Hess f(X) W in n+n variables."""
-
-    n: int
-    scalarized: SosWitness
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "scalarized": self.scalarized.to_json()}
-
-
-@dataclass
 class SosConvexity:
     status: str  # "sos_convex" | "not_sos_convex" | solver failure passthrough
-    witness: Optional[MatrixSosWitness] = None
+    # the scalarized Hessian's SOS witness, in the 2n variables (X, W)
+    witness: Optional[GramIdentity] = None
     reason: str = ""
 
     @property
@@ -279,7 +336,10 @@ def is_sos_convex(
         H = f.hessian_at(np.zeros((1, n)))[0]
         H = 0.5 * (H + H.T)
         if min_eigenvalue(H) >= -1e-9 * (1.0 + float(np.max(np.abs(H)))):
-            witness = MatrixSosWitness(n, SosWitness(_w_linear_basis(n, 0), H, 0.0))
+            one = Polynomial.constant(2 * n, 1.0)
+            witness = GramIdentity(
+                scalarize_hessian(f), 0.0, [(one, _w_linear_basis(n, 0), H)]
+            )
             return SosConvexity(status="sos_convex", witness=witness)
         return SosConvexity(
             status="not_sos_convex", reason="constant Hessian indefinite"
@@ -294,9 +354,7 @@ def is_sos_convex(
     basis = _w_linear_basis(n, (deg - 2) // 2)
     dec = sos_decompose(h, basis=basis, options=options)
     if dec.status == "sos":
-        return SosConvexity(
-            status="sos_convex", witness=MatrixSosWitness(n, dec.witness)
-        )
+        return SosConvexity(status="sos_convex", witness=dec.witness)
     if dec.status == "infeasible":
         return SosConvexity(
             status="not_sos_convex",
@@ -355,7 +413,9 @@ def univariate_convexity_witness(f_uni: Polynomial) -> Optional[float]:
     """A point where f'' < 0, or None when f is convex on R.
 
     Univariate nonnegativity coincides with SOS, so convexity is decided by
-    decomposing f''.
+    decomposing f''. When that fails, f'' is probed at the midpoints of its
+    consecutive real roots and a point is returned only where f'' evaluates
+    negative; with none, PreconditionFailure names the decomposition status.
     """
     if f_uni.n != 1:
         raise PreconditionFailure("univariate polynomial", f"n={f_uni.n}")
@@ -372,10 +432,17 @@ def univariate_convexity_witness(f_uni: Polynomial) -> Optional[float]:
     dec = sos_decompose(fpp)
     if dec.is_sos:
         return None
-    # grid search for a concrete witness
-    grid = np.linspace(-20, 20, 20001)
-    negative = np.flatnonzero(fpp.eval(grid[:, None]) < 0)
-    return float(grid[negative[0]]) if len(negative) else 0.0
+    # f'' keeps its sign between consecutive real roots
+    roots = np.roots([fpp.coeff((k,)) for k in range(fpp.degree(), -1, -1)])
+    real = np.sort(roots[np.isreal(roots)].real)
+    probes = 0.5 * (real[1:] + real[:-1])
+    negative = np.flatnonzero(fpp.eval(probes[:, None]) < 0)
+    if not len(negative):
+        raise PreconditionFailure(
+            "f'' SOS or negative between two real roots",
+            f"sos_decompose status {dec.status}",
+        )
+    return float(probes[negative[0]])
 
 
 def jensen_composed_check(

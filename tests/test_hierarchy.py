@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from momentsos.hierarchy import (
-    CertificateRejected,
     HierarchyOptions,
     PolyOptProblem,
     ball_augment,
@@ -12,7 +11,9 @@ from momentsos.hierarchy import (
     build_qr,
     kkt_residuals,
     lagrangian,
+    qc_form_report,
     recover_dual_certificate,
+    scalar_multipliers,
     solve_hierarchy,
     strict_convexity_probe,
 )
@@ -134,10 +135,10 @@ class TestDualCertificates:
         q = build_qr(prob, 1)
         sol = q.solve()
         cert = recover_dual_certificate(prob, sol, 1)
-        assert abs(cert.lambda_star) <= 1e-5
+        assert abs(cert.bound) <= 1e-5
         # sigma_0 = X^2
         np.testing.assert_allclose(
-            cert.sigmas[0].gram, [[0.0, 0.0], [0.0, 1.0]], atol=1e-5
+            cert.grams[0][2], [[0.0, 0.0], [0.0, 1.0]], atol=1e-5
         )
 
     def test_interval_hand_certificate(self):
@@ -146,24 +147,25 @@ class TestDualCertificates:
         q = build_qr(prob, 1)
         sol = q.solve()
         cert = recover_dual_certificate(prob, sol, 1)
-        assert abs(cert.lambda_star - (-1.0)) <= 1e-6
+        assert abs(cert.bound - (-1.0)) <= 1e-6
         # Gram entries are only sqrt(gap)-accurate here: the unique
         # certificate is rank-deficient, so strict complementarity fails
         np.testing.assert_allclose(
-            cert.sigmas[0].gram, [[0.5, 0.5], [0.5, 0.5]], atol=1e-4
+            cert.grams[0][2], [[0.5, 0.5], [0.5, 0.5]], atol=1e-4
         )
-        np.testing.assert_allclose(cert.sigmas[1].gram, [[0.5]], atol=1e-4)
+        np.testing.assert_allclose(cert.grams[1][2], [[0.5]], atol=1e-4)
         assert cert.residual <= 1e-6 * (1.0 + prob.objective.l1_norm())
+        assert cert.rejection() is None
 
     def test_qhat_scalar_multipliers(self):
         prob = disk_problem()
         q = build_qhat(prob)
         sol = q.solve()
         cert = recover_dual_certificate(prob, sol, q.order, kind="qhat")
-        scalars = cert.scalar_multipliers()
+        scalars = scalar_multipliers(cert)
         assert scalars is not None and len(scalars) == 1
         assert scalars[0] >= -1e-9
-        report = cert.qc_form_report()
+        report = qc_form_report(cert)
         assert report["scalar_multipliers"]
         assert report["sigma0_sos_convex"]
 
@@ -175,7 +177,7 @@ class TestDualCertificates:
             q = build_qr(prob, r)
             sol = q.solve()
             cert = recover_dual_certificate(prob, sol, r)
-            assert cert.lambda_star <= sol.value + 1e-6
+            assert cert.bound <= sol.value + 1e-6
 
     def test_rejects_unsolved(self):
         prob = PolyOptProblem(poly1([0.0, 1.0]), interval_set())

@@ -25,7 +25,7 @@ from momentsos.moments import (
     moment_matrix,
 )
 from momentsos.poly import Polynomial, PreconditionFailure, monomial_basis
-from momentsos.sos import SosWitness, _gram_constraint_index, _w_linear_basis
+from momentsos.sos import GramIdentity, _gram_constraint_index, _w_linear_basis
 
 from helpers import example_degenerate_cube, example_hyperbola_disk, unit_disk
 
@@ -282,7 +282,8 @@ def test_gram_constraint_index_and_reconstruct(K):
             assert pairs == ref[alpha]
         G = rng.normal(size=(len(basis), len(basis)))
         G[0, 1] = G[1, 0] = 1e-14  # kept: reconstruct prunes nothing
-        recon = SosWitness(basis, G, 0.0).reconstruct(m)
+        one = Polynomial.constant(m, 1.0)
+        recon = GramIdentity(Polynomial.zero(m), 0.0, [(one, basis, G)]).sigma(0)
         assert list(recon.terms.items()) == list(ref_reconstruct(basis, G).items())
 
 
@@ -297,7 +298,5 @@ def test_psi_free_matches_reference(K):
             gram_blocks=[rng.normal(size=(s, s)) for s in sizes],
             eq_multipliers=rng.normal(size=1 + len(basis)),
         )
-        weights_j = _recover_rho_weights(K, j, d_j, sol)
-        assert same_terms(
-            weights_j.psi_free, ref_psi_free(basis, sol.eq_multipliers, n2)
-        )
+        (psi_free, _), = _recover_rho_weights(K, j, d_j, sol).free
+        assert same_terms(psi_free, ref_psi_free(basis, sol.eq_multipliers, n2))

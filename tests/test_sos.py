@@ -1,5 +1,7 @@
 """SOS decomposition, SOS-convexity, and Jensen-type inequality checks."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,7 @@ from momentsos.moments import MomentVector, mean_point, moment_matrix, riesz
 from momentsos.poly import Polynomial, PreconditionFailure, monomial_basis
 from momentsos.sdp import min_eigenvalue
 from momentsos.sos import (
-    SosWitness,
+    GramIdentity,
     hessian_counterexample,
     is_sos_convex,
     jensen_check,
@@ -48,14 +50,15 @@ class TestSosDecompose:
         assert dec.is_sos
         assert dec.witness.residual <= 1e-9
         np.testing.assert_allclose(
-            dec.witness.gram, [[1.0, 1.0], [1.0, 1.0]], atol=1e-7
+            dec.witness.grams[0][2], [[1.0, 1.0], [1.0, 1.0]], atol=1e-7
         )
 
     def test_constant(self):
         dec = sos_decompose(Polynomial.constant(2, 3.0))
         assert dec.is_sos
-        assert dec.witness.gram.shape == (1, 1)
-        assert abs(dec.witness.gram[0, 0] - 3.0) <= 1e-7
+        (_, _, G), = dec.witness.grams
+        assert G.shape == (1, 1)
+        assert abs(G[0, 0] - 3.0) <= 1e-7
 
     def test_odd_degree_rejected_structurally(self):
         dec = sos_decompose(poly1([0.0, 0.0, 0.0, 1.0]))
@@ -141,8 +144,8 @@ class TestSosDecompose:
             dec = sos_decompose(p)
             assert dec.is_sos
             assert dec.witness.residual <= 1e-7 * (1.0 + p.l1_norm())
-            assert min_eigenvalue(dec.witness.gram) >= -1e-7
-            recon = dec.witness.reconstruct(n)
+            assert min_eigenvalue(dec.witness.grams[0][2]) >= -1e-7
+            recon = dec.witness.sigma(0)
             assert (p - recon).l1_norm() <= 1e-7 * (1.0 + p.l1_norm())
 
     def test_sos_implies_nonnegative_on_samples(self):
@@ -155,23 +158,20 @@ class TestSosDecompose:
         assert np.min(vals) >= -1e-6
 
     def test_witness_json_round_trip(self):
-        from momentsos.sos import SosWitness
-
         dec = sos_decompose(poly1([1.0, 2.0, 1.0]))
-        data = dec.witness.to_json()
-        back = SosWitness.from_json(data)
-        assert back.basis == dec.witness.basis
-        np.testing.assert_allclose(back.gram, dec.witness.gram)
+        back = GramIdentity.from_json(json.loads(json.dumps(dec.witness.to_json())))
+        assert back.grams[0][1] == dec.witness.grams[0][1]
+        np.testing.assert_allclose(back.grams[0][2], dec.witness.grams[0][2])
 
     def test_residual_shows_a_tiny_gram_perturbation(self):
         # (X+1)^2 = z'Gz over z = (1, X) with G all ones; a 1e-13 change of
         # G is below the input pruning threshold, yet the residual shows it
         p, basis = poly1([1.0, 2.0, 1.0]), [(0,), (1,)]
         G = np.ones((2, 2))
-        assert (p - SosWitness(basis, G, 0.0).reconstruct(1)).is_zero()
+        witness = GramIdentity(p, 0.0, [(poly1([1.0]), basis, G)])
+        assert witness.defect().is_zero()
         G[1, 1] += 1e-13
-        residual = (p - SosWitness(basis, G, 0.0).reconstruct(1)).l1_norm()
-        assert residual == pytest.approx(1e-13, rel=1e-2, abs=0.0)
+        assert witness.residual == pytest.approx(1e-13, rel=1e-2, abs=0.0)
 
 
 class TestSosConvexity:
@@ -182,9 +182,9 @@ class TestSosConvexity:
         res = is_sos_convex(f)
         assert res.is_sos_convex
         # witness reconstructs the scalarized Hessian
-        recon = res.witness.scalarized.reconstruct(4)
         h = scalarize_hessian(f)
-        assert (h - recon).l1_norm() <= 1e-6 * (1.0 + h.l1_norm())
+        assert res.witness.target == h
+        assert res.witness.residual <= 1e-6 * (1.0 + h.l1_norm())
 
     def test_accepts_convex_quadratics(self):
         rng = np.random.default_rng(3)
@@ -206,8 +206,10 @@ class TestSosConvexity:
             )
             res = is_sos_convex(f)
             assert res.is_sos_convex
-            G = res.witness.scalarized.gram
+            G = res.witness.grams[0][2]
             np.testing.assert_allclose(G, H, atol=1e-9)
+            assert res.witness.target == scalarize_hessian(f)
+            assert res.witness.residual <= 1e-12 * (1.0 + f.l1_norm())
 
     def test_rejects_indefinite_quadratic(self):
         x1 = Polynomial.variable(2, 0)
@@ -237,7 +239,8 @@ class TestSosConvexity:
         f = Polynomial.make(3, {(1, 0, 0): 2.0, (0, 0, 1): -1.0, (0, 0, 0): 5.0})
         res = is_sos_convex(f)
         assert res.status == "sos_convex"
-        np.testing.assert_array_equal(res.witness.scalarized.gram, np.zeros((3, 3)))
+        np.testing.assert_array_equal(res.witness.grams[0][2], np.zeros((3, 3)))
+        assert res.witness.residual == 0
 
     def test_scalarize_hessian_quartic(self):
         # f = X^4: W' f'' W = 12 X^2 W^2
@@ -381,6 +384,22 @@ class TestJensenComposed:
         # f'' = 100 - X^4
         f = poly1([0.0, 0.0, 50.0, 0.0, 0.0, 0.0, -1.0 / 30.0])
         assert univariate_convexity_witness(f) == 4.0
+
+    def test_univariate_witness_between_far_roots(self):
+        # f'' = (X - 30)^2 - 1 is negative only on (29, 31), with f''(0) = 899
+        f = poly1([0.0, 0.0, 899.0 / 2.0, -10.0, 1.0 / 12.0])
+        fpp = f.diff(0).diff(0)
+        assert sos_decompose(fpp).status == "infeasible"
+        t = univariate_convexity_witness(f)
+        assert t == pytest.approx(30.0)
+        assert fpp.eval([t]) < 0
+
+    def test_univariate_witness_never_made_up(self, monkeypatch):
+        # f'' = 12 X^2 >= 0: if its decomposition fails, no point is negative
+        failed = sos.SosDecomposition(status="max_iterations")
+        monkeypatch.setattr(sos, "sos_decompose", lambda p: failed)
+        with pytest.raises(PreconditionFailure, match="max_iterations"):
+            univariate_convexity_witness(poly1([0.0, 0.0, 0.0, 0.0, 1.0]))
 
 
 class TestGenerators:
