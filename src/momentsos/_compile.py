@@ -29,13 +29,20 @@ that the scan finds one-hot is dropped for its entries. The y0 = 1
 row is the coefficient row of the constant 1, and a scalar row
 L_z(g) >= 0 is the localizing block at d = 0.
 `relaxation_blocks` assembles the blocks shared by Q_r, Q-hat and the lift,
-and `moment_program` adds the normalization z_0 = 1 to every program.
+and `moment_program` adds the normalization z_0 = 1 to every program and,
+for an ideal (h, m) such as the rho_j programs' (g_j(Y), the monomials of
+degree <= 2(d_j - r_j)), the rows L_z(h m_i) = 0.
+
+Every certificate of a solved program is read off here, by
+`MomentSdp.certificate`: each block keeps the basis and weight it was
+built from, so its Gram matrix is the Gram term weight * z' G z of the
+identity, the multiplier of z_0 = 1 is its bound, and the multipliers of
+the ideal's rows give its free term.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -52,46 +59,35 @@ from .sdp import (
     _one_hot_pattern,
     solve,
 )
+from .sos import GramIdentity
 
 # bytes of a dense (dim, dim, s) block; the block's compiled (p, dim, dim)
 # stack, p < s, is smaller
 TENSOR_BYTES_CAP = 2**30
 
 
-class MomentStatus(Enum):
-    OPTIMAL = "optimal"
-    INFEASIBLE = "infeasible"
-    UNBOUNDED = "unbounded"
-    MAX_ITERATIONS = "max_iterations"
-    NUMERICAL_FAILURE = "numerical_failure"
-
-
 # solver statuses live on the compiled side, where the moment program is the
 # dual: a compiled-primal improving ray kills the moment program's
 # feasibility, a compiled-dual ray makes it unbounded
-_STATUS_MAP = {
-    SdpStatus.OPTIMAL: MomentStatus.OPTIMAL,
-    SdpStatus.INFEASIBLE: MomentStatus.UNBOUNDED,
-    SdpStatus.UNBOUNDED: MomentStatus.INFEASIBLE,
-    SdpStatus.MAX_ITERATIONS: MomentStatus.MAX_ITERATIONS,
-    SdpStatus.NUMERICAL_FAILURE: MomentStatus.NUMERICAL_FAILURE,
+_MOMENT_SIDE = {
+    SdpStatus.INFEASIBLE: SdpStatus.UNBOUNDED,
+    SdpStatus.UNBOUNDED: SdpStatus.INFEASIBLE,
 }
 
 
 @dataclass
 class MomentSolution:
-    status: MomentStatus
+    status: SdpStatus  # of the moment program
     value: float
     z: Optional[np.ndarray]
     gram_blocks: Optional[List[np.ndarray]]  # one per block, at its dim
     eq_multipliers: Optional[np.ndarray]
     stationarity_residual: float
     sdp_solution: SdpSolution
-    block_labels: List[str] = field(default_factory=list)
 
     @property
     def is_optimal(self) -> bool:
-        return self.status is MomentStatus.OPTIMAL
+        return self.status is SdpStatus.OPTIMAL
 
 
 @dataclass
@@ -104,6 +100,8 @@ class MomentSdp:
     blocks: List[BlockSpec]
     eq_rows: np.ndarray  # (q, s)
     eq_rhs: np.ndarray  # (q,)
+    # (h, m) when the rows after z_0 = 1 are L_z(h m_i) = 0 (`moment_program`)
+    ideal: Optional[Tuple[Polynomial, np.ndarray]] = None
 
     @property
     def num_moments(self) -> int:
@@ -197,11 +195,11 @@ class MomentSdp:
     def solve(self, options: Optional[SolverOptions] = None) -> MomentSolution:
         problem, decode = self.to_sdp()
         sol = solve(problem, options)
-        status = _STATUS_MAP[sol.status]
+        status = _MOMENT_SIDE.get(sol.status, sol.status)
         if sol.status is not SdpStatus.OPTIMAL:
             value = {
-                MomentStatus.INFEASIBLE: np.inf,
-                MomentStatus.UNBOUNDED: -np.inf,
+                SdpStatus.INFEASIBLE: np.inf,
+                SdpStatus.UNBOUNDED: -np.inf,
             }.get(status, np.nan)
             return MomentSolution(
                 status=status,
@@ -211,7 +209,6 @@ class MomentSdp:
                 eq_multipliers=None,
                 stationarity_residual=np.nan,
                 sdp_solution=sol,
-                block_labels=[B.label for B in self.blocks],
             )
 
         z = _decode(decode, sol.dual)
@@ -240,8 +237,29 @@ class MomentSdp:
             eq_multipliers=mu,
             stationarity_residual=stat_res,
             sdp_solution=sol,
-            block_labels=[B.label for B in self.blocks],
         )
+
+    def certificate(
+        self, target: Polynomial, solution: MomentSolution
+    ) -> GramIdentity:
+        """The identity target - mu_0 = sum_B B.weight z_B' G_B z_B + q h
+        read off a solve, unjudged: mu_0 is the multiplier of z_0 = 1, each
+        block's Gram matrix multiplies its weight over its basis, and with
+        an ideal (h, m) the free term has q = sum_i mu_i m_i. `target` is
+        the polynomial whose Riesz row is the objective."""
+        if not solution.is_optimal:
+            raise PreconditionFailure("solution optimal", solution.status.value)
+        mu = solution.eq_multipliers
+        grams = [
+            (B.weight, [tuple(a) for a in B.basis.tolist()], G)
+            for B, G in zip(self.blocks, solution.gram_blocks)
+        ]
+        free = []
+        if self.ideal is not None:
+            h, m = self.ideal
+            terms = zip(map(tuple, m.tolist()), mu[1:].tolist())
+            free.append((Polynomial.make(self.n, dict(terms)), h))
+        return GramIdentity(target, float(mu[0]), grams, free)
 
     def moment_vector(self, solution: MomentSolution) -> MomentVector:
         if solution.z is None:
@@ -319,15 +337,25 @@ def _pattern_block(
 
 def moment_program(
     n: int, order: int, objective: np.ndarray, blocks: List[BlockSpec],
-    eq_rows: Optional[np.ndarray] = None,
+    ideal: Optional[Tuple[Polynomial, np.ndarray]] = None,
 ) -> MomentSdp:
     """min objective'z over `blocks` subject to z_0 = 1, the first
-    equality row, and eq_rows z = 0 when given."""
+    equality row, and, for an ideal (h, m), one row L_z(h m_i) = 0 per
+    exponent row m_i of m."""
     E = coefficient_row(n, order, Polynomial.constant(n, 1.0))[None, :]
-    if eq_rows is not None:
+    if ideal is not None:
+        h, multipliers = ideal
+        # column 0 of the pattern of S(h z) pairs each m_i with the constant
+        # monomial, so its entries are the coefficients of h m_i
+        pattern = _moment_pattern(multipliers, h)
+        first = pattern.col == 0
+        eq_rows = np.zeros((len(multipliers), E.shape[1]))
+        np.add.at(
+            eq_rows, (pattern.row[first], pattern.index[first]), pattern.coef[first]
+        )
         E = np.vstack([E, eq_rows])
     rhs = np.r_[1.0, np.zeros(len(E) - 1)]
-    return MomentSdp(n, order, objective, blocks, E, rhs)
+    return MomentSdp(n, order, objective, blocks, E, rhs, ideal)
 
 
 def relaxation_blocks(K: SemialgebraicSet, order: int, form: str) -> List[BlockSpec]:

@@ -15,8 +15,11 @@ Problem files are JSON:
 Exit codes: 0 success, 2 solver failure, 3 unreadable/invalid input,
 4 refusal to build an SDr without a certificate or --force override.
 Human-readable tables go to stdout, diagnostics to stderr, and --out
-writes the machine-readable JSON artifact; identical inputs produce
-byte-identical reports.
+writes the machine-readable JSON artifact. Identical inputs produce
+byte-identical stdout and stderr across runs and BLAS thread counts; an
+--out artifact is byte-identical across runs only, since its floats are
+written at full precision and the digits below the solver's accuracy
+follow the BLAS thread count.
 """
 
 from __future__ import annotations

@@ -16,14 +16,17 @@ the doubled variables (X, Y):
 |rho_j| <= tol for every j is a numerical certificate of convexity; the dual
 weights give the SOS identity <grad g_j(Y), X - Y> - rho_j =
 sigma_j0 + sum_k sigma_jk g_k(X) + sum_{k != j} psi_jk g_k(Y) + psi_j g_j(Y),
-a GramIdentity with bound rho_j and the free term psi_j g_j(Y), which a
-record keeps only when it passes the identity's acceptance rule.
+a GramIdentity with bound rho_j and the free term psi_j g_j(Y). It is read
+off the solve by `MomentSdp.certificate`, from the basis and weight each
+block of `_rho_blocks` keeps and the multipliers of the program's ideal,
+and a record keeps it only when it passes the identity's acceptance rule.
 Quadratic concave g_j skip the SDP: <grad g(Y), X-Y> =
 g(X) - g(Y) + (X-Y)' (-Q) (X-Y) with Q the quadratic-part matrix, which is
 already of that form at d_j = 1.
 
 The equality block is the same as the rows L_z(g_j(Y) m) = 0 for every
-monomial m with deg m <= 2(d_j - r_j), one row per m. It forces the kernel
+monomial m with deg m <= 2(d_j - r_j), one row per m, which
+`moment_program` builds from the ideal (g_j(Y), m). It forces the kernel
 {g_j(Y) p} inside every moment and localizing block, and without a
 reduction the interior-point solver has no strictly feasible iterates. The
 kernel vectors have distinct leading monomials in the graded order of the
@@ -49,15 +52,13 @@ import numpy as np
 from ._compile import (
     BlockSpec,
     MomentSdp,
-    MomentSolution,
     _pattern_block,
     coefficient_row,
     moment_program,
     relaxation_blocks,
 )
-from .moments import MomentVector, _basis, _moment_pattern
+from .moments import MomentVector, _basis
 from .poly import (
-    Monomial,
     Polynomial,
     PreconditionFailure,
     SemialgebraicSet,
@@ -113,13 +114,11 @@ def _quadratic_part(g: Polynomial) -> np.ndarray:
 # ---- the rho_j test program --------------------------------------------------
 
 
-def _rho_blocks(
-    K: SemialgebraicSet, j: int, d_j: int
-) -> List[Tuple[int, str, Polynomial, List[Monomial]]]:
-    """(k, side, weight, kept basis) of each PSD block of rho_j, in program
-    order: the moment block (k = 0, weight 1), g_k(X) for every k and g_k(Y)
-    for k != j, over monomial_basis(2n, d_j - r_k) less the coordinates the
-    equality rows force into the kernel.
+def _rho_blocks(K: SemialgebraicSet, j: int, d_j: int) -> List[BlockSpec]:
+    """The PSD blocks of rho_j, in program order: the moment block
+    ("moment", weight 1), g_k(X) for every k and g_k(Y) for k != j
+    ("g{k}(X)", "g{k}(Y)"), over monomial_basis(2n, d_j - r_k) less the
+    coordinates the equality rows force into the kernel.
 
     With h = g_j(Y) and L_z(h m) = 0 for every deg m <= budget =
     2(d_j - r_j), a block of row order D and weight degree w has the kernel
@@ -130,35 +129,37 @@ def _rho_blocks(
     coordinates are distinct and the kernel is triangular on them, so the
     block is PSD iff its principal submatrix on the other coordinates is."""
     n2 = 2 * K.n
+    s = basis_size(n2, 2 * d_j)
     half = K.half_degrees()
     ideal = lift_to_xy(K.constraints[j - 1], "y")
     budget = 2 * (d_j - half[j - 1])
     lead = ideal.exponents[np.argmax(_grlex_index(ideal.exponents))]
 
-    def kept(D: int, w: int) -> List[Monomial]:
-        basis = monomial_basis(n2, D)
+    def kept(D: int, w: int) -> np.ndarray:
+        basis = _basis(n2, D)
         max_p_deg = min(D - ideal.degree(), budget - w - D)
         keep = np.ones(len(basis), dtype=bool)
         if max_p_deg >= 0:
             keep[_grlex_index(_basis(n2, max_p_deg) + lead)] = False
-        return [a for a, k in zip(basis, keep) if k]
+        return basis[keep]
 
-    blocks = [(0, "x", Polynomial.constant(n2, 1.0), kept(d_j, 0))]
+    blocks = [_pattern_block("moment", kept(d_j, 0), None, s)]
     for side in ("x", "y"):
         for k, (g, rk) in enumerate(zip(K.constraints, half), start=1):
             if side == "x" or k != j:
-                blocks.append(
-                    (k, side, lift_to_xy(g, side), kept(d_j - rk, g.degree()))
-                )
+                basis = kept(d_j - rk, g.degree())
+                label = f"g{k}({side.upper()})"
+                blocks.append(_pattern_block(label, basis, lift_to_xy(g, side), s))
     return blocks
 
 
 def rho_program(K: SemialgebraicSet, j: int, d_j: int) -> MomentSdp:
     """Moment program whose optimum rho_j tests the supporting-hyperplane
     inequality for g_j; j is 1-based. The equality block
-    M_{d_j - r_j}(g_j(Y) z) = 0 is imposed as one row L_z(g_j(Y) m) = 0 per
-    monomial m of degree at most 2(d_j - r_j), and every PSD block is cut to
-    the principal submatrix of `_rho_blocks`."""
+    M_{d_j - r_j}(g_j(Y) z) = 0 is the program's ideal (g_j(Y), the
+    monomials m of degree at most 2(d_j - r_j)), from which
+    `moment_program` builds one row L_z(g_j(Y) m) = 0 per m, and every PSD
+    block is cut to the principal submatrix of `_rho_blocks`."""
     m = K.m
     if not 1 <= j <= m:
         raise PreconditionFailure("1 <= j <= m", f"j = {j}, m = {m}")
@@ -173,23 +174,10 @@ def rho_program(K: SemialgebraicSet, j: int, d_j: int) -> MomentSdp:
         )
 
     n2 = 2 * n
-    s = basis_size(n2, 2 * d_j)
-    blocks = [
-        _pattern_block(
-            "moment" if k == 0 else f"g{k}({side.upper()})", basis, g, s
-        )
-        for k, side, g, basis in _rho_blocks(K, j, d_j)
-    ]
-
-    # column 0 of the pattern of S(g_j(Y) z) pairs each m with the constant
-    # monomial, so its entries are the coefficients of g_j(Y) m
-    multipliers = _basis(n2, 2 * (d_j - half[j - 1]))
-    pattern = _moment_pattern(multipliers, lift_to_xy(g_j, "y"))
-    first = pattern.col == 0
-    eq_rows = np.zeros((len(multipliers), s))
-    np.add.at(eq_rows, (pattern.row[first], pattern.index[first]), pattern.coef[first])
+    blocks = _rho_blocks(K, j, d_j)
+    ideal = (lift_to_xy(g_j, "y"), _basis(n2, 2 * (d_j - half[j - 1])))
     c = coefficient_row(n2, d_j, objective)
-    return moment_program(n2, d_j, c, blocks, eq_rows)
+    return moment_program(n2, d_j, c, blocks, ideal)
 
 
 # ---- certificates ------------------------------------------------------------
@@ -285,27 +273,6 @@ def _shortcut_weights(K: SemialgebraicSet, j: int) -> GramIdentity:
     ]
     free = [(Polynomial.constant(n2, -1.0), lift_to_xy(g, "y"))]
     return GramIdentity(gradient_pairing(g), 0.0, grams, free)
-
-
-def _recover_rho_weights(
-    K: SemialgebraicSet, j: int, d_j: int, sol: MomentSolution
-) -> GramIdentity:
-    """Dual weights from the Gram blocks and equality multipliers, unjudged:
-    sigma_k multiplies g_k(X) (g_0 = 1) and psi_k multiplies g_k(Y) for
-    k != j, in program order; the free term is psi_j g_j(Y)."""
-    n2 = 2 * K.n
-    g_j = K.constraints[j - 1]
-    grams = [
-        (weight, basis, G)
-        for (_, _, weight, basis), G in zip(_rho_blocks(K, j, d_j), sol.gram_blocks)
-    ]
-    # mu[0] belongs to z_0 = 1, then one multiplier per monomial m of the
-    # equality rows L_z(g_j(Y) m) = 0: psi_j = sum_m mu_m m
-    mu = sol.eq_multipliers
-    multipliers = monomial_basis(n2, 2 * (d_j - K.half_degrees()[j - 1]))
-    psi_free = Polynomial.make(n2, dict(zip(multipliers, mu[1:].tolist())))
-    free = [(psi_free, lift_to_xy(g_j, "y"))]
-    return GramIdentity(gradient_pairing(g_j), float(mu[0]), grams, free)
 
 
 # the sampling probes treat |g_j| <= BOUNDARY_BAND as on {g_j = 0}; they
@@ -551,7 +518,7 @@ def certify_convexity(
             if abs(sol.value) <= tol:
                 rec.closed = True
                 if recover_weights:
-                    rec.weights = _recover_rho_weights(K, j, d, sol)
+                    rec.weights = prog.certificate(gradient_pairing(g), sol)
                 break
         records.append(rec)
 

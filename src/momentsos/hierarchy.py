@@ -3,8 +3,10 @@
 Q_r relaxes min f over K = {g_j >= 0} to min L_y(f) over pseudo-moments y
 with M_r(y) >= 0 and M_{r-r_j}(g_j y) >= 0, r_j = ceil(deg g_j / 2). Its
 dual searches Putinar representations f - lambda = sigma_0 + sum sigma_j g_j,
-read off a solve as a GramIdentity with bound lambda* and attached to the
-result only when it passes the identity's acceptance rule.
+read off a solve by `MomentSdp.certificate` as a GramIdentity with bound
+lambda* (each block's Gram matrix over the basis and weight the block was
+built from) and attached to the result only when it passes the identity's
+acceptance rule.
 The simplified relaxation Q-hat keeps a single moment matrix at the minimal
 order d and replaces each localizing block by the scalar row L_y(g_j) >= 0;
 its dual multipliers are nonnegative scalars. Q-hat is exact for SOS-convex
@@ -28,12 +30,7 @@ from ._compile import (
 # moment_matrix is unused here but kept: the layer trace in perfbench patches
 # it by name in this module
 from .moments import MomentVector, flatness, mean_point, moment_matrix
-from .poly import (
-    Polynomial,
-    PreconditionFailure,
-    SemialgebraicSet,
-    monomial_basis,
-)
+from .poly import Polynomial, PreconditionFailure, SemialgebraicSet
 from .sdp import SolverOptions
 from .sos import GramIdentity, is_sos_convex
 
@@ -126,36 +123,6 @@ def build_qhat(problem: PolyOptProblem) -> MomentSdp:
     d = problem.min_order()
     blocks = relaxation_blocks(K, d, "scalar")
     return moment_program(K.n, d, coefficient_row(K.n, d, f), blocks)
-
-
-def recover_dual_certificate(
-    problem: PolyOptProblem,
-    solution: MomentSolution,
-    r: int,
-    kind: str = "qr",
-) -> GramIdentity:
-    """The Putinar certificate f - lambda* = sigma_0 + sum_j sigma_j g_j
-    read off the Gram blocks of a solved relaxation, unjudged.
-
-    lambda* is the multiplier of the y_0 = 1 row; each localizing Gram
-    becomes the Gram matrix of sigma_j (a scalar lambda_j for Q-hat rows).
-    """
-    if not solution.is_optimal:
-        raise PreconditionFailure("solution optimal", solution.status.value)
-    f, K = problem.objective, problem.feasible_set
-    n = K.n
-    half = list(K.half_degrees())
-    weights = [Polynomial.constant(n, 1.0), *K.constraints]
-    grams = []
-    for j, (w, G) in enumerate(zip(weights, solution.gram_blocks)):
-        if j == 0:
-            basis = monomial_basis(n, r)
-        elif kind == "qhat":
-            basis = monomial_basis(n, 0)
-        else:
-            basis = monomial_basis(n, r - half[j - 1])
-        grams.append((w, basis, np.asarray(G, dtype=float)))
-    return GramIdentity(f, float(solution.eq_multipliers[0]), grams)
 
 
 def lagrangian(
@@ -272,14 +239,13 @@ def _attach_minimizer(
 
 def _attach_certificate(
     result: RelaxationResult,
+    program: MomentSdp,
     problem: PolyOptProblem,
     solution: MomentSolution,
-    r: int,
-    kind: str,
 ) -> None:
-    """Attach the solve's Putinar certificate when it passes the acceptance
-    rule; otherwise note why and leave it unset."""
-    cert = recover_dual_certificate(problem, solution, r, kind)
+    """Attach the Putinar certificate of the program's solve when it passes
+    the acceptance rule; otherwise note why and leave it unset."""
+    cert = program.certificate(problem.objective, solution)
     why = cert.rejection()
     if why is None:
         result.dual_certificate = cert
@@ -330,7 +296,7 @@ def solve_hierarchy(
     )
     results.append(res)
     if sol.is_optimal:
-        _attach_certificate(res, problem, sol, qhat.order, "qhat")
+        _attach_certificate(res, qhat, problem, sol)
         if not _stall_band(res, sol):
             conv_all = is_sos_convex(problem.objective).is_sos_convex and all(
                 is_sos_convex(-1.0 * g).is_sos_convex for g in K.constraints
@@ -373,7 +339,7 @@ def solve_hierarchy(
             if prev_bound is None
             else max(prev_bound, res.lower_bound)
         )
-        _attach_certificate(res, problem, sol, r, "qr")
+        _attach_certificate(res, qr, problem, sol)
         if _stall_band(res, sol):
             continue
 

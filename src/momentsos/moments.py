@@ -77,20 +77,31 @@ class BlockSpec:
     """A moment or localizing block S(g z) = sum_t coef[t] z[index[t]], in
     layers, one per term t of g: index[t] holds the graded-lex moment index
     of each entry, alpha_row + alpha_col + gamma_t, and coef[t] is the
-    coefficient of gamma_t in g."""
+    coefficient of gamma_t in g.
+
+    A block built by `from_pattern` keeps its exponent rows `basis` and its
+    `weight` g (the constant 1 for a moment block): the dual Gram matrix of
+    the block multiplies weight * z_basis' G z_basis, which is how
+    `_compile.MomentSdp.certificate` reads the identity off a solve. A block
+    given as raw layers has neither."""
 
     label: str
     index: np.ndarray  # (k, dim, dim)
     coef: np.ndarray  # (k,)
+    basis: Optional[np.ndarray] = None  # (dim, n) exponent rows
+    weight: Optional[Polynomial] = None
 
     @staticmethod
     def from_pattern(
         label: str, basis, g: Optional[Polynomial] = None
     ) -> "BlockSpec":
         """S(g z), or S(z) when g is None, over the exponent rows `basis`."""
-        coef = np.ones(1) if g is None else g.coefficients
+        basis = np.asarray(basis, dtype=int)
+        if g is None:
+            g = Polynomial.constant(basis.shape[1], 1.0)
         index = _moment_pattern(basis, g).index.reshape(len(basis), len(basis), -1)
-        return BlockSpec(label, np.ascontiguousarray(np.moveaxis(index, 2, 0)), coef)
+        index = np.ascontiguousarray(np.moveaxis(index, 2, 0))
+        return BlockSpec(label, index, g.coefficients, basis, g)
 
     @property
     def dim(self) -> int:

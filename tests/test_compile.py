@@ -9,7 +9,6 @@ from momentsos import _compile, moments, sdp
 from momentsos._compile import (
     BlockSpec,
     MomentSdp,
-    MomentStatus,
     coefficient_row,
     moment_program,
     relaxation_blocks,
@@ -52,7 +51,7 @@ def interval_program(f):
 def test_min_x_on_interval():
     ms = interval_program(Polynomial.variable(1, 0))
     sol = ms.solve()
-    assert sol.status is MomentStatus.OPTIMAL
+    assert sol.status is sdp.SdpStatus.OPTIMAL
     assert sol.value == pytest.approx(-1.0, abs=1e-6)
     y = ms.moment_vector(sol)
     assert y.provenance == "interior_point"
@@ -105,7 +104,7 @@ def test_infeasible_moment_program():
         eq_rhs=np.array([1.0]),
     )
     sol = ms.solve()
-    assert sol.status is MomentStatus.INFEASIBLE
+    assert sol.status is sdp.SdpStatus.INFEASIBLE
     assert sol.value == np.inf
 
 
@@ -123,7 +122,7 @@ def test_unbounded_moment_program():
         eq_rhs=np.array([1.0]),
     )
     sol = ms.solve()
-    assert sol.status is MomentStatus.UNBOUNDED
+    assert sol.status is sdp.SdpStatus.UNBOUNDED
     assert sol.value == -np.inf
 
 
@@ -176,8 +175,9 @@ def test_deflation_kernel_is_orthogonal_to_image():
         z = z_part + N @ rng.normal(size=N.shape[1])
         h = lift_to_xy(K.constraints[j - 1], "y")
         budget = 2 * (d - half[j])
-        for k, _, g, _ in _rho_blocks(K, j, d):
-            D = d - half[k]
+        for B in _rho_blocks(K, j, d):
+            g = B.weight
+            D = d - (g.degree() + 1) // 2
             S = BlockSpec.from_pattern("S", monomial_basis(n2, D), g).apply(z)
             index = {a: i for i, a in enumerate(monomial_basis(n2, D))}
             max_p_deg = min(D - h.degree(), budget - g.degree() - D)

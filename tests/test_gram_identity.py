@@ -7,12 +7,7 @@ import numpy as np
 import pytest
 
 from momentsos.convexcert import certify_convexity
-from momentsos.hierarchy import (
-    PolyOptProblem,
-    build_qhat,
-    build_qr,
-    recover_dual_certificate,
-)
+from momentsos.hierarchy import PolyOptProblem, build_qhat, build_qr
 from momentsos.poly import Polynomial, SemialgebraicSet
 from momentsos.sos import GramIdentity, is_sos_convex, sos_decompose
 
@@ -47,14 +42,15 @@ def putinar_certificate():
     x = Polynomial.variable(1, 0)
     K = SemialgebraicSet(1, (1.0 - x * x,), ball_bound=1.0)
     prob = PolyOptProblem(x, K)
-    return recover_dual_certificate(prob, build_qr(prob, 1).solve(), 1)
+    q = build_qr(prob, 1)
+    return q.certificate(x, q.solve())
 
 
 def qhat_certificate():
     x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
     prob = PolyOptProblem((x1 - 1.0) ** 2 + (x2 - 1.0) ** 2, unit_disk())
     q = build_qhat(prob)
-    return recover_dual_certificate(prob, q.solve(), q.order, kind="qhat")
+    return q.certificate(prob.objective, q.solve())
 
 
 def rho_shortcut_weights():

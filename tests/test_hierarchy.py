@@ -12,7 +12,6 @@ from momentsos.hierarchy import (
     kkt_residuals,
     lagrangian,
     qc_form_report,
-    recover_dual_certificate,
     scalar_multipliers,
     solve_hierarchy,
     strict_convexity_probe,
@@ -134,7 +133,7 @@ class TestDualCertificates:
         prob = PolyOptProblem(poly1([0.0, 0.0, 1.0]), SemialgebraicSet(1, ()))
         q = build_qr(prob, 1)
         sol = q.solve()
-        cert = recover_dual_certificate(prob, sol, 1)
+        cert = q.certificate(prob.objective, sol)
         assert abs(cert.bound) <= 1e-5
         # sigma_0 = X^2
         np.testing.assert_allclose(
@@ -146,7 +145,7 @@ class TestDualCertificates:
         prob = PolyOptProblem(poly1([0.0, 1.0]), interval_set())
         q = build_qr(prob, 1)
         sol = q.solve()
-        cert = recover_dual_certificate(prob, sol, 1)
+        cert = q.certificate(prob.objective, sol)
         assert abs(cert.bound - (-1.0)) <= 1e-6
         # Gram entries are only sqrt(gap)-accurate here: the unique
         # certificate is rank-deficient, so strict complementarity fails
@@ -161,7 +160,7 @@ class TestDualCertificates:
         prob = disk_problem()
         q = build_qhat(prob)
         sol = q.solve()
-        cert = recover_dual_certificate(prob, sol, q.order, kind="qhat")
+        cert = q.certificate(prob.objective, sol)
         scalars = scalar_multipliers(cert)
         assert scalars is not None and len(scalars) == 1
         assert scalars[0] >= -1e-9
@@ -176,7 +175,7 @@ class TestDualCertificates:
         for r in (1, 2, 3):
             q = build_qr(prob, r)
             sol = q.solve()
-            cert = recover_dual_certificate(prob, sol, r)
+            cert = q.certificate(prob.objective, sol)
             assert cert.bound <= sol.value + 1e-6
 
     def test_rejects_unsolved(self):
@@ -185,7 +184,7 @@ class TestDualCertificates:
         sol = q.solve()
         sol.status = type(sol.status).INFEASIBLE
         with pytest.raises(PreconditionFailure):
-            recover_dual_certificate(prob, sol, 1)
+            q.certificate(prob.objective, sol)
 
 
 class TestLagrangian:

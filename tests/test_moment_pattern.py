@@ -1,5 +1,6 @@
 """The pattern-derived builders against the entry-by-entry loops they
-replaced, kept here as the reference.
+replaced, and `MomentSdp.certificate` against the per-relaxation read-off
+formulas it replaced, kept here as the reference.
 
 Every form must agree bit for bit (`np.array_equal`, and the same term
 order for polynomials): term order reaches `eval` and `l1_norm`, and the
@@ -13,11 +14,13 @@ import pytest
 
 from momentsos._compile import coefficient_row, moment_program, relaxation_blocks
 from momentsos.convexcert import (
-    _recover_rho_weights,
     _rho_blocks,
+    build_sdr,
+    gradient_pairing,
     lift_to_xy,
     rho_program,
 )
+from momentsos.hierarchy import PolyOptProblem, build_qhat, build_qr
 from momentsos.moments import (
     BlockSpec,
     MomentVector,
@@ -34,6 +37,11 @@ from helpers import example_degenerate_cube, example_hyperbola_disk, unit_disk
 
 def full_index(n, order):
     return {a: i for i, a in enumerate(monomial_basis(n, 2 * order))}
+
+
+def rows(basis):
+    """Exponent rows as a list of int tuples, as monomial_basis gives them."""
+    return [tuple(a) for a in np.asarray(basis).tolist()]
 
 
 def add(*monomials):
@@ -236,8 +244,10 @@ def test_kernel_deflation_matches_reference_kernel(K):
             if d_j < max(half):
                 continue
             budget = 2 * (d_j - half[j])
-            for k, _, g, kept in _rho_blocks(K, j, d_j):
-                D = d_j - half[k]
+            blocks = _rho_blocks(K, j, d_j)
+            for B in blocks:
+                g, kept = B.weight, rows(B.basis)
+                D = d_j - (g.degree() + 1) // 2
                 basis = monomial_basis(n2, D)
                 keep = [basis.index(a) for a in kept]
                 max_p_deg = min(D - h.degree(), budget - g.degree() - D)
@@ -254,10 +264,7 @@ def test_kernel_deflation_matches_reference_kernel(K):
             program = rho_program(K, j, d_j)
             problem, _ = program.to_sdp()
             idx = full_index(n2, d_j)
-            tensors = [
-                ref_block_tensor(kept, idx, g)
-                for _, _, g, kept in _rho_blocks(K, j, d_j)
-            ]
+            tensors = [ref_block_tensor(rows(B.basis), idx, B.weight) for B in blocks]
             for k, (C, (ref_C, ref_A)) in enumerate(
                 zip(problem.C, ref_stacks(tensors, program))
             ):
@@ -292,11 +299,129 @@ def test_psi_free_matches_reference(K):
     n2, half = 2 * K.n, K.half_degrees()
     for j in range(1, K.m + 1):
         d_j = max(half) + 1
-        sizes = [len(basis) for *_, basis in _rho_blocks(K, j, d_j)]
+        program = rho_program(K, j, d_j)
         basis = monomial_basis(n2, 2 * (d_j - half[j - 1]))
         sol = SimpleNamespace(
-            gram_blocks=[rng.normal(size=(s, s)) for s in sizes],
+            is_optimal=True,
+            gram_blocks=[rng.normal(size=(B.dim, B.dim)) for B in program.blocks],
             eq_multipliers=rng.normal(size=1 + len(basis)),
         )
-        (psi_free, _), = _recover_rho_weights(K, j, d_j, sol).free
+        target = gradient_pairing(K.constraints[j - 1])
+        identity = program.certificate(target, sol)
+        (psi_free, _), = identity.free
         assert same_terms(psi_free, ref_psi_free(basis, sol.eq_multipliers, n2))
+        # the whole identity of made-up Grams: bases and weights alone decide
+        reference = ref_rho_weights(K, j, d_j, sol)
+        assert identity.to_json() == reference.to_json()
+
+
+# ---- certificate read-off ---------------------------------------------------------
+
+
+def ref_putinar(problem, solution, r, kind="qr"):
+    """The Putinar identity with the bases worked out from r and the kind of
+    relaxation: monomial_basis(n, r - r_j), or degree 0 for Q-hat rows."""
+    f, K = problem.objective, problem.feasible_set
+    weights = [Polynomial.constant(K.n, 1.0), *K.constraints]
+    grams = []
+    for j, (w, G) in enumerate(zip(weights, solution.gram_blocks)):
+        if j == 0:
+            basis = monomial_basis(K.n, r)
+        elif kind == "qhat":
+            basis = monomial_basis(K.n, 0)
+        else:
+            basis = monomial_basis(K.n, r - K.half_degrees()[j - 1])
+        grams.append((w, basis, np.asarray(G, dtype=float)))
+    return GramIdentity(f, float(solution.eq_multipliers[0]), grams)
+
+
+def ref_rho_weights(K, j, d_j, solution):
+    """The rho_j identity: sigma_k on g_k(X) (g_0 = 1) and psi_k on g_k(Y),
+    k != j, each over monomial_basis(2n, d_j - r_k) less the leading
+    coordinates of the reference kernel, and the free term psi_j g_j(Y)
+    with psi_j = sum_m mu_m m over the monomials of the equality rows."""
+    n2, half = 2 * K.n, K.half_degrees()
+    h = lift_to_xy(K.constraints[j - 1], "y")
+    budget = 2 * (d_j - half[j - 1])
+    blocks = [(d_j, Polynomial.constant(n2, 1.0))]
+    for side in ("x", "y"):
+        for k, (g, rk) in enumerate(zip(K.constraints, half), start=1):
+            if side == "x" or k != j:
+                blocks.append((d_j - rk, lift_to_xy(g, side)))
+    grams = []
+    for (D, w), G in zip(blocks, solution.gram_blocks):
+        basis = monomial_basis(n2, D)
+        max_p_deg = min(D - h.degree(), budget - w.degree() - D)
+        leads = set()
+        if max_p_deg >= 0:
+            kernel = ref_kernel(n2, D, max_p_deg, h)
+            leads = {int(np.flatnonzero(col)[-1]) for col in kernel.T}
+        kept = [a for i, a in enumerate(basis) if i not in leads]
+        grams.append((w, kept, G))
+    mu = solution.eq_multipliers
+    multipliers = monomial_basis(n2, budget)
+    psi_free = Polynomial.make(n2, dict(zip(multipliers, mu[1:].tolist())))
+    target = gradient_pairing(K.constraints[j - 1])
+    return GramIdentity(target, float(mu[0]), grams, [(psi_free, h)])
+
+
+@pytest.mark.parametrize("name", ["disk", "lens"])
+def test_putinar_certificate_matches_reference(name):
+    x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    problem = PolyOptProblem(x1 + 0.5 * x2 * x2 - x1 * x2, FIXTURES[name])
+    programs = [(build_qr(problem, r), r, "qr") for r in (1, 2, 3)]
+    qhat = build_qhat(problem)
+    programs.append((qhat, qhat.order, "qhat"))
+    for program, r, kind in programs:
+        solution = program.solve()
+        assert solution.is_optimal
+        identity = program.certificate(problem.objective, solution)
+        reference = ref_putinar(problem, solution, r, kind)
+        assert identity.to_json() == reference.to_json()
+
+
+@pytest.mark.parametrize("name, d_j", [("lens", 3), ("lens", 4), ("disk", 2)])
+def test_rho_weights_match_reference(name, d_j):
+    K = FIXTURES[name]
+    program = rho_program(K, 1, d_j)
+    solution = program.solve()
+    assert solution.is_optimal
+    identity = program.certificate(gradient_pairing(K.constraints[0]), solution)
+    reference = ref_rho_weights(K, 1, d_j, solution)
+    assert identity.to_json() == reference.to_json()
+
+
+def fixture_programs(K):
+    """(n, order, blocks) of every compiled program of the fixture: Q_r and
+    Q-hat, the lift in both forms, and rho_j for every j."""
+    problem = PolyOptProblem(Polynomial.variable(K.n, 0), K)
+    r = problem.min_order()
+    for order in (r, r + 1):
+        q = build_qr(problem, order)
+        yield q.n, q.order, q.blocks
+    q = build_qhat(problem)
+    yield q.n, q.order, q.blocks
+    for form in ("localizing", "scalar"):
+        sdr = build_sdr(K, d=r, form=form)
+        yield sdr.n, sdr.d, sdr.blocks
+    for j in range(1, K.m + 1):
+        program = rho_program(K, j, max(K.half_degrees()) + 1)
+        yield program.n, program.order, program.blocks
+
+
+def test_blocks_keep_basis_and_weight(K):
+    # each block is S(weight z) over its basis: applied to a moment vector
+    # it is the dense reference tensor over those rows, contracted with z
+    rng = np.random.default_rng(17)
+    for n, order, blocks in fixture_programs(K):
+        idx = full_index(n, order)
+        z = rng.normal(size=len(idx))
+        for B in blocks:
+            assert len(B.basis) == B.dim
+            ref = np.tensordot(
+                ref_block_tensor(rows(B.basis), idx, B.weight), z, axes=(2, 0)
+            )
+            assert np.max(np.abs(B.apply(z) - ref)) <= 1e-14 * np.max(np.abs(ref))
+    # a block given as raw layers has neither
+    raw = BlockSpec("raw", np.zeros((1, 2, 2), dtype=int), np.ones(1))
+    assert raw.basis is None and raw.weight is None
