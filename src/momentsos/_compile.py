@@ -47,7 +47,9 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .poly import Polynomial, PreconditionFailure, SemialgebraicSet, basis_size
+from .poly import (
+    Polynomial, PreconditionFailure, SemialgebraicSet, _grlex_index, basis_size
+)
 from .moments import BlockSpec, MomentVector, _basis, _moment_pattern
 from .sdp import (
     BLOCK_CAP,
@@ -133,7 +135,8 @@ class MomentSdp:
             raise PreconditionFailure(
                 "equality rows consistent", "no solution to E z = e"
             )
-        N = Vt[rank:].T
+        # a copy of N's rows, so that the decode map does not pin all of Vt
+        N = Vt[rank:].copy().T
         return z_part, N
 
     def _unit_columns(self) -> Optional[np.ndarray]:
@@ -341,20 +344,18 @@ def moment_program(
 ) -> MomentSdp:
     """min objective'z over `blocks` subject to z_0 = 1, the first
     equality row, and, for an ideal (h, m), one row L_z(h m_i) = 0 per
-    exponent row m_i of m."""
-    E = coefficient_row(n, order, Polynomial.constant(n, 1.0))[None, :]
+    exponent row m_i of m. Row i is built from the exponents m_i + gamma_t
+    of the terms of h, term by term, so the rows take O(q |h|) work space
+    beyond E and the m_i may come in any order."""
+    q = 0 if ideal is None else len(ideal[1])
+    E = np.zeros((1 + q, basis_size(n, 2 * order)))
+    E[0] = coefficient_row(n, order, Polynomial.constant(n, 1.0))
     if ideal is not None:
         h, multipliers = ideal
-        # column 0 of the pattern of S(h z) pairs each m_i with the constant
-        # monomial, so its entries are the coefficients of h m_i
-        pattern = _moment_pattern(multipliers, h)
-        first = pattern.col == 0
-        eq_rows = np.zeros((len(multipliers), E.shape[1]))
-        np.add.at(
-            eq_rows, (pattern.row[first], pattern.index[first]), pattern.coef[first]
-        )
-        E = np.vstack([E, eq_rows])
-    rhs = np.r_[1.0, np.zeros(len(E) - 1)]
+        exponent = (multipliers[:, None] + h.exponents).reshape(-1, n)
+        rows = np.repeat(np.arange(1, 1 + q), len(h.coefficients))
+        np.add.at(E, (rows, _grlex_index(exponent)), np.tile(h.coefficients, q))
+    rhs = np.r_[1.0, np.zeros(q)]
     return MomentSdp(n, order, objective, blocks, E, rhs, ideal)
 
 

@@ -50,7 +50,7 @@ def _moment_pattern(
 ) -> MomentPattern:
     """The pattern of S(g z), or of S(z) when g is None, over the exponent
     rows `basis`; with `upper`, only its entries with row <= col. Every
-    moment, localizing, Gram and equality-row builder reads it, summing in
+    moment, localizing, Gram and coefficient-row builder reads it, summing in
     entry order (`np.add.at`, `np.bincount`) as the loops it replaced did."""
     basis = np.asarray(basis, dtype=int)
     s, n = basis.shape

@@ -645,7 +645,8 @@ def _schur_matrix(problem: SdpProblem, Gs: List[np.ndarray]) -> np.ndarray:
     of B are svec(H_i), the upper triangles with off-diagonal entries
     scaled by sqrt(2), and the term is B B', one symmetric rank-k update
     (SYRK) that is exactly symmetric and positive semidefinite. The H_i
-    are formed CHUNK_BYTES at a time, so only B is held in full.
+    are formed CHUNK_BYTES at a time, so only B is held in full, and B is
+    dropped once its term is added: one block's B is held at a time.
     """
     p = problem.num_constraints
     M = np.zeros((p, p))
@@ -661,6 +662,7 @@ def _schur_matrix(problem: SdpProblem, Gs: List[np.ndarray]) -> np.ndarray:
                 np.take(H, svec_positions, axis=1, out=B[lo : lo + step])
             B *= svec_weights
             M += B @ B.T
+            del B  # so that no two blocks' B are held together
             continue
         positions, weights, starts, owners, (owner, row, col, value) = pattern
         if not len(positions):
@@ -811,7 +813,8 @@ def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSo
     Schur system is held at a time: the last iteration's solver is dropped
     before the next M is built, and `_schur_solver` shifts M in place and
     inverts the factor over itself. So at most three p x p matrices
-    are live at once: M and the copy of its transpose while M is
+    are live at once: M and B B' next to one dense block's B while M is
+    formed (`_schur_matrix`), M and the copy of its transpose while M is
     symmetrized, or M, its factor and a jitter retry's sum while M is
     factored.
     """

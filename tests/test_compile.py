@@ -392,3 +392,85 @@ def test_svd_path_holds_one_layer_beyond_the_stacks():
         tracemalloc.stop()
     layer = max(A.nbytes for A, B in zip(stacks, program.blocks) if len(B.coef) > 1)
     assert peak <= sum(A.nbytes for A in stacks) + layer + (1 << 16)
+
+
+# ---- the ideal rows, the decode basis and the Schur term's memory -----------
+
+
+def ideal_rows_match_coefficient_rows(program):
+    """Whether row 1 + i of E is coefficient_row(h m_i) bit for bit."""
+    h, multipliers = program.ideal
+    n, order = program.n, program.order
+    rows = [
+        coefficient_row(n, order, h * Polynomial.monomial(n, m))
+        for m in map(tuple, multipliers.tolist())
+    ]
+    return program.num_equalities == 1 + len(rows) and all(
+        same_bits(program.eq_rows[1 + i], row) for i, row in enumerate(rows)
+    )
+
+
+@pytest.mark.parametrize(
+    "K, j, d",
+    [(example_hyperbola_disk, 1, d) for d in (3, 4, 5, 6)]
+    + [(unit_disk, 1, d) for d in (2, 3)]
+    + [(example_degenerate_cube, 1, d) for d in (3, 4)],
+)
+def test_rho_ideal_rows_are_coefficient_rows(K, j, d):
+    program = rho_program(K(), j, d)
+    one = Polynomial.constant(program.n, 1.0)
+    assert same_bits(program.eq_rows[0], coefficient_row(program.n, d, one))
+    assert ideal_rows_match_coefficient_rows(program)
+
+
+def test_ideal_rows_need_no_constant_first_multiplier():
+    # the multipliers x_2, x_1, 1 of h = 1 - |x|^2: row i is L_z(h m_i)
+    # whatever the order of the rows, the constant monomial last here
+    h = unit_disk().constraints[0]
+    multipliers = moments._basis(2, 1)[::-1]
+    assert multipliers[0].tolist() == [0, 1]
+    program = moment_program(2, 2, np.zeros(basis_size(2, 4)), [], (h, multipliers))
+    assert ideal_rows_match_coefficient_rows(program)
+
+
+def test_rho_ideal_rows_take_no_square_pattern():
+    # lens rho_1 at d = 6: q = 1001 rows over s = 1820 moments, and E takes
+    # 14.6 MB. A q x q pattern of S(h z) would peak above 300 MB
+    tracemalloc.start()
+    try:
+        program = rho_program(example_hyperbola_disk(), 1, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert program.eq_rows.shape == (1002, 1820)
+    assert peak < 60e6
+
+
+def test_null_space_basis_holds_only_its_rows():
+    # N is Vt[rank:]' in value and layout, over a copy of those rows, so
+    # that the decode map does not hold the whole s x s Vt
+    program = rho_program(example_hyperbola_disk(), 1, 4)
+    _, N = program._eliminate()
+    s = program.num_moments
+    _, _, Vt = np.linalg.svd(program.eq_rows, full_matrices=True)
+    rank = s - N.shape[1]
+    assert N.base is not None and N.base.shape == (s - rank, s)
+    assert N.strides == Vt[rank:].T.strides and same_bits(N, Vt[rank:].T)
+
+
+def test_schur_matrix_holds_one_dense_block_at_a_time():
+    # lens rho_1 at d = 5: p = 505 and dense blocks 91/55/55/55, whose B
+    # take 16.9 MB and 6.2 MB each. Beyond the largest B, one call holds M
+    # and B B' (2 p^2 doubles) and a few chunks, never two blocks' B
+    problem, _ = rho_program(example_hyperbola_disk(), 1, 5).to_sdp()
+    p = problem.num_constraints
+    assert all(pattern is None for pattern in problem.one_hot)
+    Gs = [np.eye(n) for n in problem.block_dims]
+    largest = max(8 * p * n * (n + 1) // 2 for n in problem.block_dims)
+    tracemalloc.start()
+    try:
+        sdp._schur_matrix(problem, Gs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < largest + 2 * 8 * p * p + 4 * sdp.CHUNK_BYTES

@@ -17,9 +17,11 @@ OPENBLAS_NUM_THREADS is set.
 
 With --peak the round runs under tracemalloc, and each line also gets
 "peak_mb": the traced peak during that solve above the traced memory at
-its start, in MB (10^6 bytes). tracemalloc sees Python objects and numpy
-arrays, not the work space of BLAS or LAPACK. Without --peak the output is
-the digest alone.
+its start, in MB (10^6 bytes). The solve of a moment program also gets
+"compile_peak_mb", the same figure for the `MomentSdp.to_sdp` call that
+built its problem. tracemalloc sees Python objects and numpy arrays, not
+the work space of BLAS or LAPACK. Without --peak the output is the digest
+alone.
 """
 
 import os
@@ -96,29 +98,44 @@ def main(argv=None):
 
     workload = workloads.WORKLOADS[args.workload](args.seed)
     workloads.warm_up()
-    original = sdp.solve
+    original, original_to_sdp = sdp.solve, _compile.MomentSdp.to_sdp
+    # the to_sdp peak of each problem built and not yet solved, by id
+    compile_peak = {}
 
-    def solve(problem, options=None):
-        # without --peak tracemalloc is off, and these read zeros
+    def traced_peak(call, *operands):
+        """call(*operands) and its traced peak above the start, in MB;
+        without --peak tracemalloc is off, and the peak reads 0."""
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
-        sol = original(problem, options)
-        # read before the digest, which allocates too
-        peak = tracemalloc.get_traced_memory()[1] - start
+        out = call(*operands)
+        return out, (tracemalloc.get_traced_memory()[1] - start) / 1e6
+
+    def to_sdp(program):
+        out, peak = traced_peak(original_to_sdp, program)
+        compile_peak[id(out[0])] = peak
+        return out
+
+    def solve(problem, options=None):
+        # the peak is read before the digest, which allocates too
+        sol, peak = traced_peak(original, problem, options)
         line = digest(problem, sol)
         if args.peak:
-            line["peak_mb"] = peak / 1e6
+            line["peak_mb"] = peak
+            if id(problem) in compile_peak:
+                line["compile_peak_mb"] = compile_peak.pop(id(problem))
         print(json.dumps(line, sort_keys=True), flush=True)
         return sol
 
     for module in (sdp, _compile, sos):
         setattr(module, "solve", solve)
     if args.peak:
+        _compile.MomentSdp.to_sdp = to_sdp
         tracemalloc.start()
     try:
         workload.round(workloads.Recorder())
     finally:
         tracemalloc.stop()
+        _compile.MomentSdp.to_sdp = original_to_sdp
         for module in (sdp, _compile, sos):
             setattr(module, "solve", original)
     return 0
