@@ -22,12 +22,13 @@ Every block is a moment or localizing matrix S(g z), kept as the index
 layers (`moments.BlockSpec`) of the one pattern of `moments._moment_pattern`,
 and no dense (dim, dim, s) tensor is built. By selection, a block's
 entries are read off the layers: a one-hot block (`sdp._entry_pattern`),
-every single-term block among them, is handed to the solver as those
-entries alone, and only the other blocks are scattered into a dense
-stack. Through N, each block's stack gathers columns of N, and a stack
-that the scan finds one-hot is dropped for its entries. The y0 = 1
-row is the coefficient row of the constant 1, and a scalar row
-L_z(g) >= 0 is the localizing block at d = 0.
+every single-term block among them, is handed to the solver as its
+`sdp.OneHot` record of those entries alone, and only the other blocks
+are scattered into a dense stack. Through N, each block's stack gathers
+columns of N, and a stack that the scan finds one-hot is stored as its
+record instead (`sdp._stored`). The y0 = 1 row is the coefficient row
+of the constant 1, and a scalar row L_z(g) >= 0 is the localizing block
+at d = 0.
 `relaxation_blocks` assembles the blocks shared by Q_r, Q-hat and the lift,
 and `moment_program` adds the normalization z_0 = 1 to every program and,
 for an ideal (h, m) such as the rho_j programs' (g_j(Y), the monomials of
@@ -58,7 +59,7 @@ from .sdp import (
     SdpStatus,
     SolverOptions,
     _entry_pattern,
-    _one_hot_pattern,
+    _stored,
     solve,
 )
 from .sos import GramIdentity
@@ -160,19 +161,18 @@ class MomentSdp:
         column, so both give the same stacks, b and z, bit for bit.
         Every stack is exactly symmetric, as the index layers are, so the
         problem is built without `SdpProblem.make`'s checks. A selected
-        block's one-hot pattern is read off its entries, and no stack is
-        built for it; a stack through N is scanned for it, since the few
-        rows of a low-order rho_j program leave some of its blocks
-        one-hot, and dropped when it has one.
+        one-hot block's `OneHot` record is read off its entries, and no
+        stack is built for it; a stack through N is scanned for one
+        (`sdp._stored`), since the few rows of a low-order rho_j program
+        leave some of its blocks one-hot, and dropped when it has one.
         """
         fixed = self._unit_columns()
         if fixed is None:
             z_part, N = self._eliminate()
             As = [
-                np.negative(a, out=a) for a in (B.apply(N.T) for B in self.blocks)
+                _stored(np.negative(a, out=a))
+                for a in (B.apply(N.T) for B in self.blocks)
             ]
-            one_hot = [_one_hot_pattern(A) for A in As]
-            As = [A if pattern is None else None for A, pattern in zip(As, one_hot)]
             b = -(N.T @ self.objective)
             decode = {"z_part": z_part, "N": N}
         else:
@@ -181,16 +181,12 @@ class MomentSdp:
             free = np.delete(np.arange(self.num_moments), fixed)
             coord = np.full(self.num_moments, -1)
             coord[free] = np.arange(len(free))
-            As, one_hot = zip(
-                *(_selected_stack(B, coord, len(free)) for B in self.blocks)
-            )
+            As = [_selected_stack(B, coord, len(free)) for B in self.blocks]
             # + 0.0 makes a -0.0 objective entry +0.0, as N' c sums it
             b = -(self.objective[free] + 0.0)
             decode = {"z_part": z_part, "free": free}
         Cs = [B.apply(z_part) for B in self.blocks]
-        problem = SdpProblem(
-            tuple(self.block_dims()), tuple(Cs), tuple(As), b, tuple(one_hot)
-        )
+        problem = SdpProblem(tuple(self.block_dims()), tuple(Cs), tuple(As), b)
         return problem, decode
 
     # ---- solving ------------------------------------------------------------
@@ -285,9 +281,9 @@ def _decode(decode: dict, u: np.ndarray) -> np.ndarray:
 
 
 def _selected_stack(B: BlockSpec, coord: np.ndarray, q: int):
-    """-S_B over the free coordinates: (None, its one-hot pattern) when
-    it has one (`sdp._entry_pattern`), else (the C-contiguous
-    (q, dim, dim) stack, None).
+    """-S_B over the free coordinates, in its stored form: its `OneHot`
+    record when it is one-hot (`sdp._entry_pattern`), else the
+    C-contiguous (q, dim, dim) stack.
 
     `coord` maps each moment to its free coordinate, or to -1 when it is
     fixed. Each layer puts its coefficient at (coord, row, col); a layer
@@ -306,10 +302,10 @@ def _selected_stack(B: BlockSpec, coord: np.ndarray, q: int):
     flat, coef = np.concatenate(flat), np.concatenate(coef)
     pattern = _entry_pattern(q, dim, flat, -coef)
     if pattern is not None:
-        return None, pattern
+        return pattern
     stack = np.zeros((q, dim, dim))
     np.add.at(stack.reshape(-1), flat, coef)
-    return np.negative(stack, out=stack), None
+    return np.negative(stack, out=stack)
 
 
 # ---- builders --------------------------------------------------------------

@@ -29,14 +29,15 @@ feasible for the embedding (not for the problem itself) and reports
 primal/dual infeasibility through normalized improving rays instead of
 exceptions. Deterministic: no randomness anywhere in the iteration.
 
-`SdpProblem` stores the constraint matrices of each block once: a one-hot
-block as its entries (its one-hot pattern), any other block as a dense
-(p, n_b, n_b) stack. The moment compiler and `sos_decompose` read the
-pattern off the block's layout, and `SdpProblem.make` finds it by scanning
-the stacks it is given. On a one-hot block A'y is a scatter of the
-entries. A(X) scatters a larger one-hot block's entries into a buffer of
-CHUNK_BYTES, a chunk of constraints at a time, for the same
-matrix-vector product on each chunk that the whole stack would take; its
+`SdpProblem` stores the constraint matrices of each block once, in `A`: a
+one-hot block as its `OneHot` record of entries, any other block as a
+dense (p, n_b, n_b) stack. The moment compiler and `sos_decompose` build
+the record from the block's layout (`_entry_pattern`), and
+`SdpProblem.make` finds it by scanning the stacks it is given (`_stored`).
+On a one-hot block A'y is a scatter of the entries. A(X) scatters a
+larger one-hot block's entries into a buffer of CHUNK_BYTES, a chunk of
+constraints at a time (`OneHot.entries`), for the same matrix-vector
+product on each chunk that the whole stack would take; its
 bytes are those of the whole-stack product (`_constraint_chunks`). A
 one-hot block that fits in CHUNK_BYTES is built once per problem and
 read whole. `SolverOptions` holds the two target tolerances; every other
@@ -49,7 +50,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -113,35 +114,78 @@ def _check_block_dims(dims: Tuple[int, ...]) -> None:
         )
 
 
+class OneHot(NamedTuple):
+    """The constraint matrices of a one-hot block (`_entry_pattern`),
+    stored as their entries: `owner, row, col, value` of every nonzero in
+    `np.nonzero` order (by owner, then row, then col). Then the gather of
+    `_schur_matrix`: the flat indices of the upper-triangle nonzeros sorted
+    by owner (`positions`), their entries doubled off the diagonal
+    (`weights`), where each owner's run starts (`starts`), and the owners
+    in run order (`owners`)."""
+
+    owner: np.ndarray
+    row: np.ndarray
+    col: np.ndarray
+    value: np.ndarray
+    positions: np.ndarray
+    weights: np.ndarray
+    starts: np.ndarray
+    owners: np.ndarray
+
+    def entries(self, lo: int, hi: int):
+        """((owner - lo, row, col), value) of the entries of constraints
+        lo..hi-1: one run, as the entries are sorted by owner."""
+        at = slice(*np.searchsorted(self.owner, (lo, hi)))
+        return (self.owner[at] - lo, self.row[at], self.col[at]), self.value[at]
+
+
 @dataclass(frozen=True)
 class SdpProblem:
     """Block-diagonal standard-form SDP data, each coefficient stored once.
 
     `C` is one symmetric (n_b, n_b) matrix per block, and `b` is the (p,)
-    right-hand side. A one-hot block (`_entry_pattern`) is stored only as
-    its pattern in `one_hot`, with None in `A`. Any other block is stored
-    as a C-contiguous (p, n_b, n_b) stack in `A`, so that `A[k][i]` is the
-    matrix of constraint i in block k, with None in `one_hot`. A stored
-    pattern must be the one `_one_hot_pattern` finds in the block's dense
-    stack (`stack` rebuilds that stack), and every stack and every C must
-    equal its transpose exactly: the constructor checks only the block
-    dimensions, so a caller that builds the fields itself (the moment
-    compiler, `sos_decompose`) guarantees the rest by construction.
+    right-hand side. `A[k]` holds the constraint matrices of block k: a
+    one-hot block (`_entry_pattern`) as its `OneHot` record, any other
+    block as a C-contiguous (p, n_b, n_b) stack, so that `A[k][i]` is the
+    matrix of constraint i. The constructor checks the shapes: the block
+    dimensions, each C, each stack, the index ranges of each record, and
+    that b is a vector. It does not check values: a stored record must be
+    the one `_stored` finds in the block's dense stack (`stack` rebuilds
+    that stack), and every stack and every C must equal its transpose
+    exactly, so a caller that builds the fields itself (the moment
+    compiler, `sos_decompose`) guarantees those by construction.
 
     `make` validates dense input, symmetrizes it as 0.5 (A + A') and
-    0.5 (C + C'), scans each stack for its pattern, and keeps only the
-    stacks that have none. The solver builds the dense stack of a small
-    one-hot block once, at its first A(X) (`_whole_stacks`).
+    0.5 (C + C'), and stores each stack's record in place of a one-hot
+    stack. The solver builds the dense stack of a small one-hot block
+    once, at its first A(X) (`_whole_stacks`).
     """
 
     block_dims: Tuple[int, ...]
     C: Tuple[np.ndarray, ...]
-    A: Tuple[Optional[np.ndarray], ...]
+    A: Tuple[Union[np.ndarray, OneHot], ...]
     b: np.ndarray
-    one_hot: Tuple[Optional[tuple], ...]
 
     def __post_init__(self):
         _check_block_dims(self.block_dims)
+        if getattr(self.b, "ndim", None) != 1:
+            raise PreconditionFailure("right-hand side a vector", str(np.shape(self.b)))
+        if not len(self.C) == len(self.A) == len(self.block_dims):
+            raise PreconditionFailure("one C and one A per block")
+        p = len(self.b)
+        for k, (Cb, Ab, n) in enumerate(zip(self.C, self.A, self.block_dims)):
+            if np.shape(Cb) != (n, n):
+                raise PreconditionFailure("objective block dims consistent", f"C[{k}]")
+            if isinstance(Ab, OneHot):
+                tops = ((Ab.owner, p), (Ab.row, n), (Ab.col, n))
+                fits = all(np.all((a >= 0) & (a < top)) for a, top in tops)
+            else:
+                fits = isinstance(Ab, np.ndarray) and Ab.shape == (p, n, n)
+            if not fits:
+                raise PreconditionFailure(
+                    "constraint block a (p, n_b, n_b) stack or a OneHot inside it",
+                    f"A[{k}]",
+                )
 
     @staticmethod
     def make(
@@ -181,18 +225,14 @@ class SdpProblem:
             scale = np.maximum(1.0, np.abs(Ab).max(axis=(1, 2)))
             bad = np.flatnonzero(skew > SYMMETRY_TOL * scale)
             skewed += [(int(i), k, float(skew[i])) for i in bad]
-            sym.append(0.5 * (Ab + Ab_t))
+            sym.append(_stored(0.5 * (Ab + Ab_t)))
         if skewed:
             # the first skew constraint, and its first skew block
             i, k, skew = min(skewed)
             raise PreconditionFailure(
                 "coefficient matrices symmetric", f"A[{i}][{k}]: skew {skew:.3e}"
             )
-        one_hot = tuple(_one_hot_pattern(Ab) for Ab in sym)
-        kept = tuple(
-            Ab if pattern is None else None for Ab, pattern in zip(sym, one_hot)
-        )
-        return SdpProblem(dims, tuple(Cs), kept, b, one_hot)
+        return SdpProblem(dims, tuple(Cs), tuple(sym), b)
 
     @property
     def num_constraints(self) -> int:
@@ -201,12 +241,12 @@ class SdpProblem:
     def stack(self, k: int) -> np.ndarray:
         """The dense (p, n_b, n_b) constraint stack of block k: the stored
         one, or a new one holding the entries of a one-hot block."""
-        if self.A[k] is not None:
-            return self.A[k]
+        Ab = self.A[k]
+        if not isinstance(Ab, OneHot):
+            return Ab
         n = self.block_dims[k]
-        owner, row, col, value = self.one_hot[k][4]
         out = np.zeros((self.num_constraints, n, n))
-        out[owner, row, col] = value
+        out[Ab.owner, Ab.row, Ab.col] = Ab.value
         return out
 
     @cached_property
@@ -218,7 +258,9 @@ class SdpProblem:
         in every A(X) would cost more than the product itself."""
         p = self.num_constraints
         return tuple(
-            self.stack(k) if Ab is not None or 8 * p * n * n <= CHUNK_BYTES else None
+            None
+            if isinstance(Ab, OneHot) and 8 * p * n * n > CHUNK_BYTES
+            else self.stack(k)
             for k, (Ab, n) in enumerate(zip(self.A, self.block_dims))
         )
 
@@ -230,21 +272,13 @@ class SdpProblem:
         dense stack of a one-hot block is built. Kept only for the
         benchmark's layer trace, which reads it until solves carry their own
         trace (ROADMAP direction 4)."""
-        p = self.num_constraints
-        # each constraint's run in the entries of a one-hot block, which are
-        # sorted by owner
-        runs = [
-            None if pattern is None else np.searchsorted(pattern[4][0], range(p + 1))
-            for pattern in self.one_hot
-        ]
-        blocks = list(zip(self.A, self.one_hot, runs, self.block_dims))
         for i, bi in enumerate(self.b):
             mats = []
-            for Ab, pattern, run, n in blocks:
-                if Ab is not None:
+            for Ab, n in zip(self.A, self.block_dims):
+                if not isinstance(Ab, OneHot):
                     mats.append(Ab[i])
                     continue
-                _, row, col, value = (a[run[i] : run[i + 1]] for a in pattern[4])
+                (_, row, col), value = Ab.entries(i, i + 1)
                 Mi = np.zeros((n, n))
                 Mi[row, col] = value
                 mats.append(Mi)
@@ -257,8 +291,10 @@ class SdpProblem:
 
         Convention: the emitted file encodes max <F0,Y> s.t. <Fi,Y>=c_i,
         Y >= 0 with F0 = -C, Fi = A_i, c = b, i.e. this problem's exact
-        negated-objective image in SDPA's dual slot. A one-hot block's
-        lines are its upper-triangle entries as they are stored.
+        negated-objective image in SDPA's dual slot. A block's lines are
+        its nonzeros in the upper triangle: a one-hot block's entries as
+        they are stored, a stack's as `np.nonzero` finds them, both by
+        constraint, row and column.
         """
         head = [
             str(self.num_constraints),
@@ -267,20 +303,19 @@ class SdpProblem:
             " ".join(repr(bi) for bi in self.b.tolist()),
         ]
         entries = []
-        for blk, (Cb, Ab, pattern) in enumerate(
-            zip(self.C, self.A, self.one_hot), start=1
-        ):
+        for blk, (Cb, Ab) in enumerate(zip(self.C, self.A), start=1):
             r, c = np.triu_indices(Cb.shape[0])
             objective = -Cb[r, c]
             t = np.flatnonzero(objective)
             parts = [(np.zeros_like(t), r[t], c[t], objective[t])]
-            if pattern is None:
-                owner, t = np.nonzero(Ab[:, r, c])
-                parts.append((owner + 1, r[t], c[t], Ab[owner, r[t], c[t]]))
+            if isinstance(Ab, OneHot):
+                at, value = Ab.entries(0, self.num_constraints)
             else:
-                upper = pattern[4][1] <= pattern[4][2]
-                owner, row, col, value = (a[upper] for a in pattern[4])
-                parts.append((owner + 1, row, col, value))
+                at = np.nonzero(Ab)
+                value = Ab[at]
+            owner, row, col = at
+            upper = row <= col
+            parts.append((owner[upper] + 1, row[upper], col[upper], value[upper]))
             for i, row, col, value in parts:
                 entries.append((i, np.full(len(i), blk), row + 1, col + 1, value))
         cols = [np.concatenate(col) for col in zip(*entries)]
@@ -380,14 +415,6 @@ def _order_classes(dims: Sequence[int]) -> List[List[int]]:
     return list(classes.values())
 
 
-def _stack(Ms: Sequence[np.ndarray], idx: List[int]) -> np.ndarray:
-    """Ms[i] for i in idx as one (k, n, n) stack. A single matrix is a
-    view, since copying it into a stack of one costs more than it saves."""
-    if len(idx) == 1:
-        return Ms[idx[0]][None]
-    return np.stack([Ms[i] for i in idx])
-
-
 def _max_step(
     Ls: List[np.ndarray], dMs: List[np.ndarray], classes: List[List[int]]
 ) -> float:
@@ -401,7 +428,7 @@ def _max_step(
     eigenvalue is skipped, as `min` skips a NaN step."""
     a = np.inf
     for L, idx in zip(Ls, classes):
-        Linv_d = np.linalg.solve(L, _stack(dMs, idx))
+        Linv_d = np.linalg.solve(L, np.stack([dMs[i] for i in idx]))
         S = np.linalg.solve(L, Linv_d.transpose(0, 2, 1))
         w = np.linalg.eigvalsh(0.5 * (S + S.transpose(0, 2, 1)))[:, 0]
         w_min = float(np.fmin.reduce(w))
@@ -433,18 +460,16 @@ def _constraint_chunks(
         yield 0, p, Ab
         return
     n = problem.block_dims[k]
-    owner, row, col, value = problem.one_hot[k][4]
     step = 16 * max(1, CHUNK_BYTES // (16 * 8 * n * n))
     bounds = list(range(0, p, step))
     if len(bounds) > 1 and p - bounds[-1] == 1:
         bounds.pop()
     bounds.append(p)
     buf = np.zeros((min(p, step + 1), n, n))
-    ends = np.searchsorted(owner, bounds)
-    for lo, hi, first, last in zip(bounds, bounds[1:], ends, ends[1:]):
+    for lo, hi in zip(bounds, bounds[1:]):
         chunk = buf[: hi - lo]
-        at = (owner[first:last] - lo, row[first:last], col[first:last])
-        chunk[at] = value[first:last]
+        at, value = problem.A[k].entries(lo, hi)
+        chunk[at] = value
         yield lo, hi, chunk
         chunk[at] = 0.0
 
@@ -472,18 +497,17 @@ def _apply_At(problem: SdpProblem, lam: np.ndarray) -> List[np.ndarray]:
     the dense contraction adds only exact zeros to that product. Adding
     0.0 turns a product of -0.0 into the +0.0 those sums give."""
     out = []
-    for Ab, pattern, n in zip(problem.A, problem.one_hot, problem.block_dims):
-        if pattern is None:
-            # one gemv, the one np.tensordot makes, except that for a single
-            # entry it multiplies directly, keeping a -0.0 product
-            rows = Ab.reshape(len(lam), n * n)
-            At = lam * rows if rows.size == 1 else lam @ rows
-            out.append(At.reshape(n, n))
+    for Ab, n in zip(problem.A, problem.block_dims):
+        if isinstance(Ab, OneHot):
+            Mb = np.zeros((n, n))
+            Mb[Ab.row, Ab.col] = lam[Ab.owner] * Ab.value + 0.0
+            out.append(Mb)
             continue
-        owner, row, col, value = pattern[4]
-        Mb = np.zeros((n, n))
-        Mb[row, col] = lam[owner] * value + 0.0
-        out.append(Mb)
+        # one gemv, the one np.tensordot makes, except that for a single
+        # entry it multiplies directly, keeping a -0.0 product
+        rows = Ab.reshape(len(lam), n * n)
+        At = lam * rows if rows.size == 1 else lam @ rows
+        out.append(At.reshape(n, n))
     return out
 
 
@@ -518,7 +542,7 @@ def _chol_blocks(
     Ls = []
     for idx in classes:
         try:
-            Ls.append(np.linalg.cholesky(_stack(Ms, idx)))
+            Ls.append(np.linalg.cholesky(np.stack([Ms[i] for i in idx])))
         except np.linalg.LinAlgError:
             one_by_one = [_chol(Ms[i]) for i in idx]
             if any(L is None for L in one_by_one):
@@ -572,17 +596,19 @@ def _corrector_rhs(
     return Rc
 
 
-def _one_hot_pattern(Ab: np.ndarray):
-    """Aggregation pattern of a one-hot block, or None for any other block,
-    found by scanning the dense stack (`_entry_pattern` does the rest)."""
+def _stored(Ab: np.ndarray) -> Union[np.ndarray, OneHot]:
+    """The stored form of a dense (p, n, n) block: its `OneHot` record
+    when it is one-hot, else Ab itself. The scan of the stack leaves the
+    rest to `_entry_pattern`."""
     if np.count_nonzero(Ab, axis=0).max(initial=0) > 1:
-        return None
+        return Ab
     flat = np.flatnonzero(Ab)
-    return _entry_pattern(Ab.shape[0], Ab.shape[1], flat, Ab.reshape(-1)[flat])
+    pattern = _entry_pattern(Ab.shape[0], Ab.shape[1], flat, Ab.reshape(-1)[flat])
+    return Ab if pattern is None else pattern
 
 
 def _entry_pattern(p: int, n: int, flat: np.ndarray, value: np.ndarray):
-    """Aggregation pattern of a (p, n, n) block with entries `value` at
+    """The `OneHot` record of a (p, n, n) block with entries `value` at
     the flat C-order indices `flat` and zeros elsewhere, or None when the
     block is not one-hot. The indices come in any order, without repeats;
     zero values are dropped. A caller that knows a block's entries builds
@@ -593,12 +619,6 @@ def _entry_pattern(p: int, n: int, flat: np.ndarray, value: np.ndarray):
     one entry. Each moment block M_r(y) is: entry (a, b) holds moment
     alpha_a + alpha_b, so a position is one moment, and for a column b and
     a moment alpha only one row a has alpha_a + alpha_b = alpha.
-
-    Returns (positions, weights, starts, owners, entries): the flat indices
-    of the upper-triangle nonzeros sorted by the constraint that owns them,
-    their entries doubled off the diagonal, where each owner's run starts,
-    the owners in run order, and (owner, row, col, value) of every nonzero
-    in `np.nonzero` order (by owner, then row, then col).
     """
     order = np.argsort(flat)
     flat, value = flat[order], value[order]
@@ -613,7 +633,9 @@ def _entry_pattern(p: int, n: int, flat: np.ndarray, value: np.ndarray):
     rows, cols, owners = row[upper], col[upper], owner[upper]
     weights = np.where(rows == cols, 1.0, 2.0) * value[upper]
     starts = np.flatnonzero(np.diff(owners, prepend=-1))
-    return rows * n + cols, weights, starts, owners[starts], (owner, row, col, value)
+    return OneHot(
+        owner, row, col, value, rows * n + cols, weights, starts, owners[starts]
+    )
 
 
 @lru_cache(maxsize=64)
@@ -633,7 +655,7 @@ def _svec_pattern(n: int) -> Tuple[np.ndarray, np.ndarray]:
 def _schur_matrix(problem: SdpProblem, Gs: List[np.ndarray]) -> np.ndarray:
     """M_ij = sum over blocks of tr(A_i W A_j W), where W = G G' per block.
 
-    For a one-hot block (`SdpProblem.one_hot`), column j of the block's
+    For a one-hot block (`OneHot`), column j of the block's
     term is a weighted sum of the entries of W A_i W at the positions A_j
     owns, so one gather and one segmented sum replace the dense
     contraction. W A_i needs no product: column b of it is v W[:, a] for
@@ -650,10 +672,10 @@ def _schur_matrix(problem: SdpProblem, Gs: List[np.ndarray]) -> np.ndarray:
     """
     p = problem.num_constraints
     M = np.zeros((p, p))
-    for Ab, G, pattern in zip(problem.A, Gs, problem.one_hot):
+    for Ab, G in zip(problem.A, Gs):
         n = G.shape[0]
         step = max(1, CHUNK_BYTES // (8 * n * n))
-        if pattern is None:
+        if not isinstance(Ab, OneHot):
             svec_positions, svec_weights = _svec_pattern(n)
             B = np.empty((p, len(svec_positions)))
             for lo in range(0, p, step):
@@ -664,27 +686,25 @@ def _schur_matrix(problem: SdpProblem, Gs: List[np.ndarray]) -> np.ndarray:
             M += B @ B.T
             del B  # so that no two blocks' B are held together
             continue
-        positions, weights, starts, owners, (owner, row, col, value) = pattern
-        if not len(positions):
+        if not len(Ab.positions):
             continue
         W = G @ G.T
         W_cols = np.ascontiguousarray(W.T)  # column a of W is W_cols[a]
         # every owner in range(p) appears, as in a moment block, unless
         # some constraint has no entry in the block
-        columns = slice(None) if len(owners) == p else owners
+        columns = slice(None) if len(Ab.owners) == p else Ab.owners
         # zero outside the entries a chunk writes, which it clears again
         WA = np.zeros((min(step, p), n, n))
-        bounds = np.searchsorted(owner, np.arange(0, p + step, step))
-        for lo, first, last in zip(range(0, p, step), bounds, bounds[1:]):
+        for lo in range(0, p, step):
             hi = min(lo + step, p)
             WA_chunk = WA[: hi - lo]
-            at = (owner[first:last] - lo, slice(None), col[first:last])
-            WA_chunk[at] = W_cols[row[first:last]] * value[first:last, None]
+            (i, row, col), value = Ab.entries(lo, hi)
+            WA_chunk[i, :, col] = W_cols[row] * value[:, None]
             TW = np.matmul(WA_chunk, W).reshape(hi - lo, -1)
-            WA_chunk[at] = 0.0
-            gathered = TW[:, positions]
-            gathered *= weights
-            M[lo:hi, columns] += np.add.reduceat(gathered, starts, axis=1)
+            WA_chunk[i, :, col] = 0.0
+            gathered = TW[:, Ab.positions]
+            gathered *= Ab.weights
+            M[lo:hi, columns] += np.add.reduceat(gathered, Ab.starts, axis=1)
     M += M.T
     M *= 0.5
     return M

@@ -202,13 +202,12 @@ def sos_decompose(
     upper = (group * k + rows) * k + cols
     lower = ((group * k + cols) * k + rows)[rows != cols]
     flat = np.r_[upper, lower]
-    pattern = _entry_pattern(q, k, flat, np.ones(len(flat)))
-    E = None
-    if pattern is None:
+    E = _entry_pattern(q, k, flat, np.ones(len(flat)))
+    if E is None:
         E = np.zeros((q, k, k))
         E.reshape(-1)[flat] = 1.0
     target = np.array([p.coeff(alpha) for alpha in monomials], dtype=float)
-    problem = SdpProblem((k,), (np.eye(k),), (E,), target, (pattern,))
+    problem = SdpProblem((k,), (np.eye(k),), (E,), target)
     sol = solve(problem, options)
 
     if sol.status is SdpStatus.OPTIMAL:

@@ -216,15 +216,14 @@ def same_bits(a, b):
 
 def stored_as(problem, k, ref):
     """Whether block k of problem holds the dense stack `ref` bit for bit:
-    a one-hot block as the pattern the scan finds in ref, and no stack;
+    a one-hot block as the record the scan finds in ref, and no stack;
     any other block as ref itself."""
-    pattern, scanned = problem.one_hot[k], sdp._one_hot_pattern(ref)
-    if pattern is None:
-        return scanned is None and same_bits(problem.A[k], ref)
-    if scanned is None or problem.A[k] is not None:
+    stored, scanned = problem.A[k], sdp._stored(ref)
+    if not isinstance(stored, sdp.OneHot):
+        return scanned is ref and same_bits(stored, ref)
+    if not isinstance(scanned, sdp.OneHot):
         return False
-    flat = list(pattern[:4]) + list(pattern[4])
-    return all(same_bits(a, b) for a, b in zip(flat, list(scanned[:4]) + list(scanned[4])))
+    return all(same_bits(a, b) for a, b in zip(tuple(stored), tuple(scanned)))
 
 
 def unit_row_programs():
@@ -278,16 +277,16 @@ def test_selection_matches_svd_elimination(label, program):
 )
 def test_compiled_stacks_symmetric_and_patterns_from_compile(program):
     # the compiler builds SdpProblem itself: every C and stored stack must
-    # equal its transpose, and each block's pattern must be the scan's of
-    # its dense stack, entry for entry, None included
+    # equal its transpose, and each block's stored form must be the scan's
+    # of its dense stack, entry for entry, a stack included
     problem, _ = program.to_sdp()
     _, N = program._eliminate()
     for k, (B, C, A) in enumerate(zip(program.blocks, problem.C, problem.A)):
         assert same_bits(C, C.T)
-        if A is not None:
+        if not isinstance(A, sdp.OneHot):
             assert same_bits(A, A.transpose(0, 2, 1)) and A.flags.c_contiguous
         assert stored_as(problem, k, -B.apply(N.T))
-    one_hot = [pattern is not None for pattern in problem.one_hot]
+    one_hot = [isinstance(A, sdp.OneHot) for A in problem.A]
     if program.num_equalities == 1:
         assert one_hot[0]  # the moment block
     elif program.order == 1:
@@ -304,8 +303,8 @@ def test_compiled_programs_skip_make_and_the_scan(monkeypatch):
 
     monkeypatch.setattr(sdp.SdpProblem, "make", staticmethod(unreachable))
     assert rho_program(example_hyperbola_disk(), 1, 2).solve().is_optimal
-    monkeypatch.setattr(sdp, "_one_hot_pattern", unreachable)
-    monkeypatch.setattr(_compile, "_one_hot_pattern", unreachable)
+    monkeypatch.setattr(sdp, "_stored", unreachable)
+    monkeypatch.setattr(_compile, "_stored", unreachable)
     assert build_qr(ball_quartic(2), 3).solve().is_optimal
     square = Polynomial.make(1, {(0,): 1.0, (1,): 2.0, (2,): 1.0})
     assert sos_decompose(square).status == "sos"
@@ -323,9 +322,10 @@ def test_selection_holds_no_basis_or_second_stack():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert problem.A[0] is None and problem.A[1].shape == (923, 28, 28)
+    assert isinstance(problem.A[0], sdp.OneHot)
+    assert problem.A[1].shape == (923, 28, 28)
     assert peak < 10e6
-    stored = [A for A in problem.A if A is not None]
+    stored = [A for A in problem.A if not isinstance(A, sdp.OneHot)]
     held = sum(A.nbytes for A in stored)
     smallest = min(min(A.nbytes for A in stored), 924 * 923 * 8)
     assert peak < held + smallest
@@ -374,7 +374,7 @@ def test_apply_is_the_sum_of_terms_bytes():
         problem, _ = program.to_sdp()
         for k, B in enumerate(program.blocks):
             A = problem.A[k]
-            assert A is None or A.flags.c_contiguous
+            assert isinstance(A, sdp.OneHot) or A.flags.c_contiguous
             assert stored_as(problem, k, -sum_of_terms(B, N.T))
 
 
@@ -464,7 +464,7 @@ def test_schur_matrix_holds_one_dense_block_at_a_time():
     # and B B' (2 p^2 doubles) and a few chunks, never two blocks' B
     problem, _ = rho_program(example_hyperbola_disk(), 1, 5).to_sdp()
     p = problem.num_constraints
-    assert all(pattern is None for pattern in problem.one_hot)
+    assert not any(isinstance(A, sdp.OneHot) for A in problem.A)
     Gs = [np.eye(n) for n in problem.block_dims]
     largest = max(8 * p * n * (n + 1) // 2 for n in problem.block_dims)
     tracemalloc.start()

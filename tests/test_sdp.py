@@ -324,7 +324,38 @@ def test_rejects_zero_blocks():
     with pytest.raises(PreconditionFailure, match="at least one block"):
         SdpProblem.make([], [], [], [])
     with pytest.raises(PreconditionFailure, match="at least one block"):
-        SdpProblem((), (), (), np.zeros(0), ())
+        SdpProblem((), (), (), np.zeros(0))
+
+
+def test_rejects_blocks_solve_cannot_use():
+    # the constructor checks shapes: a block is a (p, n, n) stack or a
+    # OneHot whose entries lie inside it, each C is (n, n) and b a vector
+    b, C = np.zeros(2), (np.eye(2),)
+    stack = np.zeros((2, 2, 2))
+    stack[0, 0, 0] = 1.0
+    stack[1, 0, 1] = stack[1, 1, 0] = 1.0
+    record = sdp._stored(stack)
+    assert isinstance(record, sdp.OneHot)
+    for A in (stack, record):
+        assert SdpProblem((2,), C, (A,), b).A[0] is A
+    bad_blocks = [
+        np.zeros((3, 2, 2)),  # three constraints' matrices for p = 2
+        np.zeros((2, 3, 3)),
+        None,
+        tuple(record),  # the fields, but not a record
+        record._replace(owner=record.owner + 1),
+        record._replace(row=record.row + 2),
+        record._replace(col=record.col - 1),
+    ]
+    for A in bad_blocks:
+        with pytest.raises(PreconditionFailure, match="constraint block"):
+            SdpProblem((2,), C, (A,), b)
+    with pytest.raises(PreconditionFailure, match="objective block dims"):
+        SdpProblem((2,), (np.eye(3),), (stack,), b)
+    with pytest.raises(PreconditionFailure, match="right-hand side a vector"):
+        SdpProblem((2,), C, (stack,), np.zeros((2, 1)))
+    with pytest.raises(PreconditionFailure, match="one C and one A per block"):
+        SdpProblem((2,), C + C, (stack,), b)
 
 
 def test_rejects_oversized_block():
@@ -400,8 +431,8 @@ def test_make_keeps_no_stack_of_a_one_hot_block():
     A0[1, 0, 1] = A0[1, 1, 0] = 0.5
     A1 = np.stack([np.eye(2), np.ones((2, 2))])
     P = SdpProblem.make([2, 2], [np.eye(2), np.eye(2)], [A0, A1], [1.0, 2.0])
-    assert P.A[0] is None and P.one_hot[0] is not None
-    assert P.one_hot[1] is None and same_bytes(P.A[1], A1)
+    assert isinstance(P.A[0], sdp.OneHot)
+    assert not isinstance(P.A[1], sdp.OneHot) and same_bytes(P.A[1], A1)
     assert same_bytes(P.stack(0), A0) and P.stack(1) is P.A[1]
     # the layer trace reads each constraint's matrices, rebuilt from entries
     assert [(tuple(M.tolist() for M in mats), bi) for mats, bi in P.constraints] == [
@@ -420,8 +451,8 @@ def test_sdpa_dump_of_entries_is_the_dump_of_the_stacks(program):
     # a one-hot block is written from its entries, in the lines its dense
     # stack gives
     P = program().to_sdp()[0]
-    assert P.A[0] is None
-    dense = SdpProblem(P.block_dims, P.C, tuple(stacks(P)), P.b, (None,) * len(P.A))
+    assert isinstance(P.A[0], sdp.OneHot)
+    dense = SdpProblem(P.block_dims, P.C, tuple(stacks(P)), P.b)
     assert P.dump_sdpa() == dense.dump_sdpa()
 
 
@@ -467,7 +498,7 @@ def schur_reference(A, Ws):
 )
 def test_schur_matrix_matches_dense_reference(problem, one_hot):
     P = problem()
-    classified = [pattern is not None for pattern in P.one_hot]
+    classified = [isinstance(A, sdp.OneHot) for A in P.A]
     assert classified == (one_hot or [False] * len(P.A))
     rng = np.random.default_rng(3)
     # the solver passes the NT factors G of W = G G'
@@ -486,14 +517,15 @@ def stacks(P):
 def one_block(P, k):
     """Block k of P alone, with the identity as its objective."""
     n = P.block_dims[k]
-    return SdpProblem((n,), (np.eye(n),), (P.A[k],), P.b, (P.one_hot[k],))
+    return SdpProblem((n,), (np.eye(n),), (P.A[k],), P.b)
 
 
 def one_hot_term_by_products(Ab, W, pattern):
     """A one-hot block's Schur term from the full stack of W A_i W, formed
     by two batched products: gather the owned positions, sum each owner's
     run."""
-    positions, weights, starts, owners = pattern[:4]
+    positions, weights = pattern.positions, pattern.weights
+    starts, owners = pattern.starts, pattern.owners
     p = len(Ab)
     M = np.zeros((p, p))
     TW = np.matmul(np.matmul(W, Ab), W)
@@ -506,7 +538,7 @@ def one_hot_term_by_products(Ab, W, pattern):
 @pytest.mark.parametrize("step", [7, 30])
 def test_one_hot_term_in_chunks_equals_full_products(monkeypatch, step):
     P = build_qr(ball_quartic(3), 3).to_sdp()[0]
-    Ab, pattern = P.stack(0), P.one_hot[0]
+    Ab, pattern = P.stack(0), P.A[0]
     p, n, _ = Ab.shape
     # p = 83: 12 or 3 chunks, of which the last is ragged
     assert p % step and p > 2 * step
@@ -515,6 +547,41 @@ def test_one_hot_term_in_chunks_equals_full_products(monkeypatch, step):
     M = sdp._schur_matrix(one_block(P, 0), [G])
     # the gathered W A_i is the product itself, so the term is bit for bit
     assert np.array_equal(M, one_hot_term_by_products(Ab, G @ G.T, pattern))
+
+
+@pytest.mark.parametrize("chunk_matrices", [None, 5])
+@pytest.mark.parametrize(
+    "program",
+    [
+        # the (923, 84, 84) moment block of Q_3 on the 6-ball
+        lambda: build_qr(ball_quartic(6), 3),
+        # the (27, 10, 10) moment block of a lift support
+        lambda: moment_program_of(build_sdr(example_hyperbola_disk(), d=3)),
+    ],
+)
+def test_entries_over_the_chunks_are_the_whole_record(
+    monkeypatch, program, chunk_matrices
+):
+    # OneHot.entries over the chunk bounds of _constraint_chunks and of
+    # _schur_matrix, at the default CHUNK_BYTES and at 5 matrices, gives
+    # every entry once, in order
+    P = program().to_sdp()[0]
+    record, p, n = P.A[0], P.num_constraints, P.block_dims[0]
+    assert isinstance(record, sdp.OneHot)
+    if chunk_matrices is not None:
+        monkeypatch.setattr(sdp, "CHUNK_BYTES", chunk_matrices * 8 * n * n)
+    step = max(1, sdp.CHUNK_BYTES // (8 * n * n))
+    schur_bounds = [*range(0, p, step), p]
+    chunk_bounds = [lo for lo, _, _ in sdp._constraint_chunks(P, 0)] + [p]
+    for bounds in (schur_bounds, chunk_bounds):
+        parts = [record.entries(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        owner = np.concatenate([at[0] + lo for (at, _), lo in zip(parts, bounds)])
+        row, col = (np.concatenate([at[i] for at, _ in parts]) for i in (1, 2))
+        value = np.concatenate([value for _, value in parts])
+        whole = (record.owner, record.row, record.col, record.value)
+        assert all(same_bytes(a, b) for a, b in zip((owner, row, col, value), whole))
+    if chunk_matrices is not None:
+        assert len(schur_bounds) > 2 and len(chunk_bounds) > 2
 
 
 def test_two_entries_in_a_column_is_not_one_hot():
@@ -526,16 +593,17 @@ def test_two_entries_in_a_column_is_not_one_hot():
     A[1, 1, 1] = -1.0
     A[1, 0, 2] = A[1, 2, 0] = 0.5
     A[2, 2, 2] = 3.0
-    assert sdp._one_hot_pattern(A) is None
+    assert sdp._stored(A) is A
     # so is a single dense constraint
-    assert sdp._one_hot_pattern(np.ones((1, 3, 3))) is None
+    ones = np.ones((1, 3, 3))
+    assert sdp._stored(ones) is ones
     # with A_0's off-diagonal pair moved to constraint 2, the block is one-hot
     B = A.copy()
     B[0, 0, 1] = B[0, 1, 0] = 0.0
     B[2, 0, 1] = B[2, 1, 0] = 2.0
-    assert sdp._one_hot_pattern(B) is not None
+    assert isinstance(sdp._stored(B), sdp.OneHot)
     G = np.random.default_rng(4).standard_normal((3, 3))
-    M = sdp._schur_matrix(SdpProblem((3,), (np.eye(3),), (A,), np.zeros(3), (None,)), [G])
+    M = sdp._schur_matrix(SdpProblem((3,), (np.eye(3),), (A,), np.zeros(3)), [G])
     ref = schur_reference([A], [G @ G.T])
     assert np.max(np.abs(M - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -556,11 +624,11 @@ def test_moment_blocks_are_one_hot(program):
     # the stack of the SVD path, which the selected block's entries are
     _, N = program._eliminate()
     Ab = -program.blocks[0].apply(N.T)
-    assert sdp._one_hot_pattern(Ab) is not None
-    pattern = P.one_hot[0]
-    assert pattern is not None and P.A[0] is None
+    assert isinstance(sdp._stored(Ab), sdp.OneHot)
+    pattern = P.A[0]
+    assert isinstance(pattern, sdp.OneHot)
     # the (owner, row, col, value) entries are the whole block, by owner
-    owner, row, col, value = pattern[4]
+    owner, row, col, value = pattern.owner, pattern.row, pattern.col, pattern.value
     assert np.all(np.diff(owner) >= 0)
     rebuilt = np.zeros_like(Ab)
     rebuilt[owner, row, col] = value
@@ -572,7 +640,7 @@ def test_apply_At_scatters_one_hot_blocks():
     # the dense contraction's bytes, signed zeros included, for lam with
     # negative, +0.0 and -0.0 entries
     P = build_qr(ball_quartic(3), 3).to_sdp()[0]
-    assert P.one_hot[0] is not None and P.one_hot[1] is None
+    assert isinstance(P.A[0], sdp.OneHot) and not isinstance(P.A[1], sdp.OneHot)
     rng = np.random.default_rng(2)
     for lam in (rng.normal(size=P.num_constraints), np.zeros(P.num_constraints)):
         lam[::4] = 0.0
@@ -783,7 +851,7 @@ def test_apply_A_and_At_are_the_contraction():
     def dense(A):
         dims = tuple(Ab.shape[1] for Ab in A)
         C = tuple(np.eye(n) for n in dims)
-        return SdpProblem(dims, C, tuple(A), np.zeros(len(A[0])), (None,) * len(A))
+        return SdpProblem(dims, C, tuple(A), np.zeros(len(A[0])))
 
     cases = [
         build_qr(ball_quartic(3), 3).to_sdp()[0],
@@ -803,12 +871,11 @@ def test_apply_A_and_At_are_the_contraction():
 def first_constraints(P, k, p):
     """Block k of P, one-hot, cut to its first p constraints and stored
     as its entries."""
-    n = P.block_dims[k]
-    owner, row, col, value = P.one_hot[k][4]
-    keep = owner < p
-    flat = (owner[keep] * n + row[keep]) * n + col[keep]
-    pattern = sdp._entry_pattern(p, n, flat, value[keep])
-    return SdpProblem((n,), (np.eye(n),), (None,), np.zeros(p), (pattern,))
+    n, A = P.block_dims[k], P.A[k]
+    keep = A.owner < p
+    flat = (A.owner[keep] * n + A.row[keep]) * n + A.col[keep]
+    pattern = sdp._entry_pattern(p, n, flat, A.value[keep])
+    return SdpProblem((n,), (np.eye(n),), (pattern,), np.zeros(p))
 
 
 @pytest.mark.parametrize(
@@ -851,7 +918,7 @@ from helpers import ball_quartic
 from momentsos import sdp
 from momentsos.hierarchy import build_qr
 P = build_qr(ball_quartic(4), 4).to_sdp()[0]
-assert P.A[0] is None and P._whole_stacks[0] is None
+assert isinstance(P.A[0], sdp.OneHot) and P._whole_stacks[0] is None
 rng = np.random.default_rng(4)
 X = [rng.standard_normal((n, n)) for n in P.block_dims]
 X = [M + M.T for M in X]

@@ -112,17 +112,18 @@ class TestSosDecompose:
             E = np.zeros((problem.num_constraints, len(basis), len(basis)))
             E[group, rows, cols] = 1.0
             E[group, cols, rows] = 1.0
-            (stored,), (pattern,) = problem.A, problem.one_hot
-            scanned = sdp._one_hot_pattern(E)
-            patterns.append(pattern)
-            if pattern is None:
-                assert scanned is None
+            (stored,) = problem.A
+            scanned = sdp._stored(E)
+            one_hot = isinstance(stored, sdp.OneHot)
+            patterns.append(one_hot)
+            if not one_hot:
+                assert scanned is E
                 assert stored.tobytes() == E.tobytes()
                 continue
-            assert stored is None
-            for a, b in zip([*pattern[:4], *pattern[4]], [*scanned[:4], *scanned[4]]):
+            assert isinstance(scanned, sdp.OneHot)
+            for a, b in zip(tuple(stored), tuple(scanned)):
                 assert a.tobytes() == b.tobytes()
-        assert patterns[0] is not None and patterns[1] is None
+        assert patterns == [True, False]
 
     def test_zero_polynomial_rejected(self):
         with pytest.raises(PreconditionFailure):

@@ -62,11 +62,14 @@ def _problem_sha(problem) -> str:
         h.update(a)  # the buffer itself, not a copy of it
 
     add(np.array(problem.block_dims))
-    for Cb, Ab, pattern in zip(problem.C, problem.A, problem.one_hot):
+    for Cb, Ab in zip(problem.C, problem.A):
         add(Cb)
-        # a one-hot block's (owner, row, col, value) entries
-        for a in [Ab] if pattern is None else pattern[4]:
-            add(a)
+        if isinstance(Ab, sdp.OneHot):
+            # a one-hot block's (owner, row, col, value) entries
+            for a in (Ab.owner, Ab.row, Ab.col, Ab.value):
+                add(a)
+        else:
+            add(Ab)
     add(problem.b)
     return h.hexdigest()
 
