@@ -24,11 +24,13 @@ and no dense (dim, dim, s) tensor is built. By selection, a block's
 entries are read off the layers: a one-hot block (`sdp._entry_pattern`),
 every single-term block among them, is handed to the solver as its
 `sdp.OneHot` record of those entries alone, and only the other blocks
-are scattered into a dense stack. Through N, each block's stack gathers
-columns of N, and a stack that the scan finds one-hot is stored as its
-record instead (`sdp._stored`). The y0 = 1 row is the coefficient row
-of the constant 1, and a scalar row L_z(g) >= 0 is the localizing block
-at d = 0.
+are scattered into a dense stack. Through N, no stack is built: a block
+is handed to the solver as its `sdp.Mapped` record, its layers and N',
+from which the solver rebuilds chunks of the stack, whose rows gather
+columns of N, and a block that the scan of those chunks finds one-hot
+is stored as its `OneHot` record instead (`sdp._stored`). The y0 = 1
+row is the coefficient row of the constant 1, and a scalar row
+L_z(g) >= 0 is the localizing block at d = 0.
 `relaxation_blocks` assembles the blocks shared by Q_r, Q-hat and the lift,
 and `moment_program` adds the normalization z_0 = 1 to every program and,
 for an ideal (h, m) such as the rho_j programs' (g_j(Y), the monomials of
@@ -54,6 +56,7 @@ from .poly import (
 from .moments import BlockSpec, MomentVector, _basis, _moment_pattern
 from .sdp import (
     BLOCK_CAP,
+    Mapped,
     SdpProblem,
     SdpSolution,
     SdpStatus,
@@ -162,17 +165,17 @@ class MomentSdp:
         Every stack is exactly symmetric, as the index layers are, so the
         problem is built without `SdpProblem.make`'s checks. A selected
         one-hot block's `OneHot` record is read off its entries, and no
-        stack is built for it; a stack through N is scanned for one
-        (`sdp._stored`), since the few rows of a low-order rho_j program
-        leave some of its blocks one-hot, and dropped when it has one.
+        stack is built for it. Through N, no whole stack is built or
+        held: each block is stored as its `sdp.Mapped` record, its layers
+        and N' (a view of the decode map's N), and the chunks it rebuilds
+        are scanned for a `OneHot` record (`sdp._stored`), since the few
+        rows of a low-order rho_j program leave some of its blocks
+        one-hot.
         """
         fixed = self._unit_columns()
         if fixed is None:
             z_part, N = self._eliminate()
-            As = [
-                _stored(np.negative(a, out=a))
-                for a in (B.apply(N.T) for B in self.blocks)
-            ]
+            As = [_stored(Mapped(B, N.T)) for B in self.blocks]
             b = -(N.T @ self.objective)
             decode = {"z_part": z_part, "N": N}
         else:
@@ -218,8 +221,7 @@ class MomentSdp:
         # stationarity in coefficient space: c = A*(S) + E' mu
         adj = np.zeros(self.num_moments)
         for B, G in zip(self.blocks, grams):
-            weights = (B.coef[:, None, None] * G).ravel()
-            adj += np.bincount(B.index.ravel(), weights, self.num_moments)
+            adj += B.adjoint(G, self.num_moments)
         resid_vec = self.objective - adj
         if self.num_equalities:
             mu, *_ = np.linalg.lstsq(self.eq_rows.T, resid_vec, rcond=None)

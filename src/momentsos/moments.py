@@ -135,6 +135,13 @@ class BlockSpec:
             out += layer
         return out
 
+    def adjoint(self, X: np.ndarray, s: int) -> np.ndarray:
+        """The adjoint of `apply` at one (dim, dim) matrix X, a vector of
+        s moments: entry m is sum_t coef[t] times the sum of X over the
+        positions where index[t] holds m, so <apply(z), X> = z' adjoint(X)."""
+        weights = (self.coef[:, None, None] * X).ravel()
+        return np.bincount(self.index.ravel(), weights, s)
+
 
 @dataclass(frozen=True)
 class MomentVector:

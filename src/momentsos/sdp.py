@@ -29,18 +29,24 @@ feasible for the embedding (not for the problem itself) and reports
 primal/dual infeasibility through normalized improving rays instead of
 exceptions. Deterministic: no randomness anywhere in the iteration.
 
-`SdpProblem` stores the constraint matrices of each block once, in `A`: a
-one-hot block as its `OneHot` record of entries, any other block as a
-dense (p, n_b, n_b) stack. The moment compiler and `sos_decompose` build
-the record from the block's layout (`_entry_pattern`), and
-`SdpProblem.make` finds it by scanning the stacks it is given (`_stored`).
-On a one-hot block A'y is a scatter of the entries. A(X) scatters a
-larger one-hot block's entries into a buffer of CHUNK_BYTES, a chunk of
-constraints at a time (`OneHot.entries`), for the same matrix-vector
-product on each chunk that the whole stack would take; its
+`SdpProblem` stores the constraint matrices of each block once, in `A`,
+in one of three forms: a one-hot block as its `OneHot` record of
+entries; a block compiled through a null-space basis N as its `Mapped`
+record, the block's index layers and N', with no stack; any other block
+as a dense (p, n_b, n_b) stack. The moment compiler and `sos_decompose`
+build the one-hot record from the block's layout (`_entry_pattern`), and
+the scan (`_stored`) finds it a chunk of constraints at a time in the
+stacks `SdpProblem.make` is given and in the chunks a `Mapped` block
+rebuilds. On a one-hot block A'y is a scatter of the entries. A(X)
+scatters a larger one-hot block's entries into a buffer of CHUNK_BYTES,
+a chunk of constraints at a time (`OneHot.entries`), for the same
+matrix-vector product on each chunk that the whole stack would take; its
 bytes are those of the whole-stack product (`_constraint_chunks`). A
 one-hot block that fits in CHUNK_BYTES is built once per problem and
-read whole. `SolverOptions` holds the two target tolerances; every other
+read whole. A `Mapped` block's A(X) and A'y go through its layers and
+one product with N', and its Schur term and the start scale read chunks
+of CHUNK_BYTES rebuilt from the layers, which are the stack's rows bit
+for bit. `SolverOptions` holds the two target tolerances; every other
 setting of the iteration is a module constant.
 """
 
@@ -50,7 +56,9 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import (
+    Any, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+)
 
 import numpy as np
 
@@ -139,21 +147,51 @@ class OneHot(NamedTuple):
         return (self.owner[at] - lo, self.row[at], self.col[at]), self.value[at]
 
 
+class Mapped(NamedTuple):
+    """The constraint matrices of a block compiled through a null-space
+    basis N, A_i = -sum_t coef[t] N[index[t], i], stored as the block's
+    index layers `block` (a `moments.BlockSpec`, read by its `index`,
+    `coef`, `apply` and `adjoint`) and NT = N', a (p, s) array. No (p, n, n)
+    stack is held: `chunk` rebuilds the matrices of a run of constraints,
+    A(X) is one gemv with NT after the layers' adjoint, and A'y one
+    `apply` of N y."""
+
+    block: Any
+    NT: np.ndarray
+
+    @property
+    def shape(self) -> Tuple[int, int, int]:
+        n = self.block.dim
+        return self.NT.shape[0], n, n
+
+    def chunk(self, lo: int, hi: int) -> np.ndarray:
+        """The (hi - lo, n, n) stack of constraints lo..hi-1: rows lo..hi-1
+        of the whole stack -B.apply(N') bit for bit, since `apply` works
+        entry by entry."""
+        out = self.block.apply(self.NT[lo:hi])
+        return np.negative(out, out=out)
+
+
 @dataclass(frozen=True)
 class SdpProblem:
     """Block-diagonal standard-form SDP data, each coefficient stored once.
 
     `C` is one symmetric (n_b, n_b) matrix per block, and `b` is the (p,)
     right-hand side. `A[k]` holds the constraint matrices of block k: a
-    one-hot block (`_entry_pattern`) as its `OneHot` record, any other
+    one-hot block (`_entry_pattern`) as its `OneHot` record, a block
+    compiled through a null-space basis as its `Mapped` record, any other
     block as a C-contiguous (p, n_b, n_b) stack, so that `A[k][i]` is the
     matrix of constraint i. The constructor checks the shapes: the block
-    dimensions, each C, each stack, the index ranges of each record, and
-    that b is a vector. It does not check values: a stored record must be
-    the one `_stored` finds in the block's dense stack (`stack` rebuilds
-    that stack), and every stack and every C must equal its transpose
-    exactly, so a caller that builds the fields itself (the moment
-    compiler, `sos_decompose`) guarantees those by construction.
+    dimensions, each C, each stack, a `OneHot` record's index ranges and
+    the lengths of its fields (the four entry fields, the two gather
+    fields and the two run fields each of one length), a `Mapped`
+    record's N' of p rows and (k, n_b, n_b) layers of indices inside N',
+    and that b is a vector. It does not check values: a stored `OneHot`
+    record must be the one `_stored` finds in the block's dense stack
+    (`stack` rebuilds that stack), and every stack, every `Mapped`
+    block's layers and every C must equal their transposes exactly, so a
+    caller that builds the fields itself (the moment compiler,
+    `sos_decompose`) guarantees those by construction.
 
     `make` validates dense input, symmetrizes it as 0.5 (A + A') and
     0.5 (C + C'), and stores each stack's record in place of a one-hot
@@ -163,7 +201,7 @@ class SdpProblem:
 
     block_dims: Tuple[int, ...]
     C: Tuple[np.ndarray, ...]
-    A: Tuple[Union[np.ndarray, OneHot], ...]
+    A: Tuple[Union[np.ndarray, OneHot, Mapped], ...]
     b: np.ndarray
 
     def __post_init__(self):
@@ -178,12 +216,28 @@ class SdpProblem:
                 raise PreconditionFailure("objective block dims consistent", f"C[{k}]")
             if isinstance(Ab, OneHot):
                 tops = ((Ab.owner, p), (Ab.row, n), (Ab.col, n))
-                fits = all(np.all((a >= 0) & (a < top)) for a, top in tops)
+                fits = (
+                    len({len(a) for a in (Ab.owner, Ab.row, Ab.col, Ab.value)}) == 1
+                    and len(Ab.positions) == len(Ab.weights)
+                    and len(Ab.starts) == len(Ab.owners)
+                    and all(np.all((a >= 0) & (a < top)) for a, top in tops)
+                )
+            elif isinstance(Ab, Mapped):
+                index, NT = Ab.block.index, Ab.NT
+                fits = (
+                    np.ndim(NT) == 2
+                    and len(NT) == p
+                    and index.ndim == 3
+                    and index.shape[1:] == (n, n)
+                    and np.shape(Ab.block.coef) == index.shape[:1]
+                    and np.all((index >= 0) & (index < NT.shape[1]))
+                )
             else:
                 fits = isinstance(Ab, np.ndarray) and Ab.shape == (p, n, n)
             if not fits:
                 raise PreconditionFailure(
-                    "constraint block a (p, n_b, n_b) stack or a OneHot inside it",
+                    "constraint block a (p, n_b, n_b) stack, or a OneHot or "
+                    "Mapped record of one",
                     f"A[{k}]",
                 )
 
@@ -240,26 +294,25 @@ class SdpProblem:
 
     def stack(self, k: int) -> np.ndarray:
         """The dense (p, n_b, n_b) constraint stack of block k: the stored
-        one, or a new one holding the entries of a one-hot block."""
+        one, or a new one rebuilt from a record (`_rows`)."""
         Ab = self.A[k]
-        if not isinstance(Ab, OneHot):
+        if isinstance(Ab, np.ndarray):
             return Ab
-        n = self.block_dims[k]
-        out = np.zeros((self.num_constraints, n, n))
-        out[Ab.owner, Ab.row, Ab.col] = Ab.value
-        return out
+        return _rows(Ab, self.block_dims[k], 0, self.num_constraints)
 
     @cached_property
     def _whole_stacks(self) -> Tuple[Optional[np.ndarray], ...]:
         """Per block, the stack that A(X) reads whole: the stored one, or a
         one-hot block's, built once from its entries, when it fits in
         CHUNK_BYTES; None for a larger one-hot block, which A(X) builds a
-        chunk at a time (`_constraint_chunks`). Rebuilding a small block
-        in every A(X) would cost more than the product itself."""
+        chunk at a time (`_constraint_chunks`), and for a `Mapped` block,
+        whose A(X) goes through its layers. Rebuilding a small one-hot
+        block in every A(X) would cost more than the product itself."""
         p = self.num_constraints
         return tuple(
             None
-            if isinstance(Ab, OneHot) and 8 * p * n * n > CHUNK_BYTES
+            if isinstance(Ab, Mapped)
+            or isinstance(Ab, OneHot) and 8 * p * n * n > CHUNK_BYTES
             else self.stack(k)
             for k, (Ab, n) in enumerate(zip(self.A, self.block_dims))
         )
@@ -268,20 +321,14 @@ class SdpProblem:
     def constraints(self) -> Iterator[Tuple[Tuple[np.ndarray, ...], float]]:
         """(per-block matrices, b_i) of each constraint, in order and one
         constraint at a time: the matrices of `stack`, a view of a stored
-        stack or a new matrix holding a one-hot block's entries, so no
-        dense stack of a one-hot block is built. Kept only for the
-        benchmark's layer trace, which reads it until solves carry their own
-        trace (ROADMAP direction 4)."""
+        stack or a new matrix rebuilt from a record (`_rows`), so no dense
+        stack of a record is built. Kept only for the benchmark's layer
+        trace, which reads it until solves carry their own trace (ROADMAP
+        direction 4)."""
         for i, bi in enumerate(self.b):
-            mats = []
-            for Ab, n in zip(self.A, self.block_dims):
-                if not isinstance(Ab, OneHot):
-                    mats.append(Ab[i])
-                    continue
-                (_, row, col), value = Ab.entries(i, i + 1)
-                Mi = np.zeros((n, n))
-                Mi[row, col] = value
-                mats.append(Mi)
+            mats = [
+                _rows(Ab, n, i, i + 1)[0] for Ab, n in zip(self.A, self.block_dims)
+            ]
             yield tuple(mats), float(bi)
 
     def dump_sdpa(self) -> str:
@@ -292,9 +339,11 @@ class SdpProblem:
         Convention: the emitted file encodes max <F0,Y> s.t. <Fi,Y>=c_i,
         Y >= 0 with F0 = -C, Fi = A_i, c = b, i.e. this problem's exact
         negated-objective image in SDPA's dual slot. A block's lines are
-        its nonzeros in the upper triangle: a one-hot block's entries as
-        they are stored, a stack's as `np.nonzero` finds them, both by
-        constraint, row and column.
+        its nonzeros in the upper triangle as `np.nonzero` finds them in
+        its stack, by constraint, row and column, read a chunk of
+        constraints at a time (`_chunk_bounds`, `_rows`): views of a
+        stored stack, or chunks rebuilt from a record, whose nonzeros are
+        a `OneHot` record's entries.
         """
         head = [
             str(self.num_constraints),
@@ -302,20 +351,19 @@ class SdpProblem:
             " ".join(str(d) for d in self.block_dims),
             " ".join(repr(bi) for bi in self.b.tolist()),
         ]
-        entries = []
+        p, entries = self.num_constraints, []
         for blk, (Cb, Ab) in enumerate(zip(self.C, self.A), start=1):
-            r, c = np.triu_indices(Cb.shape[0])
+            n = Cb.shape[0]
+            r, c = np.triu_indices(n)
             objective = -Cb[r, c]
             t = np.flatnonzero(objective)
             parts = [(np.zeros_like(t), r[t], c[t], objective[t])]
-            if isinstance(Ab, OneHot):
-                at, value = Ab.entries(0, self.num_constraints)
-            else:
-                at = np.nonzero(Ab)
-                value = Ab[at]
-            owner, row, col = at
-            upper = row <= col
-            parts.append((owner[upper] + 1, row[upper], col[upper], value[upper]))
+            for lo, hi in _chunk_bounds(p, n):
+                M = _rows(Ab, n, lo, hi)
+                owner, row, col = np.nonzero(M)
+                upper = row <= col
+                at = owner[upper], row[upper], col[upper]
+                parts.append((at[0] + lo + 1, at[1], at[2], M[at]))
             for i, row, col, value in parts:
                 entries.append((i, np.full(len(i), blk), row + 1, col + 1, value))
         cols = [np.concatenate(col) for col in zip(*entries)]
@@ -437,38 +485,64 @@ def _max_step(
     return a
 
 
-def _constraint_chunks(
-    problem: SdpProblem, k: int
-) -> Iterator[Tuple[int, int, np.ndarray]]:
-    """(lo, hi, stack) with the matrices of constraints lo..hi-1 in block
-    k, over all constraints in order: a stack of `_whole_stacks` whole, and
-    a larger one-hot block's entries scattered into one reused buffer of
-    about CHUNK_BYTES, zero elsewhere, that is cleared again after each
-    chunk.
+def _chunk_bounds(p: int, n: int) -> List[Tuple[int, int]]:
+    """(lo, hi) of each chunk of constraints of an order-n block, in order:
+    a multiple of 16 matrices that fits in CHUNK_BYTES, or 16, and a last
+    chunk of one joins the chunk before it.
 
-    A chunk holds a multiple of 16 matrices, and a last chunk of one joins
-    the chunk before it. Then one matrix-vector product per chunk gives
-    the bytes of the product with the whole stack: OpenBLAS's gemv kernel
-    (0.3.31, Haswell, one thread) sums the rows four at a time from the
-    first and the last p mod 4 in a loop of its own, so every row keeps
-    its place in a group, while numpy hands a single row to a dot
-    product, which sums in another order. Under more BLAS threads the
-    whole-stack product is split between the threads, and its bytes can
-    differ from those of the chunks."""
-    p, Ab = problem.num_constraints, problem._whole_stacks[k]
-    if Ab is not None:
-        yield 0, p, Ab
-        return
-    n = problem.block_dims[k]
+    Then one matrix-vector product per chunk gives the bytes of the
+    product with the whole stack: OpenBLAS's gemv kernel (0.3.31, Haswell,
+    one thread) sums the rows four at a time from the first and the last
+    p mod 4 in a loop of its own, so every row keeps its place in a group,
+    while numpy hands a single row to a dot product, which sums in another
+    order. Under more BLAS threads the whole-stack product is split
+    between the threads, and its bytes can differ from those of the
+    chunks."""
     step = 16 * max(1, CHUNK_BYTES // (16 * 8 * n * n))
     bounds = list(range(0, p, step))
     if len(bounds) > 1 and p - bounds[-1] == 1:
         bounds.pop()
     bounds.append(p)
-    buf = np.zeros((min(p, step + 1), n, n))
-    for lo, hi in zip(bounds, bounds[1:]):
+    return list(zip(bounds, bounds[1:]))
+
+
+def _rows(Ab, n: int, lo: int, hi: int) -> np.ndarray:
+    """The (hi - lo, n, n) matrices of constraints lo..hi-1 of a stored
+    block: a view of a stack, a `Mapped` block's rebuilt chunk, or a new
+    stack holding a one-hot block's entries."""
+    if isinstance(Ab, np.ndarray):
+        return Ab[lo:hi]
+    if isinstance(Ab, Mapped):
+        return Ab.chunk(lo, hi)
+    out = np.zeros((hi - lo, n, n))
+    at, value = Ab.entries(lo, hi)
+    out[at] = value
+    return out
+
+
+def _constraint_chunks(
+    problem: SdpProblem, k: int
+) -> Iterator[Tuple[int, int, np.ndarray]]:
+    """(lo, hi, stack) with the matrices of constraints lo..hi-1 in block
+    k, over all constraints in order: a stack of `_whole_stacks` whole,
+    and otherwise one chunk per `_chunk_bounds`: a `Mapped` block's
+    rebuilt chunk, or a larger one-hot block's entries scattered into one
+    reused buffer, zero elsewhere, that is cleared again after each
+    chunk."""
+    p, Ab = problem.num_constraints, problem._whole_stacks[k]
+    if Ab is not None:
+        yield 0, p, Ab
+        return
+    Ab, n = problem.A[k], problem.block_dims[k]
+    bounds = _chunk_bounds(p, n)
+    if isinstance(Ab, Mapped):
+        for lo, hi in bounds:
+            yield lo, hi, Ab.chunk(lo, hi)
+        return
+    buf = np.zeros((max((hi - lo for lo, hi in bounds), default=0), n, n))
+    for lo, hi in bounds:
         chunk = buf[: hi - lo]
-        at, value = problem.A[k].entries(lo, hi)
+        at, value = Ab.entries(lo, hi)
         chunk[at] = value
         yield lo, hi, chunk
         chunk[at] = 0.0
@@ -477,10 +551,16 @@ def _constraint_chunks(
 def _apply_A(problem: SdpProblem, X: List[np.ndarray]) -> np.ndarray:
     """(<A_i, X>)_i, summed over the blocks in block order: per block, the
     matrix-vector product that `np.tensordot` makes, on chunks of the
-    constraints (`_constraint_chunks`) with the same bytes."""
+    constraints (`_constraint_chunks`) with the same bytes. A `Mapped`
+    block subtracts N' times its layers' adjoint at X_b, the moment vector
+    whose product with N's column i is -<A_i, X_b>."""
     p = problem.num_constraints
     out = np.zeros(p)
     for k, (Ab, Xb) in enumerate(zip(problem._whole_stacks, X)):
+        stored = problem.A[k]
+        if isinstance(stored, Mapped):
+            out -= stored.NT @ stored.block.adjoint(Xb, stored.NT.shape[1])
+            continue
         x = Xb.reshape(-1)
         if Ab is not None:
             # a small problem's A(X) is mostly per-call overhead
@@ -495,9 +575,14 @@ def _apply_At(problem: SdpProblem, lam: np.ndarray) -> List[np.ndarray]:
     """sum_i lam_i A_i, per block. A one-hot block is a scatter of
     lam_owner * value over its entries: each position has one owner, so
     the dense contraction adds only exact zeros to that product. Adding
-    0.0 turns a product of -0.0 into the +0.0 those sums give."""
+    0.0 turns a product of -0.0 into the +0.0 those sums give. A `Mapped`
+    block is -S_B(N lam), one `apply` of the moment vector N lam."""
     out = []
     for Ab, n in zip(problem.A, problem.block_dims):
+        if isinstance(Ab, Mapped):
+            Mb = Ab.block.apply(lam @ Ab.NT)
+            out.append(np.negative(Mb, out=Mb))
+            continue
         if isinstance(Ab, OneHot):
             Mb = np.zeros((n, n))
             Mb[Ab.row, Ab.col] = lam[Ab.owner] * Ab.value + 0.0
@@ -596,14 +681,27 @@ def _corrector_rhs(
     return Rc
 
 
-def _stored(Ab: np.ndarray) -> Union[np.ndarray, OneHot]:
-    """The stored form of a dense (p, n, n) block: its `OneHot` record
-    when it is one-hot, else Ab itself. The scan of the stack leaves the
-    rest to `_entry_pattern`."""
-    if np.count_nonzero(Ab, axis=0).max(initial=0) > 1:
-        return Ab
-    flat = np.flatnonzero(Ab)
-    pattern = _entry_pattern(Ab.shape[0], Ab.shape[1], flat, Ab.reshape(-1)[flat])
+def _stored(Ab):
+    """The stored form of a dense (p, n, n) stack or a `Mapped` block: its
+    `OneHot` record when it is one-hot, else Ab itself.
+
+    The scan reads Ab a chunk of constraints at a time (`_chunk_bounds`),
+    views of a stack or rebuilt chunks of a `Mapped` block, so it holds
+    no whole stack. It keeps a running count of the constraints nonzero
+    at each position and stops at the first position owned twice;
+    otherwise it hands the nonzeros it gathered to `_entry_pattern`."""
+    p, n, _ = Ab.shape
+    owned = np.zeros((n, n), dtype=np.intp)
+    flat, value = [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
+    for lo, hi in _chunk_bounds(p, n):
+        M = _rows(Ab, n, lo, hi)
+        owned += np.count_nonzero(M, axis=0)
+        if owned.max(initial=0) > 1:
+            return Ab
+        at = np.flatnonzero(M)
+        flat.append(at + lo * n * n)
+        value.append(M.reshape(-1)[at])
+    pattern = _entry_pattern(p, n, np.concatenate(flat), np.concatenate(value))
     return Ab if pattern is None else pattern
 
 
@@ -667,8 +765,10 @@ def _schur_matrix(problem: SdpProblem, Gs: List[np.ndarray]) -> np.ndarray:
     of B are svec(H_i), the upper triangles with off-diagonal entries
     scaled by sqrt(2), and the term is B B', one symmetric rank-k update
     (SYRK) that is exactly symmetric and positive semidefinite. The H_i
-    are formed CHUNK_BYTES at a time, so only B is held in full, and B is
-    dropped once its term is added: one block's B is held at a time.
+    are formed CHUNK_BYTES at a time, from views of a stack or from the
+    chunks a `Mapped` block rebuilds, which are the stack's rows bit for
+    bit (`_rows`), so only B is held in full, and B is dropped once its
+    term is added: one block's B is held at a time.
     """
     p = problem.num_constraints
     M = np.zeros((p, p))
@@ -679,7 +779,8 @@ def _schur_matrix(problem: SdpProblem, Gs: List[np.ndarray]) -> np.ndarray:
             svec_positions, svec_weights = _svec_pattern(n)
             B = np.empty((p, len(svec_positions)))
             for lo in range(0, p, step):
-                H = np.matmul(np.matmul(G.T, Ab[lo : lo + step]), G)
+                rows = _rows(Ab, n, lo, min(lo + step, p))
+                H = np.matmul(np.matmul(G.T, rows), G)
                 H = H.reshape(-1, n * n)
                 np.take(H, svec_positions, axis=1, out=B[lo : lo + step])
             B *= svec_weights

@@ -220,7 +220,7 @@ def stored_as(problem, k, ref):
     any other block as ref itself."""
     stored, scanned = problem.A[k], sdp._stored(ref)
     if not isinstance(stored, sdp.OneHot):
-        return scanned is ref and same_bits(stored, ref)
+        return scanned is ref and same_bits(problem.stack(k), ref)
     if not isinstance(scanned, sdp.OneHot):
         return False
     return all(same_bits(a, b) for a, b in zip(tuple(stored), tuple(scanned)))
@@ -284,6 +284,7 @@ def test_compiled_stacks_symmetric_and_patterns_from_compile(program):
     for k, (B, C, A) in enumerate(zip(program.blocks, problem.C, problem.A)):
         assert same_bits(C, C.T)
         if not isinstance(A, sdp.OneHot):
+            A = problem.stack(k)
             assert same_bits(A, A.transpose(0, 2, 1)) and A.flags.c_contiguous
         assert stored_as(problem, k, -B.apply(N.T))
     one_hot = [isinstance(A, sdp.OneHot) for A in problem.A]
@@ -374,7 +375,7 @@ def test_apply_is_the_sum_of_terms_bytes():
         problem, _ = program.to_sdp()
         for k, B in enumerate(program.blocks):
             A = problem.A[k]
-            assert isinstance(A, sdp.OneHot) or A.flags.c_contiguous
+            assert isinstance(A, sdp.OneHot) or problem.stack(k).flags.c_contiguous
             assert stored_as(problem, k, -sum_of_terms(B, N.T))
 
 
@@ -392,6 +393,111 @@ def test_svd_path_holds_one_layer_beyond_the_stacks():
         tracemalloc.stop()
     layer = max(A.nbytes for A, B in zip(stacks, program.blocks) if len(B.coef) > 1)
     assert peak <= sum(A.nbytes for A in stacks) + layer + (1 << 16)
+    # to_sdp builds none of these stacks: it peaks in the SVD of
+    # `_eliminate`, and beyond the decode map's N it holds the layers and
+    # NT = N', which is a view of N. Built whole, the smallest stack
+    # (2.0 MB) would lift the peak and stay held
+    smallest = min(A.nbytes for A in stacks)
+    del stacks
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        program._eliminate()
+        eliminate_peak = tracemalloc.get_traced_memory()[1] - start
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        problem, decode = program.to_sdp()
+        held, peak = (m - start for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert peak < eliminate_peak + smallest
+    assert held <= decode["N"].nbytes + (1 << 16)
+    assert all(isinstance(A, sdp.Mapped) for A in problem.A)
+    assert all(A.NT.base is decode["N"].base for A in problem.A)
+
+
+# ---- blocks stored as layers and N' ------------------------------------------
+
+
+def mapped_and_stacked(program):
+    """The compiled problem of an SVD-path program, and the same problem
+    with each `Mapped` block stored as the stack it rebuilds."""
+    problem, _ = program.to_sdp()
+    stacked = tuple(
+        problem.stack(k) if isinstance(A, sdp.Mapped) else A
+        for k, A in enumerate(problem.A)
+    )
+    return problem, sdp.SdpProblem(problem.block_dims, problem.C, stacked, problem.b)
+
+
+# chunks of 5 matrices of the largest rho_j block at d = 3, 30 x 30
+SMALL_CHUNKS = [None, 5 * 8 * 30 * 30]
+
+
+@pytest.mark.parametrize("chunk_bytes", SMALL_CHUNKS)
+def test_mapped_chunks_are_the_rows_of_the_stack(monkeypatch, chunk_bytes):
+    # Mapped.chunk over the chunk bounds of _constraint_chunks and of
+    # _schur_matrix is the slice of -B.apply(N') bit for bit, one-hot
+    # blocks and ragged last chunks included
+    if chunk_bytes is not None:
+        monkeypatch.setattr(sdp, "CHUNK_BYTES", chunk_bytes)
+    for program in rho_programs():
+        _, N = program._eliminate()
+        for B in program.blocks:
+            whole, mapped = -B.apply(N.T), sdp.Mapped(B, N.T)
+            p, n, _ = mapped.shape
+            step = max(1, sdp.CHUNK_BYTES // (8 * n * n))
+            schur = [(lo, min(lo + step, p)) for lo in range(0, p, step)]
+            for lo, hi in sdp._chunk_bounds(p, n) + schur:
+                assert same_bits(mapped.chunk(lo, hi), whole[lo:hi])
+
+
+@pytest.mark.parametrize("chunk_bytes", SMALL_CHUNKS)
+def test_schur_matrix_of_mapped_blocks_is_the_stacks(monkeypatch, chunk_bytes):
+    # the Schur term reads rebuilt chunks that are the stack's rows, so M
+    # is the dense-stack problem's bit for bit
+    if chunk_bytes is not None:
+        monkeypatch.setattr(sdp, "CHUNK_BYTES", chunk_bytes)
+    for program in rho_programs():
+        problem, stacked = mapped_and_stacked(program)
+        rng = np.random.default_rng(problem.num_constraints)
+        Gs = [rng.standard_normal((n, n)) / np.sqrt(n) for n in problem.block_dims]
+        M = sdp._schur_matrix(problem, Gs)
+        assert same_bits(M, sdp._schur_matrix(stacked, Gs))
+
+
+def test_mapped_apply_A_and_At_are_the_stacks_contraction():
+    # A(X) through the layers' adjoint and N', and A'y through one apply of
+    # N y, agree with the stacks' products to 1e-13 of their largest
+    # entry, are adjoint, and A'y is exactly symmetric
+    for program in rho_programs():
+        problem, stacked = mapped_and_stacked(program)
+        rng = np.random.default_rng(problem.num_constraints)
+        X = [rng.standard_normal((n, n)) for n in problem.block_dims]
+        X = [Xb + Xb.T for Xb in X]
+        y = rng.standard_normal(problem.num_constraints)
+        AX, ref = sdp._apply_A(problem, X), sdp._apply_A(stacked, X)
+        assert np.max(np.abs(AX - ref)) <= 1e-13 * np.max(np.abs(ref))
+        Aty = sdp._apply_At(problem, y)
+        for M, ref in zip(Aty, sdp._apply_At(stacked, y)):
+            assert np.max(np.abs(M - ref)) <= 1e-13 * np.max(np.abs(ref))
+            assert same_bits(M, M.T)
+        inner = sum(float(np.vdot(Xb, M)) for Xb, M in zip(X, Aty))
+        assert abs(float(AX @ y) - inner) <= 1e-13 * np.abs(AX).sum() * np.abs(y).max()
+
+
+@pytest.mark.parametrize("chunk_bytes", SMALL_CHUNKS)
+def test_mapped_sdpa_dump_is_the_stacks_dump(monkeypatch, chunk_bytes):
+    # the dump reads each Mapped block a rebuilt chunk at a time and gives
+    # the dense-stack problem's text
+    if chunk_bytes is not None:
+        monkeypatch.setattr(sdp, "CHUNK_BYTES", chunk_bytes)
+    for program in rho_programs():
+        problem, stacked = mapped_and_stacked(program)
+        # compared first, so that a failure is not explained by a diff of
+        # thousands of lines
+        same = problem.dump_sdpa() == stacked.dump_sdpa()
+        assert same
 
 
 # ---- the ideal rows, the decode basis and the Schur term's memory -----------

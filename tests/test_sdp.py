@@ -22,6 +22,7 @@ from momentsos import sdp
 from momentsos._compile import moment_program
 from momentsos.convexcert import build_sdr, rho_program
 from momentsos.hierarchy import PolyOptProblem, build_qr
+from momentsos.moments import BlockSpec
 from momentsos.poly import Polynomial, PreconditionFailure
 from momentsos.sdp import (
     SdpProblem,
@@ -356,6 +357,45 @@ def test_rejects_blocks_solve_cannot_use():
         SdpProblem((2,), C, (stack,), np.zeros((2, 1)))
     with pytest.raises(PreconditionFailure, match="one C and one A per block"):
         SdpProblem((2,), C + C, (stack,), b)
+
+
+def test_rejects_records_whose_fields_differ_in_length():
+    # a OneHot whose entry fields, gather fields or run fields differ in
+    # length is refused: solve would die inside numpy, or with one weight
+    # or start short, read a wrong Schur term
+    b, C = np.zeros(2), (np.eye(2),)
+    stack = np.zeros((2, 2, 2))
+    stack[0, 0, 0] = 1.0
+    stack[1, 0, 1] = stack[1, 1, 0] = 1.0
+    record = sdp._stored(stack)
+    assert isinstance(record, sdp.OneHot)
+    for field in ("value", "weights", "positions", "owners", "starts", "row"):
+        short = record._replace(**{field: getattr(record, field)[:-1]})
+        with pytest.raises(PreconditionFailure, match="constraint block"):
+            SdpProblem((2,), C, (short,), b)
+
+
+def test_rejects_mapped_records_outside_the_block():
+    # a Mapped block's NT has p rows, its layers are (k, n, n) with one
+    # coefficient each, and every index is a column of NT
+    b, C = np.zeros(3), (np.eye(2),)
+    index = np.array([[[0, 1], [1, 3]]])
+    block = BlockSpec("moment", index, np.ones(1))
+    NT = np.arange(12.0).reshape(3, 4)
+    mapped = sdp.Mapped(block, NT)
+    assert SdpProblem((2,), C, (mapped,), b).A[0] is mapped
+    bad = [
+        sdp.Mapped(block, NT[:2]),  # two rows for p = 3
+        sdp.Mapped(block, NT[0]),  # not a matrix
+        sdp.Mapped(block, NT[:, :3]),  # index 3 past the 3 moments
+        sdp.Mapped(BlockSpec("neg", index - 1, np.ones(1)), NT),
+        sdp.Mapped(BlockSpec("flat", index[0], np.ones(1)), NT),
+        sdp.Mapped(BlockSpec("wide", np.zeros((1, 3, 3), int), np.ones(1)), NT),
+        sdp.Mapped(BlockSpec("coef", index, np.ones(2)), NT),
+    ]
+    for A in bad:
+        with pytest.raises(PreconditionFailure, match="constraint block"):
+            SdpProblem((2,), C, (A,), b)
 
 
 def test_rejects_oversized_block():

@@ -8,9 +8,10 @@ It builds the workload of `perfbench/workloads.py` (imported, not edited),
 runs its warm-up, then one round with `solve` patched in `sdp`, `_compile`
 and `sos`, and prints, per solve in call order: the sha256 of the problem's
 stored arrays (the block dimensions, then per block C and either its dense
-constraint stack or its one-hot entries, then b, each array hashed with its
-dtype and shape), the status, accuracy, iterations, message and residuals,
-and the sha256 of the bytes of X, Z and the dual vector (null when absent).
+constraint stack, the stack a `Mapped` block rebuilds, or its one-hot
+entries, then b, each array hashed with its dtype and shape), the status,
+accuracy, iterations, message and residuals, and the sha256 of the bytes
+of X, Z and the dual vector (null when absent).
 Two checkouts solve byte for byte alike when their digests are equal, so
 comparing them is a plain `diff`. The BLAS thread count is 1 unless
 OPENBLAS_NUM_THREADS is set.
@@ -62,14 +63,15 @@ def _problem_sha(problem) -> str:
         h.update(a)  # the buffer itself, not a copy of it
 
     add(np.array(problem.block_dims))
-    for Cb, Ab in zip(problem.C, problem.A):
+    for k, (Cb, Ab) in enumerate(zip(problem.C, problem.A)):
         add(Cb)
         if isinstance(Ab, sdp.OneHot):
             # a one-hot block's (owner, row, col, value) entries
             for a in (Ab.owner, Ab.row, Ab.col, Ab.value):
                 add(a)
         else:
-            add(Ab)
+            # a stack, or the stack a Mapped block rebuilds
+            add(problem.stack(k))
     add(problem.b)
     return h.hexdigest()
 
