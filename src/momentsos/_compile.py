@@ -23,14 +23,13 @@ layers (`moments.BlockSpec`) of the one pattern of `moments._moment_pattern`,
 and no dense (dim, dim, s) tensor is built. By selection, a block's
 entries are read off the layers: a one-hot block (`sdp._entry_pattern`),
 every single-term block among them, is handed to the solver as its
-`sdp.OneHot` record of those entries alone, and only the other blocks
-are scattered into a dense stack. Through N, no stack is built: a block
-is handed to the solver as its `sdp.Mapped` record, its layers and N',
-from which the solver rebuilds chunks of the stack, whose rows gather
-columns of N, and a block that the scan of those chunks finds one-hot
-is stored as its `OneHot` record instead (`sdp._stored`). The y0 = 1
-row is the coefficient row of the constant 1, and a scalar row
-L_z(g) >= 0 is the localizing block at d = 0.
+`sdp.OneHot` record, the four fields of those entries, and only the
+other blocks are scattered into a dense stack. Through N, no stack is
+built: every block is handed to the solver as its `sdp.Mapped` record,
+its layers and N', from which the solver rebuilds chunks of the stack,
+whose rows gather columns of N. The y0 = 1 row is the coefficient row
+of the constant 1, and a scalar row L_z(g) >= 0 is the localizing block
+at d = 0.
 `relaxation_blocks` assembles the blocks shared by Q_r, Q-hat and the lift,
 and `moment_program` adds the normalization z_0 = 1 to every program and,
 for an ideal (h, m) such as the rho_j programs' (g_j(Y), the monomials of
@@ -62,7 +61,6 @@ from .sdp import (
     SdpStatus,
     SolverOptions,
     _entry_pattern,
-    _stored,
     solve,
 )
 from .sos import GramIdentity
@@ -165,17 +163,14 @@ class MomentSdp:
         Every stack is exactly symmetric, as the index layers are, so the
         problem is built without `SdpProblem.make`'s checks. A selected
         one-hot block's `OneHot` record is read off its entries, and no
-        stack is built for it. Through N, no whole stack is built or
-        held: each block is stored as its `sdp.Mapped` record, its layers
-        and N' (a view of the decode map's N), and the chunks it rebuilds
-        are scanned for a `OneHot` record (`sdp._stored`), since the few
-        rows of a low-order rho_j program leave some of its blocks
-        one-hot.
+        stack is built for it. Through N, no stack is built or held:
+        each block is stored as its `sdp.Mapped` record, its layers and
+        N' (a view of the decode map's N), one-hot or not.
         """
         fixed = self._unit_columns()
         if fixed is None:
             z_part, N = self._eliminate()
-            As = [_stored(Mapped(B, N.T)) for B in self.blocks]
+            As = [Mapped(B, N.T) for B in self.blocks]
             b = -(N.T @ self.objective)
             decode = {"z_part": z_part, "N": N}
         else:

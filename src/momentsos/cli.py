@@ -377,9 +377,12 @@ def cmd_sos_check(args) -> int:
     else:
         print(f"sum of squares: undecided (solver status {dec.status})",
               file=sys.stderr)
+        # the partial artifact, as solve and certify write theirs on exit 2
+        _emit(args, artifact)
         return 2
     conv = is_sos_convex(objective)
     artifact["sos_convex"] = {"status": conv.status}
+    code = 0
     if conv.status == "sos_convex":
         print("sos-convex: yes")
     elif conv.status == "not_sos_convex":
@@ -387,9 +390,9 @@ def cmd_sos_check(args) -> int:
     else:
         print(f"sos-convex: undecided (solver status {conv.status})",
               file=sys.stderr)
-        return 2
+        code = 2
     _emit(args, artifact)
-    return 0
+    return code
 
 
 def cmd_probe(args) -> int:

@@ -30,24 +30,26 @@ primal/dual infeasibility through normalized improving rays instead of
 exceptions. Deterministic: no randomness anywhere in the iteration.
 
 `SdpProblem` stores the constraint matrices of each block once, in `A`,
-in one of three forms: a one-hot block as its `OneHot` record of
-entries; a block compiled through a null-space basis N as its `Mapped`
-record, the block's index layers and N', with no stack; any other block
-as a dense (p, n_b, n_b) stack. The moment compiler and `sos_decompose`
-build the one-hot record from the block's layout (`_entry_pattern`), and
-the scan (`_stored`) finds it a chunk of constraints at a time in the
-stacks `SdpProblem.make` is given and in the chunks a `Mapped` block
-rebuilds. On a one-hot block A'y is a scatter of the entries. A(X)
-scatters a larger one-hot block's entries into a buffer of CHUNK_BYTES,
-a chunk of constraints at a time (`OneHot.entries`), for the same
-matrix-vector product on each chunk that the whole stack would take; its
-bytes are those of the whole-stack product (`_constraint_chunks`). A
-one-hot block that fits in CHUNK_BYTES is built once per problem and
-read whole. A `Mapped` block's A(X) and A'y go through its layers and
-one product with N', and its Schur term and the start scale read chunks
-of CHUNK_BYTES rebuilt from the layers, which are the stack's rows bit
-for bit. `SolverOptions` holds the two target tolerances; every other
-setting of the iteration is a module constant.
+in one of three forms: a one-hot block as its `OneHot` record, the four
+fields of its entries; a block compiled through a null-space basis N as
+its `Mapped` record, the block's index layers and N', with no stack; any
+other block as a dense (p, n_b, n_b) stack. Only a builder that knows a
+block's layout makes a `OneHot` record: the moment compiler and
+`sos_decompose` read the entries off the layout (`_entry_pattern`),
+while `SdpProblem.make` stores the dense stacks it is given as they are.
+The Schur gather of a one-hot block is derived from its entries once per
+problem (`_gather`). On a one-hot block A'y is a scatter of the entries.
+A(X) scatters a larger one-hot block's entries into a buffer of
+CHUNK_BYTES, a chunk of constraints at a time (`OneHot.entries`), for
+the same matrix-vector product on each chunk that the whole stack would
+take; its bytes are those of the whole-stack product
+(`_constraint_chunks`). A one-hot block that fits in CHUNK_BYTES is
+built once per problem and read whole. A `Mapped` block's A(X) and A'y
+go through its layers and one product with N', and its Schur term and
+the start scale read chunks of CHUNK_BYTES rebuilt from the layers,
+which are the stack's rows bit for bit. `SolverOptions` holds the two
+target tolerances; every other setting of the iteration is a module
+constant.
 """
 
 from __future__ import annotations
@@ -123,22 +125,16 @@ def _check_block_dims(dims: Tuple[int, ...]) -> None:
 
 
 class OneHot(NamedTuple):
-    """The constraint matrices of a one-hot block (`_entry_pattern`),
-    stored as their entries: `owner, row, col, value` of every nonzero in
-    `np.nonzero` order (by owner, then row, then col). Then the gather of
-    `_schur_matrix`: the flat indices of the upper-triangle nonzeros sorted
-    by owner (`positions`), their entries doubled off the diagonal
-    (`weights`), where each owner's run starts (`starts`), and the owners
-    in run order (`owners`)."""
+    """The constraint matrices of a one-hot block (`_one_hot`), stored as
+    their entries alone: `owner, row, col, value` of every nonzero,
+    strictly increasing in (owner, row, col), the `np.nonzero` order of
+    the block's stack. The gather of `_schur_matrix` is derived from them
+    (`_gather`)."""
 
     owner: np.ndarray
     row: np.ndarray
     col: np.ndarray
     value: np.ndarray
-    positions: np.ndarray
-    weights: np.ndarray
-    starts: np.ndarray
-    owners: np.ndarray
 
     def entries(self, lo: int, hi: int):
         """((owner - lo, row, col), value) of the entries of constraints
@@ -159,11 +155,6 @@ class Mapped(NamedTuple):
     block: Any
     NT: np.ndarray
 
-    @property
-    def shape(self) -> Tuple[int, int, int]:
-        n = self.block.dim
-        return self.NT.shape[0], n, n
-
     def chunk(self, lo: int, hi: int) -> np.ndarray:
         """The (hi - lo, n, n) stack of constraints lo..hi-1: rows lo..hi-1
         of the whole stack -B.apply(N') bit for bit, since `apply` works
@@ -178,25 +169,23 @@ class SdpProblem:
 
     `C` is one symmetric (n_b, n_b) matrix per block, and `b` is the (p,)
     right-hand side. `A[k]` holds the constraint matrices of block k: a
-    one-hot block (`_entry_pattern`) as its `OneHot` record, a block
-    compiled through a null-space basis as its `Mapped` record, any other
-    block as a C-contiguous (p, n_b, n_b) stack, so that `A[k][i]` is the
-    matrix of constraint i. The constructor checks the shapes: the block
-    dimensions, each C, each stack, a `OneHot` record's index ranges and
-    the lengths of its fields (the four entry fields, the two gather
-    fields and the two run fields each of one length), a `Mapped`
-    record's N' of p rows and (k, n_b, n_b) layers of indices inside N',
-    and that b is a vector. It does not check values: a stored `OneHot`
-    record must be the one `_stored` finds in the block's dense stack
-    (`stack` rebuilds that stack), and every stack, every `Mapped`
-    block's layers and every C must equal their transposes exactly, so a
-    caller that builds the fields itself (the moment compiler,
-    `sos_decompose`) guarantees those by construction.
+    one-hot block as its `OneHot` record, a block compiled through a
+    null-space basis as its `Mapped` record, any other block as a
+    C-contiguous (p, n_b, n_b) stack, so that `A[k][i]` is the matrix of
+    constraint i. The constructor checks what `solve` reads: the block
+    dimensions, each C, each stack's shape, a `Mapped` record's N' of p
+    rows and (k, n_b, n_b) layers of indices inside N', that b is a
+    vector, and that a `OneHot` record is the entries of a one-hot block
+    (`_is_record`). It does not check values: every stack, every
+    `Mapped` block's layers and every C must equal their transposes
+    exactly, and a `OneHot` record must hold both entries of each
+    off-diagonal pair, so a caller that builds the fields itself (the
+    moment compiler, `sos_decompose`) guarantees those by construction.
 
     `make` validates dense input, symmetrizes it as 0.5 (A + A') and
-    0.5 (C + C'), and stores each stack's record in place of a one-hot
-    stack. The solver builds the dense stack of a small one-hot block
-    once, at its first A(X) (`_whole_stacks`).
+    0.5 (C + C'), and stores the stacks as they are, one-hot or not. The
+    solver builds the dense stack of a small one-hot block once, at its
+    first A(X) (`_whole_stacks`).
     """
 
     block_dims: Tuple[int, ...]
@@ -215,13 +204,7 @@ class SdpProblem:
             if np.shape(Cb) != (n, n):
                 raise PreconditionFailure("objective block dims consistent", f"C[{k}]")
             if isinstance(Ab, OneHot):
-                tops = ((Ab.owner, p), (Ab.row, n), (Ab.col, n))
-                fits = (
-                    len({len(a) for a in (Ab.owner, Ab.row, Ab.col, Ab.value)}) == 1
-                    and len(Ab.positions) == len(Ab.weights)
-                    and len(Ab.starts) == len(Ab.owners)
-                    and all(np.all((a >= 0) & (a < top)) for a, top in tops)
-                )
+                fits = _is_record(Ab, p, n)
             elif isinstance(Ab, Mapped):
                 index, NT = Ab.block.index, Ab.NT
                 fits = (
@@ -279,7 +262,7 @@ class SdpProblem:
             scale = np.maximum(1.0, np.abs(Ab).max(axis=(1, 2)))
             bad = np.flatnonzero(skew > SYMMETRY_TOL * scale)
             skewed += [(int(i), k, float(skew[i])) for i in bad]
-            sym.append(_stored(0.5 * (Ab + Ab_t)))
+            sym.append(0.5 * (Ab + Ab_t))
         if skewed:
             # the first skew constraint, and its first skew block
             i, k, skew = min(skewed)
@@ -315,6 +298,16 @@ class SdpProblem:
             or isinstance(Ab, OneHot) and 8 * p * n * n > CHUNK_BYTES
             else self.stack(k)
             for k, (Ab, n) in enumerate(zip(self.A, self.block_dims))
+        )
+
+    @cached_property
+    def _gathers(self) -> Tuple[Optional[tuple], ...]:
+        """Per block, a one-hot block's Schur gather (`_gather`), derived
+        once per problem rather than in every iteration; None for any
+        other block."""
+        return tuple(
+            _gather(Ab, n) if isinstance(Ab, OneHot) else None
+            for Ab, n in zip(self.A, self.block_dims)
         )
 
     @property
@@ -681,59 +674,62 @@ def _corrector_rhs(
     return Rc
 
 
-def _stored(Ab):
-    """The stored form of a dense (p, n, n) stack or a `Mapped` block: its
-    `OneHot` record when it is one-hot, else Ab itself.
+def _one_hot(p: int, n: int, owner, row, col) -> bool:
+    """Whether entries at (owner, row, col), no index twice, make a
+    one-hot (p, n, n) block: every matrix position is nonzero in at most
+    one constraint and every column of a constraint matrix holds at most
+    one entry. Each moment block M_r(y) is: entry (a, b) holds moment
+    alpha_a + alpha_b, so a position is one moment, and for a column b and
+    a moment alpha only one row a has alpha_a + alpha_b = alpha."""
+    return bool(
+        np.bincount(row * n + col, minlength=n * n).max(initial=0) <= 1
+        and np.bincount(owner * n + col, minlength=p * n).max(initial=0) <= 1
+    )
 
-    The scan reads Ab a chunk of constraints at a time (`_chunk_bounds`),
-    views of a stack or rebuilt chunks of a `Mapped` block, so it holds
-    no whole stack. It keeps a running count of the constraints nonzero
-    at each position and stops at the first position owned twice;
-    otherwise it hands the nonzeros it gathered to `_entry_pattern`."""
-    p, n, _ = Ab.shape
-    owned = np.zeros((n, n), dtype=np.intp)
-    flat, value = [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
-    for lo, hi in _chunk_bounds(p, n):
-        M = _rows(Ab, n, lo, hi)
-        owned += np.count_nonzero(M, axis=0)
-        if owned.max(initial=0) > 1:
-            return Ab
-        at = np.flatnonzero(M)
-        flat.append(at + lo * n * n)
-        value.append(M.reshape(-1)[at])
-    pattern = _entry_pattern(p, n, np.concatenate(flat), np.concatenate(value))
-    return Ab if pattern is None else pattern
+
+def _is_record(Ab: OneHot, p: int, n: int) -> bool:
+    """Whether a `OneHot` record is what `solve` reads it as: four 1-d
+    arrays of one length, integer indices inside the (p, n, n) block,
+    entries strictly increasing in (owner, row, col), and one-hot."""
+    if not all(isinstance(a, np.ndarray) and a.ndim == 1 for a in Ab):
+        return False
+    owner, row, col, _ = Ab
+    if len({len(a) for a in Ab}) != 1 or not all(
+        np.issubdtype(a.dtype, np.integer) for a in (owner, row, col)
+    ):
+        return False
+    tops = ((owner, p), (row, n), (col, n))
+    if not all(np.all((a >= 0) & (a < top)) for a, top in tops):
+        return False
+    key = np.ravel_multi_index((owner, row, col), (p, n, n))
+    return bool(np.all(np.diff(key) > 0)) and _one_hot(p, n, owner, row, col)
 
 
 def _entry_pattern(p: int, n: int, flat: np.ndarray, value: np.ndarray):
     """The `OneHot` record of a (p, n, n) block with entries `value` at
     the flat C-order indices `flat` and zeros elsewhere, or None when the
-    block is not one-hot. The indices come in any order, without repeats;
-    zero values are dropped. A caller that knows a block's entries builds
-    no stack to find its pattern.
-
-    A block is one-hot when every matrix position is nonzero in at most
-    one constraint and every column of a constraint matrix holds at most
-    one entry. Each moment block M_r(y) is: entry (a, b) holds moment
-    alpha_a + alpha_b, so a position is one moment, and for a column b and
-    a moment alpha only one row a has alpha_a + alpha_b = alpha.
+    block is not one-hot (`_one_hot`). The indices come in any order,
+    without repeats; zero values are dropped. A builder that knows a
+    block's entries calls this, and builds no stack to find its pattern.
     """
     order = np.argsort(flat)
     flat, value = flat[order], value[order]
     flat, value = flat[value != 0], value[value != 0]
     owner, rest = np.divmod(flat, n * n)
     row, col = np.divmod(rest, n)
-    if np.bincount(row * n + col, minlength=n * n).max(initial=0) > 1:
-        return None
-    if np.bincount(owner * n + col, minlength=p * n).max(initial=0) > 1:
-        return None
-    upper = row <= col
-    rows, cols, owners = row[upper], col[upper], owner[upper]
-    weights = np.where(rows == cols, 1.0, 2.0) * value[upper]
+    return OneHot(owner, row, col, value) if _one_hot(p, n, owner, row, col) else None
+
+
+def _gather(Ab: OneHot, n: int) -> tuple:
+    """The gather of a one-hot block's Schur term (`_schur_matrix`): the
+    flat indices of its upper-triangle entries, by owner (`positions`),
+    their values doubled off the diagonal (`weights`), where each owner's
+    run starts (`starts`), and the owners in run order (`owners`)."""
+    upper = Ab.row <= Ab.col
+    rows, cols, owners = Ab.row[upper], Ab.col[upper], Ab.owner[upper]
+    weights = np.where(rows == cols, 1.0, 2.0) * Ab.value[upper]
     starts = np.flatnonzero(np.diff(owners, prepend=-1))
-    return OneHot(
-        owner, row, col, value, rows * n + cols, weights, starts, owners[starts]
-    )
+    return rows * n + cols, weights, starts, owners[starts]
 
 
 @lru_cache(maxsize=64)
@@ -753,26 +749,26 @@ def _svec_pattern(n: int) -> Tuple[np.ndarray, np.ndarray]:
 def _schur_matrix(problem: SdpProblem, Gs: List[np.ndarray]) -> np.ndarray:
     """M_ij = sum over blocks of tr(A_i W A_j W), where W = G G' per block.
 
-    For a one-hot block (`OneHot`), column j of the block's
-    term is a weighted sum of the entries of W A_i W at the positions A_j
-    owns, so one gather and one segmented sum replace the dense
-    contraction. W A_i needs no product: column b of it is v W[:, a] for
-    the one entry v at (a, b) of A_i, the exact value of the product,
-    since every other term of its sums is zero. So W A_i is scattered
-    into one reused buffer, CHUNK_BYTES of constraints at a time, and a
-    single batched product with W gives their W A_i W. For any other
-    block the term is <H_i, H_j> with H_i = G' A_i G: the rows
-    of B are svec(H_i), the upper triangles with off-diagonal entries
-    scaled by sqrt(2), and the term is B B', one symmetric rank-k update
-    (SYRK) that is exactly symmetric and positive semidefinite. The H_i
-    are formed CHUNK_BYTES at a time, from views of a stack or from the
-    chunks a `Mapped` block rebuilds, which are the stack's rows bit for
-    bit (`_rows`), so only B is held in full, and B is dropped once its
-    term is added: one block's B is held at a time.
+    For a one-hot block (`OneHot`), column j of the block's term is a
+    weighted sum of the entries of W A_i W at the positions A_j owns, so
+    one gather (`_gather`, derived once per problem) and one segmented sum
+    replace the dense contraction. W A_i needs no product: column b of it
+    is v W[:, a] for the one entry v at (a, b) of A_i, the exact value of
+    the product, since every other term of its sums is zero. So W A_i is
+    scattered into one reused buffer, CHUNK_BYTES of constraints at a
+    time, and a single batched product with W gives their W A_i W. For any
+    other block the term is <H_i, H_j> with H_i = G' A_i G: the rows of B
+    are svec(H_i), the upper triangles with off-diagonal entries scaled by
+    sqrt(2), and the term is B B', one symmetric rank-k update (SYRK) that
+    is exactly symmetric and positive semidefinite. The H_i are formed
+    CHUNK_BYTES at a time, from views of a stack or from the chunks a
+    `Mapped` block rebuilds, which are the stack's rows bit for bit
+    (`_rows`), so only B is held in full, and B is dropped once its term
+    is added: one block's B is held at a time.
     """
     p = problem.num_constraints
     M = np.zeros((p, p))
-    for Ab, G in zip(problem.A, Gs):
+    for Ab, gather, G in zip(problem.A, problem._gathers, Gs):
         n = G.shape[0]
         step = max(1, CHUNK_BYTES // (8 * n * n))
         if not isinstance(Ab, OneHot):
@@ -787,13 +783,14 @@ def _schur_matrix(problem: SdpProblem, Gs: List[np.ndarray]) -> np.ndarray:
             M += B @ B.T
             del B  # so that no two blocks' B are held together
             continue
-        if not len(Ab.positions):
+        positions, weights, starts, owners = gather
+        if not len(positions):
             continue
         W = G @ G.T
         W_cols = np.ascontiguousarray(W.T)  # column a of W is W_cols[a]
         # every owner in range(p) appears, as in a moment block, unless
         # some constraint has no entry in the block
-        columns = slice(None) if len(Ab.owners) == p else Ab.owners
+        columns = slice(None) if len(owners) == p else owners
         # zero outside the entries a chunk writes, which it clears again
         WA = np.zeros((min(step, p), n, n))
         for lo in range(0, p, step):
@@ -803,9 +800,9 @@ def _schur_matrix(problem: SdpProblem, Gs: List[np.ndarray]) -> np.ndarray:
             WA_chunk[i, :, col] = W_cols[row] * value[:, None]
             TW = np.matmul(WA_chunk, W).reshape(hi - lo, -1)
             WA_chunk[i, :, col] = 0.0
-            gathered = TW[:, Ab.positions]
-            gathered *= Ab.weights
-            M[lo:hi, columns] += np.add.reduceat(gathered, Ab.starts, axis=1)
+            gathered = TW[:, positions]
+            gathered *= weights
+            M[lo:hi, columns] += np.add.reduceat(gathered, starts, axis=1)
     M += M.T
     M *= 0.5
     return M

@@ -6,7 +6,15 @@ import numpy as np
 
 from momentsos.hierarchy import PolyOptProblem
 from momentsos.poly import Polynomial, SemialgebraicSet
-from momentsos.sdp import SdpProblem
+from momentsos.sdp import SdpProblem, _entry_pattern
+
+
+def one_hot_record(stack: np.ndarray):
+    """The `OneHot` record of a dense (p, n, n) stack, read off its
+    nonzeros through `_entry_pattern`, or None when it is not one-hot."""
+    p, n, _ = stack.shape
+    flat = np.flatnonzero(stack)
+    return _entry_pattern(p, n, flat, stack.reshape(-1)[flat])
 
 
 def random_psd(rng, d: int, shift: float = 0.5) -> np.ndarray:

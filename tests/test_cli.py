@@ -360,6 +360,31 @@ def test_sos_check_motzkin(tmp_path, capsys):
     assert "sum of squares: no" in out
 
 
+def test_sos_check_writes_its_artifact_on_exit_2(tmp_path, capsys, monkeypatch):
+    # an undecided step exits 2 after writing what was decided so far, over
+    # a stale file; the reports are those of a run without --out
+    from momentsos.sos import SosConvexity, SosDecomposition
+
+    prob = write(tmp_path, "square.json", SQUARE)
+    out_path = tmp_path / "sos.json"
+    cases = [
+        ("sos_decompose", SosDecomposition, {"sos": "numerical_failure"}),
+        ("is_sos_convex", SosConvexity,
+         {"sos": "sos", "sos_convex": "numerical_failure"}),
+    ]
+    for name, result, statuses in cases:
+        with monkeypatch.context() as m:
+            m.setattr(cli, name, lambda p: result(status="numerical_failure"))
+            out_path.write_text("stale")
+            code, out, err = run(["sos-check", prob, "--out", str(out_path)], capsys)
+            bare = run(["sos-check", prob], capsys)
+        assert code == 2 and bare == (code, out, err[: len(bare[2])])
+        assert err[len(bare[2]):] == f"artifact written to {out_path}\n"
+        assert "undecided (solver status numerical_failure)" in err
+        got = json.loads(out_path.read_text())
+        assert {k: v["status"] for k, v in got.items()} == statuses
+
+
 # ---- probe ----
 
 

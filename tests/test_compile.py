@@ -23,6 +23,7 @@ from helpers import (
     ball_quartic,
     example_degenerate_cube,
     example_hyperbola_disk,
+    one_hot_record,
     unit_disk,
 )
 
@@ -216,14 +217,16 @@ def same_bits(a, b):
 
 def stored_as(problem, k, ref):
     """Whether block k of problem holds the dense stack `ref` bit for bit:
-    a one-hot block as the record the scan finds in ref, and no stack;
-    any other block as ref itself."""
-    stored, scanned = problem.A[k], sdp._stored(ref)
-    if not isinstance(stored, sdp.OneHot):
-        return scanned is ref and same_bits(problem.stack(k), ref)
-    if not isinstance(scanned, sdp.OneHot):
-        return False
-    return all(same_bits(a, b) for a, b in zip(tuple(stored), tuple(scanned)))
+    a selected one-hot block as the record read off ref's nonzeros, and
+    no stack; a `Mapped` block, one-hot or not, and any other selected
+    block as a stack, rebuilt or stored, that is ref."""
+    stored, record = problem.A[k], one_hot_record(ref)
+    if isinstance(stored, sdp.OneHot):
+        return record is not None and all(
+            same_bits(a, b) for a, b in zip(stored, record)
+        )
+    mapped = isinstance(stored, sdp.Mapped)
+    return (mapped or record is None) and same_bits(problem.stack(k), ref)
 
 
 def unit_row_programs():
@@ -249,7 +252,8 @@ def unit_row_programs():
 def rho_programs():
     lens, cube, disk = example_hyperbola_disk(), example_degenerate_cube(), unit_disk()
     # at d = 1 the moment block and g_1(X) of lens rho_1 are one-hot
-    # through N; at d = 3 no rho_j block is
+    # through N, and stored as `Mapped` records all the same; at d = 3 no
+    # rho_j block is one-hot
     return [rho_program(lens, 1, 1)] + [
         rho_program(K, j, 3) for K, j in ((lens, 1), (cube, 2), (disk, 1))
     ]
@@ -277,8 +281,8 @@ def test_selection_matches_svd_elimination(label, program):
 )
 def test_compiled_stacks_symmetric_and_patterns_from_compile(program):
     # the compiler builds SdpProblem itself: every C and stored stack must
-    # equal its transpose, and each block's stored form must be the scan's
-    # of its dense stack, entry for entry, a stack included
+    # equal its transpose, and each block's stored form must hold its
+    # dense stack, entry for entry (`stored_as`)
     problem, _ = program.to_sdp()
     _, N = program._eliminate()
     for k, (B, C, A) in enumerate(zip(program.blocks, problem.C, problem.A)):
@@ -287,25 +291,22 @@ def test_compiled_stacks_symmetric_and_patterns_from_compile(program):
             A = problem.stack(k)
             assert same_bits(A, A.transpose(0, 2, 1)) and A.flags.c_contiguous
         assert stored_as(problem, k, -B.apply(N.T))
-    one_hot = [isinstance(A, sdp.OneHot) for A in problem.A]
     if program.num_equalities == 1:
-        assert one_hot[0]  # the moment block
-    elif program.order == 1:
-        assert one_hot == [True, True, False, False]
+        assert isinstance(problem.A[0], sdp.OneHot)  # the moment block
     else:
-        assert not any(one_hot)
+        assert all(isinstance(A, sdp.Mapped) for A in problem.A)
+    if program.order == 1 and program.num_equalities > 1:
+        one_hot = [one_hot_record(-B.apply(N.T)) is not None for B in program.blocks]
+        assert one_hot == [True, True, False, False]
 
 
-def test_compiled_programs_skip_make_and_the_scan(monkeypatch):
-    # make's checks never run on compiled or Gram problems, and neither
-    # does the dense scan on selected stacks or the Gram stack
+def test_compiled_programs_skip_make(monkeypatch):
+    # make's checks never run on compiled or Gram problems
     def unreachable(*args):
         raise AssertionError("dense-input path ran on a built problem")
 
     monkeypatch.setattr(sdp.SdpProblem, "make", staticmethod(unreachable))
     assert rho_program(example_hyperbola_disk(), 1, 2).solve().is_optimal
-    monkeypatch.setattr(sdp, "_stored", unreachable)
-    monkeypatch.setattr(_compile, "_stored", unreachable)
     assert build_qr(ball_quartic(2), 3).solve().is_optimal
     square = Polynomial.make(1, {(0,): 1.0, (1,): 2.0, (2,): 1.0})
     assert sos_decompose(square).status == "sos"
@@ -445,7 +446,7 @@ def test_mapped_chunks_are_the_rows_of_the_stack(monkeypatch, chunk_bytes):
         _, N = program._eliminate()
         for B in program.blocks:
             whole, mapped = -B.apply(N.T), sdp.Mapped(B, N.T)
-            p, n, _ = mapped.shape
+            p, n = N.shape[1], B.dim
             step = max(1, sdp.CHUNK_BYTES // (8 * n * n))
             schur = [(lo, min(lo + step, p)) for lo in range(0, p, step)]
             for lo, hi in sdp._chunk_bounds(p, n) + schur:

@@ -14,6 +14,7 @@ from helpers import (
     example_hyperbola_disk,
     kkt_residuals,
     make_strictly_feasible_sdp,
+    one_hot_record,
     random_psd,
     unit_disk,
 )
@@ -335,7 +336,7 @@ def test_rejects_blocks_solve_cannot_use():
     stack = np.zeros((2, 2, 2))
     stack[0, 0, 0] = 1.0
     stack[1, 0, 1] = stack[1, 1, 0] = 1.0
-    record = sdp._stored(stack)
+    record = one_hot_record(stack)
     assert isinstance(record, sdp.OneHot)
     for A in (stack, record):
         assert SdpProblem((2,), C, (A,), b).A[0] is A
@@ -360,19 +361,52 @@ def test_rejects_blocks_solve_cannot_use():
 
 
 def test_rejects_records_whose_fields_differ_in_length():
-    # a OneHot whose entry fields, gather fields or run fields differ in
-    # length is refused: solve would die inside numpy, or with one weight
-    # or start short, read a wrong Schur term
+    # a OneHot whose entry fields differ in length is refused: solve would
+    # die inside numpy
     b, C = np.zeros(2), (np.eye(2),)
     stack = np.zeros((2, 2, 2))
     stack[0, 0, 0] = 1.0
     stack[1, 0, 1] = stack[1, 1, 0] = 1.0
-    record = sdp._stored(stack)
+    record = one_hot_record(stack)
     assert isinstance(record, sdp.OneHot)
-    for field in ("value", "weights", "positions", "owners", "starts", "row"):
+    for field in record._fields:
         short = record._replace(**{field: getattr(record, field)[:-1]})
         with pytest.raises(PreconditionFailure, match="constraint block"):
             SdpProblem((2,), C, (short,), b)
+
+
+def hand_built(*rows):
+    """A hand-built `OneHot` record of (owner, row, col, value) rows."""
+    owner, row, col, value = zip(*rows)
+    return sdp.OneHot(np.array(owner), np.array(row), np.array(col), np.array(value))
+
+
+def test_rejects_hand_built_records_solve_would_misread():
+    # p = 2 constraints of a 2 x 2 block: the constructor refuses every
+    # record that solve would read out of range or as a wrong Schur term,
+    # rather than solve dying with IndexError (an owner >= p, a row >= n,
+    # a negative col and fields of unequal length are in the two tests
+    # above)
+    b, C = np.zeros(2), (np.eye(2),)
+    good = hand_built((0, 0, 0, 1.0), (1, 0, 1, 1.0), (1, 1, 0, 1.0))
+    assert same_bytes(SdpProblem((2,), C, (good,), b).stack(0), np.array(
+        [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]]]
+    ))
+    bad = {
+        "col >= n": hand_built((0, 0, 2, 1.0), (1, 0, 1, 1.0), (1, 1, 0, 1.0)),
+        "unsorted": hand_built((1, 0, 1, 1.0), (1, 1, 0, 1.0), (0, 0, 0, 1.0)),
+        "repeated": hand_built((0, 0, 0, 1.0), (0, 0, 0, 1.0), (1, 1, 1, 1.0)),
+        "position owned twice": hand_built((0, 0, 0, 1.0), (1, 0, 0, 1.0)),
+        "column holds two": hand_built(
+            (0, 0, 0, 1.0), (0, 0, 1, 1.0), (0, 1, 0, 1.0)
+        ),
+        "float indices": good._replace(row=good.row.astype(float)),
+        "not 1-d": good._replace(value=good.value[:, None]),
+    }
+    for why, record in bad.items():
+        with pytest.raises(PreconditionFailure, match="constraint block"):
+            SdpProblem((2,), C, (record,), b)
+            pytest.fail(why)
 
 
 def test_rejects_mapped_records_outside_the_block():
@@ -463,16 +497,19 @@ def test_rejects_asymmetry_naming_constraint_and_block():
     assert R.A[0].flags.c_contiguous and np.array_equal(R.A[0], A)
 
 
-def test_make_keeps_no_stack_of_a_one_hot_block():
+def test_make_stores_one_hot_stacks_as_given():
     # block 0 is one-hot: each position, and each column of a matrix, holds
-    # one entry at most; in block 1 position (0, 0) is in both constraints
+    # one entry at most; in block 1 position (0, 0) is in both constraints.
+    # make stores both stacks as given; a record of block 0 is built from
+    # its entries, by a caller that knows them
     A0 = np.zeros((2, 2, 2))
     A0[0, 0, 0] = 1.0
     A0[1, 0, 1] = A0[1, 1, 0] = 0.5
     A1 = np.stack([np.eye(2), np.ones((2, 2))])
-    P = SdpProblem.make([2, 2], [np.eye(2), np.eye(2)], [A0, A1], [1.0, 2.0])
+    dense = SdpProblem.make([2, 2], [np.eye(2), np.eye(2)], [A0, A1], [1.0, 2.0])
+    assert all(same_bytes(A, ref) for A, ref in zip(dense.A, (A0, A1)))
+    P = SdpProblem(dense.block_dims, dense.C, (one_hot_record(A0), A1), dense.b)
     assert isinstance(P.A[0], sdp.OneHot)
-    assert not isinstance(P.A[1], sdp.OneHot) and same_bytes(P.A[1], A1)
     assert same_bytes(P.stack(0), A0) and P.stack(1) is P.A[1]
     # the layer trace reads each constraint's matrices, rebuilt from entries
     assert [(tuple(M.tolist() for M in mats), bi) for mats, bi in P.constraints] == [
@@ -493,7 +530,9 @@ def test_sdpa_dump_of_entries_is_the_dump_of_the_stacks(program):
     P = program().to_sdp()[0]
     assert isinstance(P.A[0], sdp.OneHot)
     dense = SdpProblem(P.block_dims, P.C, tuple(stacks(P)), P.b)
-    assert P.dump_sdpa() == dense.dump_sdpa()
+    # compared first: pytest's diff of two long unequal texts never ends
+    same = P.dump_sdpa() == dense.dump_sdpa()
+    assert same
 
 
 # sha256 of dump_sdpa as the per-entry loop rendered it; pins the vectorized
@@ -564,9 +603,8 @@ def one_hot_term_by_products(Ab, W, pattern):
     """A one-hot block's Schur term from the full stack of W A_i W, formed
     by two batched products: gather the owned positions, sum each owner's
     run."""
-    positions, weights = pattern.positions, pattern.weights
-    starts, owners = pattern.starts, pattern.owners
-    p = len(Ab)
+    p, n, _ = Ab.shape
+    positions, weights, starts, owners = sdp._gather(pattern, n)
     M = np.zeros((p, p))
     TW = np.matmul(np.matmul(W, Ab), W)
     gathered = np.take(TW.reshape(p, -1), positions, axis=1)
@@ -633,15 +671,14 @@ def test_two_entries_in_a_column_is_not_one_hot():
     A[1, 1, 1] = -1.0
     A[1, 0, 2] = A[1, 2, 0] = 0.5
     A[2, 2, 2] = 3.0
-    assert sdp._stored(A) is A
+    assert one_hot_record(A) is None
     # so is a single dense constraint
-    ones = np.ones((1, 3, 3))
-    assert sdp._stored(ones) is ones
+    assert one_hot_record(np.ones((1, 3, 3))) is None
     # with A_0's off-diagonal pair moved to constraint 2, the block is one-hot
     B = A.copy()
     B[0, 0, 1] = B[0, 1, 0] = 0.0
     B[2, 0, 1] = B[2, 1, 0] = 2.0
-    assert isinstance(sdp._stored(B), sdp.OneHot)
+    assert isinstance(one_hot_record(B), sdp.OneHot)
     G = np.random.default_rng(4).standard_normal((3, 3))
     M = sdp._schur_matrix(SdpProblem((3,), (np.eye(3),), (A,), np.zeros(3)), [G])
     ref = schur_reference([A], [G @ G.T])
@@ -664,7 +701,7 @@ def test_moment_blocks_are_one_hot(program):
     # the stack of the SVD path, which the selected block's entries are
     _, N = program._eliminate()
     Ab = -program.blocks[0].apply(N.T)
-    assert isinstance(sdp._stored(Ab), sdp.OneHot)
+    assert isinstance(one_hot_record(Ab), sdp.OneHot)
     pattern = P.A[0]
     assert isinstance(pattern, sdp.OneHot)
     # the (owner, row, col, value) entries are the whole block, by owner

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import one_hot_record
 
 from momentsos import sdp, sos
 from momentsos.moments import MomentVector, mean_point, moment_matrix, riesz
@@ -91,9 +92,9 @@ class TestSosDecompose:
 
     def test_gram_problem_pattern_is_the_scan(self, monkeypatch):
         # the Gram problem is built without SdpProblem.make: its pattern
-        # must be the scan's of the dense stack E, entry for entry, or None
-        # with the scan for a basis that repeats a monomial, and then the
-        # stored stack is E
+        # must be the record read off the nonzeros of the dense stack E
+        # (`one_hot_record`), entry for entry, or there is none for a basis
+        # that repeats a monomial, and then the stored stack is E
         problems = []
 
         def recording(problem, options=None):
@@ -113,15 +114,15 @@ class TestSosDecompose:
             E[group, rows, cols] = 1.0
             E[group, cols, rows] = 1.0
             (stored,) = problem.A
-            scanned = sdp._stored(E)
+            record = one_hot_record(E)
             one_hot = isinstance(stored, sdp.OneHot)
             patterns.append(one_hot)
             if not one_hot:
-                assert scanned is E
+                assert record is None
                 assert stored.tobytes() == E.tobytes()
                 continue
-            assert isinstance(scanned, sdp.OneHot)
-            for a, b in zip(tuple(stored), tuple(scanned)):
+            assert isinstance(record, sdp.OneHot)
+            for a, b in zip(stored, record):
                 assert a.tobytes() == b.tobytes()
         assert patterns == [True, False]
 
