@@ -60,26 +60,6 @@ class PolyOptProblem:
         return max([r_obj, 1] + list(half))
 
 
-def scalar_multipliers(cert: GramIdentity) -> Optional[List[float]]:
-    """The lambda_j of a Putinar certificate when every sigma_j (j >= 1) is
-    a constant, as for a Q-hat dual; else None."""
-    out = []
-    for _, basis, G in cert.grams[1:]:
-        if G.shape != (1, 1) or any(sum(a) != 0 for a in basis):
-            return None
-        out.append(float(G[0, 0]))
-    return out
-
-
-def qc_form_report(cert: GramIdentity) -> Dict[str, bool]:
-    """A posteriori check whether a Putinar certificate lands in the convex
-    Putinar cone: scalar multipliers and an SOS-convex sigma_0."""
-    return {
-        "scalar_multipliers": scalar_multipliers(cert) is not None,
-        "sigma0_sos_convex": bool(is_sos_convex(cert.sigma(0)).is_sos_convex),
-    }
-
-
 @dataclass
 class RelaxationResult:
     order: int
@@ -194,23 +174,6 @@ def _sampled_convexity(
         if np.any(low < -1e-7 * scale):
             return False
     return True
-
-
-def strict_convexity_probe(
-    problem: PolyOptProblem, samples: int = 500, seed: int = 0
-) -> Dict[str, float]:
-    """Diagnostic delta estimate: min over sampled K of min eig Hess f."""
-    K = problem.feasible_set
-    box = K.ball_bound if K.ball_bound is not None else 2.0
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(-box, box, size=(samples, K.n))
-    pts = pts[K.contains(pts)]
-    H = problem.objective.hessian_at(pts)
-    low = np.linalg.eigvalsh(0.5 * (H + H.transpose(0, 2, 1)))[:, 0]
-    return {
-        "delta_estimate": float(low.min(initial=np.inf)),
-        "samples_in_set": float(len(pts)),
-    }
 
 
 def _attach_minimizer(

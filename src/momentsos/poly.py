@@ -444,91 +444,3 @@ class SemialgebraicSet:
         n = int(data["n"])
         gs = tuple(Polynomial.from_json(n, g) for g in data["constraints"])
         return SemialgebraicSet(n, gs, data.get("ball_bound"))
-
-
-# ---- the perturbation and averaged-Hessian constructions ----------------
-
-
-def theta_polynomial(n: int, r: int) -> Polynomial:
-    """theta_r(X) = 1 + sum_{k=1..r} sum_i X_i^{2k} / k!."""
-    if r < 0:
-        raise PreconditionFailure("r >= 0", str(r))
-    exponents, weights = [np.zeros((1, n), dtype=int)], [1.0]
-    for k in range(1, r + 1):
-        exponents.append(2 * k * np.eye(n, dtype=int))
-        weights += [1.0 / math.factorial(k)] * n
-    return Polynomial.from_arrays(n, np.vstack(exponents), weights)
-
-
-def theta_perturbation(f: Polynomial, eps: float, r: int) -> Polynomial:
-    """f + eps*(theta_{r0} + theta_r) with r0 = floor(deg f / 2) + 1.
-
-    The perturbation dominates f's top degree, making the sum coercive;
-    requires r >= r0 so the added tail really is the higher-order one.
-    """
-    if not eps > 0:
-        raise PreconditionFailure("eps > 0", str(eps))
-    r0 = f.degree() // 2 + 1
-    if r < r0:
-        raise PreconditionFailure("r >= floor(deg f / 2) + 1", f"r={r} < r0={r0}")
-    return f + eps * (theta_polynomial(f.n, r0) + theta_polynomial(f.n, r))
-
-
-def _ray_average(h: Polynomial) -> Polynomial:
-    """int_0^1 int_0^t h(sX) ds dt: a term of degree k is divided by
-    int_0^1 int_0^t s^k ds dt = 1/((k+1)(k+2)), in stored order."""
-    k = h.exponents.sum(axis=1)
-    return Polynomial(h.n, h.exponents, h.coefficients / ((k + 1) * (k + 2)))
-
-
-def _translate(p: Polynomial, u: Sequence[float]) -> Polynomial:
-    """p(X + u), with (X_i + u_i)^e = sum_b C(e, b) u_i^(e-b) X_i^b expanded
-    variable by variable on the exponent arrays and merged once."""
-    exponents, coefficients = p.exponents, p.coefficients
-    for i, ui in enumerate(map(float, u)):
-        if ui == 0.0:
-            continue
-        e = exponents[:, i]
-        moved, weighted = [], []
-        for b in range(int(e.max(initial=0)) + 1):
-            rows = np.flatnonzero(e >= b)
-            w = [math.comb(k, b) * ui ** (k - b) for k in e[rows].tolist()]
-            moved.append(exponents[rows])
-            moved[-1][:, i] = b
-            weighted.append(coefficients[rows] * w)
-        exponents, coefficients = np.concatenate(moved), np.concatenate(weighted)
-    return Polynomial.from_arrays(p.n, exponents, coefficients)
-
-
-def averaged_hessian_remainder(
-    f: Polynomial, u: Sequence[float]
-) -> List[List[Polynomial]]:
-    """F(X,u) = int_0^1 int_0^t Hess f(u + s(X-u)) ds dt, entrywise: each
-    Hessian entry h is translated to u, averaged along rays (`_ray_average`,
-    as `random_sos_convex` integrates its candidates) and translated back.
-    Then f(X) = f(u) + grad f(u)'(X-u) + (X-u)' F(X,u) (X-u) up to rounding.
-    """
-    if len(u) != f.n:
-        raise PreconditionFailure("dim(u) = n", f"{len(u)} vs {f.n}")
-    n = f.n
-    hess = f.hessian()
-    out: List[List[Polynomial]] = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            entry = _translate(_ray_average(_translate(hess[i][j], u)), np.negative(u))
-            out[i][j] = entry
-            out[j][i] = entry
-    return out
-
-
-def taylor_remainder_identity(f: Polynomial, u: Sequence[float]) -> Polynomial:
-    """Residual f(X) - [f(u) + grad f(u)'(X-u) + (X-u)'F(X,u)(X-u)].
-
-    Zero up to rounding; exposed for validation.
-    """
-    n = f.n
-    F = averaged_hessian_remainder(f, u)
-    xu = [Polynomial.variable(n, i) - float(u[i]) for i in range(n)]
-    linear = [g.eval(u) * x for g, x in zip(f.gradient(), xu)]
-    quadratic = [xu[i] * F[i][j] * xu[j] for i in range(n) for j in range(n)]
-    return f - Polynomial.sum_of(n, linear + quadratic) - f.eval(u)

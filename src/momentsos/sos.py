@@ -32,7 +32,6 @@ from .poly import (
     Monomial,
     Polynomial,
     PreconditionFailure,
-    _ray_average,
     monomial_basis,
 )
 from .sdp import (
@@ -141,6 +140,9 @@ class SosDecomposition:
     # for infeasible: pseudo-moments y_bar with M(y_bar) >= 0, L_y(p) < 0
     certificate_direction: Optional[Dict[Monomial, float]] = None
     reason: str = ""
+    # the Gram solve's SdpSolution.accuracy: "target", or "stall_band" when
+    # it was accepted inside the stall tolerances; "target" when no SDP ran
+    accuracy: str = "target"
 
     @property
     def is_sos(self) -> bool:
@@ -229,11 +231,14 @@ def sos_decompose(
                 status="numerical_failure",
                 witness=witness,
                 reason=f"witness invariant violated ({why})",
+                accuracy=sol.accuracy,
             )
-        return SosDecomposition(status="sos", witness=witness)
+        return SosDecomposition(status="sos", witness=witness, accuracy=sol.accuracy)
     if sol.status is SdpStatus.UNBOUNDED:
         # trace objective is bounded below on the PSD cone; cannot happen
-        return SosDecomposition(status="numerical_failure", reason=sol.message)
+        return SosDecomposition(
+            status="numerical_failure", reason=sol.message, accuracy=sol.accuracy
+        )
     if sol.status is SdpStatus.INFEASIBLE:
         lam, _ = sol.ray_dual
         direction = {alpha: -float(v) for alpha, v in zip(monomials, lam)}
@@ -241,22 +246,11 @@ def sos_decompose(
             status="infeasible",
             certificate_direction=direction,
             reason="no PSD Gram matrix; improving ray certifies infeasibility",
+            accuracy=sol.accuracy,
         )
-    return SosDecomposition(status=sol.status.value, reason=sol.message)
-
-
-def ray_moment_matrix(
-    basis: Sequence[Monomial], direction: Dict[Monomial, float]
-) -> np.ndarray:
-    """Assemble M(y_bar) over `basis` from an infeasibility direction."""
-    k = len(basis)
-    pattern = _moment_pattern(basis)
-    _, first, inverse = np.unique(
-        pattern.index, return_index=True, return_inverse=True
+    return SosDecomposition(
+        status=sol.status.value, reason=sol.message, accuracy=sol.accuracy
     )
-    keys = pattern.exponent[first].tolist()
-    values = np.array([direction[tuple(key)] for key in keys])
-    return values[inverse].reshape(k, k)
 
 
 # ---- SOS-convexity ----------------------------------------------------------
@@ -268,6 +262,8 @@ class SosConvexity:
     # the scalarized Hessian's SOS witness, in the 2n variables (X, W)
     witness: Optional[GramIdentity] = None
     reason: str = ""
+    # the accuracy of the Gram solve, as in SosDecomposition
+    accuracy: str = "target"
 
     @property
     def is_sos_convex(self) -> bool:
@@ -303,27 +299,6 @@ def _w_linear_basis(n: int, x_degree: int) -> List[Monomial]:
     return out
 
 
-def hessian_counterexample(f: Polynomial) -> Optional[dict]:
-    """A sampled point and direction where Hess f has a negative eigenvalue,
-    or None when none of the 201 points (0 and 200 seeded draws from
-    [-2, 2]^n) shows one."""
-    rng = np.random.default_rng(0)
-    pts = np.array(
-        [np.zeros(f.n)] + [rng.uniform(-2.0, 2.0, size=f.n) for _ in range(200)]
-    )
-    H = f.hessian_at(pts)
-    w, V = np.linalg.eigh(0.5 * (H + H.transpose(0, 2, 1)))
-    bad = np.flatnonzero(w[:, 0] < -1e-9 * (1.0 + np.abs(w[:, -1])))
-    if len(bad) == 0:
-        return None
-    k = bad[0]
-    return {
-        "point": [float(v) for v in pts[k]],
-        "direction": [float(v) for v in V[k][:, 0]],
-        "hessian_eigenvalue": float(w[k, 0]),
-    }
-
-
 def is_sos_convex(
     f: Polynomial, options: Optional[SolverOptions] = None
 ) -> SosConvexity:
@@ -353,13 +328,16 @@ def is_sos_convex(
     basis = _w_linear_basis(n, (deg - 2) // 2)
     dec = sos_decompose(h, basis=basis, options=options)
     if dec.status == "sos":
-        return SosConvexity(status="sos_convex", witness=dec.witness)
+        return SosConvexity(
+            status="sos_convex", witness=dec.witness, accuracy=dec.accuracy
+        )
     if dec.status == "infeasible":
         return SosConvexity(
             status="not_sos_convex",
             reason="no degree-matched Gram certificate for the scalarized Hessian",
+            accuracy=dec.accuracy,
         )
-    return SosConvexity(status=dec.status, reason=dec.reason)
+    return SosConvexity(status=dec.status, reason=dec.reason, accuracy=dec.accuracy)
 
 
 # ---- extended Jensen inequality ---------------------------------------------
@@ -471,9 +449,18 @@ SOS_CONVEX_TRIES = 60
 ADMISSIBLE_TRIES = 200
 
 
+def _ray_average(h: Polynomial) -> Polynomial:
+    """int_0^1 int_0^t h(sX) ds dt: a term of degree k is divided by
+    int_0^1 int_0^t s^k ds dt = 1/((k+1)(k+2)), in stored order."""
+    k = h.exponents.sum(axis=1)
+    return Polynomial(h.n, h.exponents, h.coefficients / ((k + 1) * (k + 2)))
+
+
 def _integrated_quadratic_form(H: List[List[Polynomial]]) -> Polynomial:
     """X' (int_0^1 int_0^t H(sX) ds dt) X for a polynomial matrix H, from
-    the `_ray_average` of each entry (as `averaged_hessian_remainder` at 0)."""
+    the `_ray_average` of each entry. For H = Hess f this is
+    f - f(0) - grad f(0)'X, Taylor's remainder at 0 in averaged-Hessian
+    form."""
     n = len(H)
     w = np.eye(n, dtype=int)
     return Polynomial.sum_of(

@@ -1,11 +1,12 @@
 """Shared test utilities: problem generators and small oracles."""
 
-from typing import List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from momentsos.hierarchy import PolyOptProblem
-from momentsos.poly import Polynomial, SemialgebraicSet
+from momentsos.moments import _moment_pattern
+from momentsos.poly import Monomial, Polynomial, SemialgebraicSet
 from momentsos.sdp import SdpProblem, _entry_pattern
 
 
@@ -15,6 +16,21 @@ def one_hot_record(stack: np.ndarray):
     p, n, _ = stack.shape
     flat = np.flatnonzero(stack)
     return _entry_pattern(p, n, flat, stack.reshape(-1)[flat])
+
+
+def ray_moment_matrix(
+    basis: Sequence[Monomial], direction: Dict[Monomial, float]
+) -> np.ndarray:
+    """M(y_bar) over `basis` from the infeasibility direction y_bar that
+    `sos_decompose` returns."""
+    k = len(basis)
+    pattern = _moment_pattern(basis)
+    _, first, inverse = np.unique(
+        pattern.index, return_index=True, return_inverse=True
+    )
+    keys = pattern.exponent[first].tolist()
+    values = np.array([direction[tuple(key)] for key in keys])
+    return values[inverse].reshape(k, k)
 
 
 def random_psd(rng, d: int, shift: float = 0.5) -> np.ndarray:

@@ -11,14 +11,12 @@ from momentsos.hierarchy import (
     build_qr,
     kkt_residuals,
     lagrangian,
-    qc_form_report,
-    scalar_multipliers,
     solve_hierarchy,
-    strict_convexity_probe,
 )
 from momentsos.moments import mean_point
 from momentsos.poly import Polynomial, PreconditionFailure, SemialgebraicSet
 from momentsos.sdp import SolverOptions
+from momentsos.sos import is_sos_convex
 
 from helpers import example_hyperbola_disk, grid_minimize, unit_disk
 
@@ -161,12 +159,12 @@ class TestDualCertificates:
         q = build_qhat(prob)
         sol = q.solve()
         cert = q.certificate(prob.objective, sol)
-        scalars = scalar_multipliers(cert)
-        assert scalars is not None and len(scalars) == 1
-        assert scalars[0] >= -1e-9
-        report = qc_form_report(cert)
-        assert report["scalar_multipliers"]
-        assert report["sigma0_sos_convex"]
+        # the convex Putinar form: the disk's multiplier is a nonnegative
+        # constant (a 1x1 Gram over the constant monomial) and sigma_0 is
+        # SOS-convex
+        (_, basis, G), = cert.grams[1:]
+        assert basis == [(0, 0)] and G.shape == (1, 1) and G[0, 0] >= -1e-9
+        assert is_sos_convex(cert.sigma(0)).is_sos_convex
 
     def test_weak_duality(self):
         prob = PolyOptProblem(
@@ -315,15 +313,3 @@ class TestSolveHierarchy:
                     assert res.lower_bound <= fx + 1e-6
                 if res.exactness != "none":
                     assert res.minimizer is not None
-
-
-class TestStrictConvexityProbe:
-    def test_disk_quadratic(self):
-        rep = strict_convexity_probe(disk_problem(), samples=200, seed=1)
-        assert rep["samples_in_set"] > 0
-        assert abs(rep["delta_estimate"] - 2.0) <= 1e-9
-
-    def test_nonconvex_objective_negative_delta(self):
-        prob = PolyOptProblem(poly1([0.0, 0.0, -1.0, 0.0, 1.0]), interval_set())
-        rep = strict_convexity_probe(prob, samples=300, seed=2)
-        assert rep["delta_estimate"] < 0

@@ -1,5 +1,6 @@
 """No module of the package imports a name it never uses or defines a
-private name nothing uses, and the package needs numpy alone."""
+top-level name that no entry point reaches, and the package needs numpy
+alone."""
 
 import ast
 import os
@@ -50,62 +51,76 @@ def test_scan_sees_an_unused_import(tmp_path):
     assert unused_imports(module) == ["json"]
 
 
-def unreferenced_private_names(paths) -> list:
-    """Module-level private names (`_foo`) of the modules at `paths` that
-    no code reads outside the name's own definition, as "module.name". A
-    name counts as read in its own module, or anywhere as an attribute
-    (`sdp._foo`) or an imported name."""
-    defined = []
-    local = {}
-    anywhere = set()
+def unreached_names(paths, entry_points) -> list:
+    """Top-level names (def, class or assignment target) of the modules at
+    `paths` that no entry point reaches, as "module.name". The roots are
+    `entry_points` ("module.name") and every name that module-level code
+    reads: imports, `__all__` strings, the right-hand sides of
+    assignments. A reached def or class reaches every name it reads: a
+    bare name in its own module, or anywhere as an attribute (`sdp._foo`)
+    or an imported name."""
+    defined = {}
+    roots = {tuple(name.split(".")) for name in entry_points}
+
+    def reads(module, node, strings=False):
+        """(module, name) for a bare name, ("*", name) for any module's."""
+        out = set()
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                out.add((module, sub.id))
+            elif isinstance(sub, ast.Attribute):
+                out.add(("*", sub.attr))
+            elif isinstance(sub, ast.alias):
+                out.add(("*", sub.name))
+            elif isinstance(sub, ast.Constant) and strings:
+                if isinstance(sub.value, str):
+                    out.add(("*", sub.value))
+        return out
+
     for path in paths:
-        local[path.stem] = set()
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, ast.Assign):
-                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
-            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-                names = [node.target.id]
-            else:
-                names = []
-            defined += [
-                (path.stem, name)
-                for name in names
-                if name.startswith("_") and not name.startswith("__")
-            ]
-            # reads inside a definition do not count for the name it
-            # defines, so that a dead recursive function is still found
-            for sub in ast.walk(node):
-                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
-                    if sub.id not in names:
-                        local[path.stem].add(sub.id)
-                elif isinstance(sub, ast.Attribute) and sub.attr not in names:
-                    anywhere.add(sub.attr)
-                elif isinstance(sub, ast.alias):
-                    anywhere.add(sub.name)
-    return sorted(
-        f"{module}.{name}"
-        for module, name in defined
-        if name not in local[module] and name not in anywhere
-    )
+                defined[(path.stem, node.name)] = node
+                continue
+            targets = getattr(node, "targets", [getattr(node, "target", None)])
+            for t in targets:
+                if isinstance(t, ast.Name) and not t.id.startswith("__"):
+                    defined[(path.stem, t.id)] = None
+            roots |= reads(path.stem, node, strings=True)
+    reached = set()
+    while roots:
+        module, name = roots.pop()
+        if module == "*":
+            keys = {k for k in defined if k[1] == name}
+        else:
+            keys = {(module, name)} & defined.keys()
+        for key in keys - reached:
+            reached.add(key)
+            if defined[key] is not None:
+                roots |= reads(key[0], defined[key])
+    return sorted(f"{m}.{n}" for m, n in defined if (m, n) not in reached)
 
 
-def test_no_unreferenced_private_names():
-    assert unreferenced_private_names(sorted(PACKAGE.glob("*.py"))) == []
+def test_every_top_level_name_is_reached():
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert unreached_names(paths, ["cli.main"]) == []
 
 
-def test_scan_sees_an_unreferenced_private_name(tmp_path):
+def test_scan_sees_an_unreached_name(tmp_path):
     a, b = tmp_path / "a.py", tmp_path / "b.py"
     a.write_text(
-        "_USED = 1\n_DEAD = 2\n\ndef _rec(n):\n    return _rec(n - 1)\n\n"
-        "def _imported():\n    return _USED\n"
+        "__all__ = ['exported']\n_USED = 1\n_DEAD = 2\n\n"
+        "def _rec(n):\n    return _rec(n - 1)\n\n"
+        "def _imported():\n    return _USED\n\n"
+        "def exported():\n    return 0\n\ndef by_attribute():\n    return 0\n\n"
+        "def helper():\n    return 0\n\ndef dead():\n    return helper()\n"
     )
     b.write_text(
-        "from .a import _imported\n\n_USED = 3\n\nclass _Dead:\n    pass\n"
+        "from . import a\nfrom .a import _imported\n\n_USED = 3\n\n"
+        "class _Dead:\n    pass\n\ndef main():\n    return a.by_attribute()\n"
     )
-    assert unreferenced_private_names([a, b]) == [
-        "a._DEAD", "a._rec", "b._Dead", "b._USED"
+    assert unreached_names([a, b], ["b.main"]) == [
+        "a._DEAD", "a._rec", "a.dead", "a.helper", "b._Dead", "b._USED"
     ]
 
 

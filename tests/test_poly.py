@@ -1,4 +1,4 @@
-"""Polynomial arithmetic, basis combinatorics, and the integral identities."""
+"""Polynomial arithmetic, calculus, basis combinatorics and semialgebraic sets."""
 
 import math
 
@@ -12,12 +12,8 @@ from momentsos.poly import (
     Polynomial,
     PreconditionFailure,
     SemialgebraicSet,
-    averaged_hessian_remainder,
     basis_size,
     monomial_basis,
-    taylor_remainder_identity,
-    theta_perturbation,
-    theta_polynomial,
 )
 
 
@@ -238,116 +234,6 @@ def test_constant_has_zero_derivatives():
     p = Polynomial.constant(3, 4.2)
     assert all(g.is_zero() for g in p.gradient())
     assert all(h.is_zero() for row in p.hessian() for h in row)
-
-
-# ---- theta perturbation ----------------------------------------------------
-
-
-def test_theta_1_univariate():
-    assert theta_polynomial(1, 1) == Polynomial.make(1, {(0,): 1.0, (2,): 1.0})
-
-
-def test_theta_at_zero_is_one():
-    for n in (1, 2, 3):
-        for r in (0, 1, 3):
-            assert theta_polynomial(n, r).eval([0.0] * n) == pytest.approx(1.0)
-
-
-def test_theta_perturbation_formula():
-    f = Polynomial.make(1, {(2,): 1.0})
-    out = theta_perturbation(f, 0.1, 2)
-    # r0 = floor(2/2)+1 = 2, so the perturbation is 0.1*(theta_2 + theta_2)
-    expected = Polynomial.make(1, {(0,): 0.2, (2,): 1.2, (4,): 0.1})
-    assert out == expected
-
-
-def test_theta_perturbation_rejects_small_r():
-    f = Polynomial.make(1, {(2,): 1.0})
-    with pytest.raises(PreconditionFailure):
-        theta_perturbation(f, 0.1, 1)
-
-
-def test_theta_perturbation_dominates_f():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        n = int(rng.integers(1, 3))
-        f = random_polynomial(rng, n, 4)
-        eps = float(rng.uniform(0.01, 1.0))
-        r0 = f.degree() // 2 + 1
-        g = theta_perturbation(f, eps, r0 + int(rng.integers(0, 3)))
-        x = rng.uniform(-2, 2, size=n)
-        # theta_r >= 1 pointwise (even powers), so g >= f + 2*eps >= f + eps
-        assert g.eval(x) >= f.eval(x) + eps
-
-
-# ---- averaged Hessian remainder -------------------------------------------
-
-
-def test_remainder_univariate_square():
-    f = Polynomial.make(1, {(2,): 1.0})
-    F = averaged_hessian_remainder(f, [0.0])
-    assert F[0][0] == Polynomial.constant(1, 1.0)
-
-
-def test_remainder_univariate_cube():
-    f = Polynomial.make(1, {(3,): 1.0})
-    F = averaged_hessian_remainder(f, [0.0])
-    # int_0^1 int_0^t 6s ds dt = 1, so F = X
-    assert F[0][0] == Polynomial.variable(1, 0)
-
-
-def test_remainder_exact_cubic_and_quartic():
-    x = Polynomial.variable(1, 0)
-    # f'' = 6(1 + s(X-1)) averaged with weights 1/2 and 1/6: 3 + (X-1)
-    assert averaged_hessian_remainder(x**3, [1.0])[0][0] == x + 2.0
-    # 12 X^2 / (3 * 4)
-    assert averaged_hessian_remainder(x**4, [0.0])[0][0] == x**2
-
-
-def test_remainder_matches_quadrature():
-    # F(x,u) = int_0^1 (1-s) Hess f(u + s(x-u)) ds, by 20-point Gauss-Legendre,
-    # which is exact for these degrees up to rounding
-    s, w = np.polynomial.legendre.leggauss(20)
-    s, w = 0.5 * (s + 1.0), 0.5 * w
-    rng = np.random.default_rng(17)
-    for _ in range(20):
-        n = int(rng.integers(1, 4))
-        f = random_polynomial(rng, n, int(rng.integers(2, 7)))
-        u = rng.uniform(-1, 1, size=n)
-        F = averaged_hessian_remainder(f, u)
-        for x in rng.uniform(-1.5, 1.5, size=(4, n)):
-            got = np.array([[entry.eval(x) for entry in row] for row in F])
-            ref = np.einsum(
-                "k,kij->ij", w * (1.0 - s), f.hessian_at(u + s[:, None] * (x - u))
-            )
-            assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
-
-
-def test_remainder_linear_is_zero():
-    f = Polynomial.make(3, {(1, 0, 0): 2.0, (0, 0, 1): -1.0, (0, 0, 0): 5.0})
-    F = averaged_hessian_remainder(f, [0.3, -0.7, 1.1])
-    assert all(entry.is_zero() for row in F for entry in row)
-
-
-def test_remainder_identity_random():
-    rng = np.random.default_rng(11)
-    for _ in range(50):
-        n = int(rng.integers(1, 4))
-        f = random_polynomial(rng, n, int(rng.integers(1, 7)))
-        if f.is_zero():
-            continue
-        u = rng.uniform(-1, 1, size=n)
-        resid = taylor_remainder_identity(f, u)
-        assert resid.l1_norm() <= 1e-9 * max(f.l1_norm(), 1.0)
-
-
-def test_remainder_symmetric():
-    rng = np.random.default_rng(5)
-    f = random_polynomial(rng, 3, 4)
-    F = averaged_hessian_remainder(f, [0.1, 0.2, -0.3])
-    for i in range(3):
-        for j in range(3):
-            assert F[i][j] == F[j][i]
 
 
 # ---- semialgebraic sets ----------------------------------------------------
