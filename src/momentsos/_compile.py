@@ -21,13 +21,13 @@ basis: the rho_j programs keep a principal submatrix of each block (see
 Every block is a moment or localizing matrix S(g z), kept as the index
 layers (`moments.BlockSpec`) of the one pattern of `moments._moment_pattern`,
 and no dense (dim, dim, s) tensor is built. By selection, a block's
-entries are read off the layers: a one-hot block (`sdp._entry_pattern`),
-every single-term block among them, is handed to the solver as its
-`sdp.OneHot` record, the four fields of those entries, and only the
-other blocks are scattered into a dense stack. Through N, no stack is
-built: every block is handed to the solver as its `sdp.Mapped` record,
-its layers and N', from which the solver rebuilds chunks of the stack,
-whose rows gather columns of N. The y0 = 1 row is the coefficient row
+entries are read off the layers, and `sdp._entry_pattern` returns the
+block's stored form: a one-hot block, every single-term block among
+them, as its `sdp.OneHot` record, the four fields of those entries, and
+any other block as a dense stack. Through N, no stack is built: every
+block is handed to the solver as its `sdp.Mapped` record, its layers
+and N', from which the solver rebuilds chunks of the stack, whose rows
+gather columns of N. The y0 = 1 row is the coefficient row
 of the constant 1, and a scalar row L_z(g) >= 0 is the localizing block
 at d = 0.
 `relaxation_blocks` assembles the blocks shared by Q_r, Q-hat and the lift,
@@ -59,7 +59,6 @@ from .sdp import (
     SdpProblem,
     SdpSolution,
     SdpStatus,
-    SolverOptions,
     _entry_pattern,
     solve,
 )
@@ -162,8 +161,9 @@ class MomentSdp:
         column, so both give the same stacks, b and z, bit for bit.
         Every stack is exactly symmetric, as the index layers are, so the
         problem is built without `SdpProblem.make`'s checks. A selected
-        one-hot block's `OneHot` record is read off its entries, and no
-        stack is built for it. Through N, no stack is built or held:
+        block's entries give its stored form (`_selected_stack`): a
+        one-hot block's `OneHot` record, with no stack built, or any
+        other block's dense stack. Through N, no stack is built or held:
         each block is stored as its `sdp.Mapped` record, its layers and
         N' (a view of the decode map's N), one-hot or not.
         """
@@ -189,9 +189,9 @@ class MomentSdp:
 
     # ---- solving ------------------------------------------------------------
 
-    def solve(self, options: Optional[SolverOptions] = None) -> MomentSolution:
+    def solve(self) -> MomentSolution:
         problem, decode = self.to_sdp()
-        sol = solve(problem, options)
+        sol = solve(problem)
         status = _MOMENT_SIDE.get(sol.status, sol.status)
         if sol.status is not SdpStatus.OPTIMAL:
             value = {
@@ -278,17 +278,16 @@ def _decode(decode: dict, u: np.ndarray) -> np.ndarray:
 
 
 def _selected_stack(B: BlockSpec, coord: np.ndarray, q: int):
-    """-S_B over the free coordinates, in its stored form: its `OneHot`
-    record when it is one-hot (`sdp._entry_pattern`), else the
-    C-contiguous (q, dim, dim) stack.
+    """-S_B over the free coordinates, in its stored form
+    (`sdp._entry_pattern`): its `OneHot` record when it is one-hot, else
+    the C-contiguous (q, dim, dim) stack.
 
     `coord` maps each moment to its free coordinate, or to -1 when it is
     fixed. Each layer puts its coefficient at (coord, row, col); a layer
     holds one moment per position, and the layers of distinct terms hold
     distinct moments there, so no index repeats and an entry's value is
-    -c. A stack adds the coefficients in term order, the order in which
-    `B.apply(N.T)` sums the layers; the terms that apply adds besides are
-    exact zeros, so the stack is -B.apply(N.T) bit for bit."""
+    -c. The terms that `B.apply(N.T)` adds besides are exact zeros, so the
+    stack is -B.apply(N.T) bit for bit, -0.0 zeros included."""
     dim = B.dim
     flat, coef = [], []
     for c, idx in zip(B.coef, B.index):
@@ -296,13 +295,7 @@ def _selected_stack(B: BlockSpec, coord: np.ndarray, q: int):
         row, col = np.nonzero(u >= 0)
         flat.append((u[row, col] * dim + row) * dim + col)
         coef.append(np.full(len(row), c))
-    flat, coef = np.concatenate(flat), np.concatenate(coef)
-    pattern = _entry_pattern(q, dim, flat, -coef)
-    if pattern is not None:
-        return pattern
-    stack = np.zeros((q, dim, dim))
-    np.add.at(stack.reshape(-1), flat, coef)
-    return np.negative(stack, out=stack)
+    return _entry_pattern(q, dim, np.concatenate(flat), -np.concatenate(coef))
 
 
 # ---- builders --------------------------------------------------------------

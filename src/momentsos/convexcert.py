@@ -66,7 +66,7 @@ from .poly import (
     basis_size,
     monomial_basis,
 )
-from .sdp import SolverOptions, min_eigenvalue
+from .sdp import min_eigenvalue
 from .sos import GramIdentity
 
 
@@ -99,16 +99,9 @@ def gradient_pairing(g: Polynomial) -> Polynomial:
 
 
 def _quadratic_part(g: Polynomial) -> np.ndarray:
-    """Q with g = c + b'x + x'Qx; requires deg g <= 2."""
-    quadratic = g.exponents.sum(axis=1) == 2
-    E, half = g.exponents[quadratic] > 0, 0.5 * g.coefficients[quadratic]
-    # the first and last variable of each term; X_i^2 adds half twice
-    i = np.argmax(E, axis=1)
-    j = g.n - 1 - np.argmax(E[:, ::-1], axis=1)
-    Q = np.zeros((g.n, g.n))
-    np.add.at(Q, (i, j), half)
-    np.add.at(Q, (j, i), half)
-    return Q
+    """Q with g = c + b'x + x'Qx + (terms of degree 3 or more): half the
+    Hessian of g at the origin."""
+    return 0.5 * g.hessian_at(np.zeros((1, g.n)))[0]
 
 
 # ---- the rho_j test program --------------------------------------------------
@@ -281,6 +274,10 @@ BOUNDARY_BAND = 1e-4
 # interior margin the Slater heuristic asks for, and its sample count
 SLATER_MARGIN = 1e-6
 SLATER_STARTS = 200
+# boundary crossings the nondegeneracy probe looks for per constraint, and
+# the (x, y) pairs the supporting-hyperplane sampler checks per constraint
+PROBE_SAMPLES = 200
+HYPERPLANE_PAIRS = 2000
 
 
 def _boundary_crossings(
@@ -315,22 +312,19 @@ def _boundary_crossings(
     return x[(np.abs(g.eval(x)) <= band) & others.contains(x, band)]
 
 
-def nondegeneracy_probe(
-    K: SemialgebraicSet, samples: int = 200, seed: int = 0
-) -> List[ProbeReport]:
-    """Boundary gradient probe: bisect segments crossing {g_j = 0}, keep
-    crossings that stay in K, and report min ||grad g_j|| over them.
-    Flags DEGENERATE below ProbeReport.degenerate_below."""
-    if samples < 1:
-        raise PreconditionFailure("samples >= 1", str(samples))
+def nondegeneracy_probe(K: SemialgebraicSet, seed: int = 0) -> List[ProbeReport]:
+    """Boundary gradient probe: bisect up to PROBE_SAMPLES segments
+    crossing {g_j = 0}, keep crossings that stay in K, and report
+    min ||grad g_j|| over them. Flags DEGENERATE below
+    ProbeReport.degenerate_below."""
     rng = np.random.default_rng(seed)
     half_width = K.ball_bound or 2.0
     reports = []
-    pts = rng.uniform(-half_width, half_width, size=(40 * samples, K.n))
+    pts = rng.uniform(-half_width, half_width, size=(40 * PROBE_SAMPLES, K.n))
     for j, g in enumerate(K.constraints, start=1):
         others = SemialgebraicSet(K.n, K.constraints[: j - 1] + K.constraints[j:])
         starts = others.contains(pts, BOUNDARY_BAND)
-        found = _boundary_crossings(g, others, pts, starts, rng, samples)
+        found = _boundary_crossings(g, others, pts, starts, rng, PROBE_SAMPLES)
         if not len(found):
             reports.append(
                 ProbeReport(j, 0, None, False, note="no active samples")
@@ -378,14 +372,15 @@ def slater_heuristic(K: SemialgebraicSet, seed: int = 0) -> dict:
 
 
 def sample_supporting_hyperplane(
-    K: SemialgebraicSet, pairs: int = 2000, seed: int = 0
+    K: SemialgebraicSet, seed: int = 0
 ) -> Optional[dict]:
     """Search for a sampled violation of <grad g_j(y), x-y> >= 0 with
-    x in K and y in K near {g_j = 0}. Returns the worst violating pair or
-    None when every sampled pair passes at tolerance 1e-4."""
+    x in K and y in K near {g_j = 0}, over HYPERPLANE_PAIRS pairs per g_j.
+    Returns the worst violating pair or None when every sampled pair
+    passes at tolerance 1e-4."""
     rng = np.random.default_rng(seed)
     half_width = K.ball_bound or 2.0
-    count = max(pairs // 4, 50)
+    count = HYPERPLANE_PAIRS // 4
     cloud = rng.uniform(-half_width, half_width, size=(60 * count, K.n))
     xs = cloud[K.contains(cloud)][:count]
     if len(xs) == 0:
@@ -401,7 +396,7 @@ def sample_supporting_hyperplane(
         draws = np.array(
             [
                 (rng.integers(0, len(xs)), rng.integers(0, len(ys)))
-                for _ in range(pairs)
+                for _ in range(HYPERPLANE_PAIRS)
             ]
         ).reshape(-1, 2)
         x, y = xs[draws[:, 0]], ys[draws[:, 1]]
@@ -432,7 +427,6 @@ def certify_convexity(
     witness_point: Optional[Sequence[float]] = None,
     slater_waiver: bool = False,
     seed: int = 0,
-    solver: Optional[SolverOptions] = None,
 ) -> ConvexityCertificate:
     """Per-constraint supporting-hyperplane certification.
 
@@ -451,9 +445,11 @@ def certify_convexity(
         )
     slater = slater_heuristic(K, seed=seed)
     if witness_point is not None:
-        if not K.contains(np.asarray(witness_point, dtype=float)):
+        # a Slater point: strictly inside every constraint, not on a boundary
+        x = np.asarray(witness_point, dtype=float)
+        if not all(g.eval(x) > 0.0 for g in K.constraints):
             raise PreconditionFailure(
-                "witness point in K", str(list(witness_point))
+                "witness point with every g_j > 0", str(list(witness_point))
             )
     elif not slater["passed"] and not slater_waiver:
         raise PreconditionFailure(
@@ -500,7 +496,7 @@ def certify_convexity(
         )
         for d in schedule:
             prog = rho_program(K, j, d)
-            sol = prog.solve(solver)
+            sol = prog.solve()
             rec.d_j = d
             if not sol.is_optimal:
                 status = sol.status.value
@@ -658,7 +654,6 @@ def build_sdr(
 def sdr_support(
     sdr: SdrRepresentation,
     c: Sequence[float],
-    solver: Optional[SolverOptions] = None,
 ) -> Tuple[float, np.ndarray]:
     """min c'x over Omega; returns the value and the projected point."""
     c = np.asarray(c, dtype=float)
@@ -666,7 +661,7 @@ def sdr_support(
         raise PreconditionFailure("dim(c) = n", f"{c.shape}")
     objective = np.zeros(sdr.lift_dimension)
     objective[1 : sdr.n + 1] = c
-    sol = moment_program(sdr.n, sdr.d, objective, sdr.blocks).solve(solver)
+    sol = moment_program(sdr.n, sdr.d, objective, sdr.blocks).solve()
     if not sol.is_optimal:
         raise RuntimeError(f"support solve failed: {sol.status.value}")
     return float(sol.value), np.array(sol.z[1 : sdr.n + 1])

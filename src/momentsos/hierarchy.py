@@ -15,7 +15,7 @@ data, which solve_hierarchy detects and reports as a single-shot stop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -31,7 +31,6 @@ from ._compile import (
 # it by name in this module
 from .moments import MomentVector, flatness, mean_point, moment_matrix
 from .poly import Polynomial, PreconditionFailure, SemialgebraicSet
-from .sdp import SolverOptions
 from .sos import GramIdentity, is_sos_convex
 
 
@@ -148,7 +147,6 @@ class HierarchyOptions:
     rank_tau: float = 1e-6
     archimedean_waiver: bool = False
     seed: int = 0
-    solver: SolverOptions = field(default_factory=SolverOptions)
 
 
 def _feasible_within(K: SemialgebraicSet, x: np.ndarray, tol: float) -> bool:
@@ -249,7 +247,7 @@ def solve_hierarchy(
     results: List[RelaxationResult] = []
 
     qhat = build_qhat(problem)
-    sol = qhat.solve(opts.solver)
+    sol = qhat.solve()
     res = RelaxationResult(
         order=qhat.order,
         lower_bound=sol.value,
@@ -281,7 +279,7 @@ def solve_hierarchy(
     prev_bound = None
     for r in range(problem.min_order(), r_max + 1):
         qr = build_qr(problem, r)
-        sol = qr.solve(opts.solver)
+        sol = qr.solve()
         res = RelaxationResult(
             order=r,
             lower_bound=sol.value,

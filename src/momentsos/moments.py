@@ -202,9 +202,6 @@ class MomentVector:
     def y0(self) -> float:
         return float(self.values[0])
 
-    def entry(self, alpha: Monomial) -> float:
-        return float(self.values[self.index_of(alpha)])
-
     def to_json(self) -> dict:
         return {"n": self.n, "order": self.order, "values": self.values.tolist()}
 

@@ -35,8 +35,9 @@ fields of its entries; a block compiled through a null-space basis N as
 its `Mapped` record, the block's index layers and N', with no stack; any
 other block as a dense (p, n_b, n_b) stack. Only a builder that knows a
 block's layout makes a `OneHot` record: the moment compiler and
-`sos_decompose` read the entries off the layout (`_entry_pattern`),
-while `SdpProblem.make` stores the dense stacks it is given as they are.
+`sos_decompose` read the entries off the layout, and `_entry_pattern`
+returns its `OneHot` record or, for a block that is not one-hot, its
+stack. `SdpProblem.make` stores the dense stacks it is given as they are.
 The Schur gather of a one-hot block is derived from its entries once per
 problem (`_gather`). On a one-hot block A'y is a scatter of the entries.
 A(X) scatters a larger one-hot block's entries into a buffer of
@@ -47,8 +48,9 @@ take; its bytes are those of the whole-stack product
 built once per problem and read whole. A `Mapped` block's A(X) and A'y
 go through its layers and one product with N', and its Schur term and
 the start scale read chunks of CHUNK_BYTES rebuilt from the layers,
-which are the stack's rows bit for bit. `SolverOptions` holds the two
-target tolerances; every other setting of the iteration is a module
+which are the stack's rows bit for bit; every chunk is one of
+`_chunk_bounds`. `SolverOptions` holds the two target tolerances, which
+only `solve` takes; every other setting of the iteration is a module
 constant.
 """
 
@@ -368,6 +370,9 @@ class SdpProblem:
 
 @dataclass
 class SolverOptions:
+    """The target tolerances of `solve`, the raw solver's setting only: every
+    other entry point solves at these defaults."""
+
     # primal feasibility is reduced together with the gap, so it is asked
     # one decade below gap_tol to leave A X = b accurate at the optimum
     feas_tol: float = 1e-9
@@ -706,18 +711,23 @@ def _is_record(Ab: OneHot, p: int, n: int) -> bool:
 
 
 def _entry_pattern(p: int, n: int, flat: np.ndarray, value: np.ndarray):
-    """The `OneHot` record of a (p, n, n) block with entries `value` at
-    the flat C-order indices `flat` and zeros elsewhere, or None when the
-    block is not one-hot (`_one_hot`). The indices come in any order,
-    without repeats; zero values are dropped. A builder that knows a
-    block's entries calls this, and builds no stack to find its pattern.
+    """The stored form of a (p, n, n) block with entries `value` at the
+    flat C-order indices `flat`, given in any order and without repeats:
+    its `OneHot` record, zero values dropped, when it is one-hot
+    (`_one_hot`), else its C-contiguous stack with -0.0 zeros, the zeros
+    of the negated sum -S_B of the moment compiler. A builder that knows
+    a block's entries calls this, and builds no stack to find its pattern.
     """
     order = np.argsort(flat)
-    flat, value = flat[order], value[order]
-    flat, value = flat[value != 0], value[value != 0]
-    owner, rest = np.divmod(flat, n * n)
+    keep = order[value[order] != 0]
+    owner, rest = np.divmod(flat[keep], n * n)
     row, col = np.divmod(rest, n)
-    return OneHot(owner, row, col, value) if _one_hot(p, n, owner, row, col) else None
+    if _one_hot(p, n, owner, row, col):
+        return OneHot(owner, row, col, value[keep])
+    del order, keep, owner, rest, row, col  # before the stack is allocated
+    stack = np.full((p, n, n), -0.0)
+    stack.reshape(-1)[flat] = value
+    return stack
 
 
 def _gather(Ab: OneHot, n: int) -> tuple:
@@ -755,30 +765,30 @@ def _schur_matrix(problem: SdpProblem, Gs: List[np.ndarray]) -> np.ndarray:
     replace the dense contraction. W A_i needs no product: column b of it
     is v W[:, a] for the one entry v at (a, b) of A_i, the exact value of
     the product, since every other term of its sums is zero. So W A_i is
-    scattered into one reused buffer, CHUNK_BYTES of constraints at a
-    time, and a single batched product with W gives their W A_i W. For any
-    other block the term is <H_i, H_j> with H_i = G' A_i G: the rows of B
-    are svec(H_i), the upper triangles with off-diagonal entries scaled by
-    sqrt(2), and the term is B B', one symmetric rank-k update (SYRK) that
-    is exactly symmetric and positive semidefinite. The H_i are formed
-    CHUNK_BYTES at a time, from views of a stack or from the chunks a
-    `Mapped` block rebuilds, which are the stack's rows bit for bit
-    (`_rows`), so only B is held in full, and B is dropped once its term
-    is added: one block's B is held at a time.
+    scattered into one reused buffer, a chunk of constraints at a time
+    (`_chunk_bounds`), and a single batched product with W gives their
+    W A_i W. For any other block the term is <H_i, H_j> with
+    H_i = G' A_i G: the rows of B are svec(H_i), the upper triangles with
+    off-diagonal entries scaled by sqrt(2), and the term is B B', one
+    symmetric rank-k update (SYRK) that is exactly symmetric and positive
+    semidefinite. The H_i are formed a chunk at a time, from views of a
+    stack or from the chunks a `Mapped` block rebuilds, which are the
+    stack's rows bit for bit (`_rows`). Each row of M takes its own
+    products, so the chunk size changes no bytes. Only B is held in full,
+    and B is dropped once its term is added: one block's B is held at a
+    time.
     """
     p = problem.num_constraints
     M = np.zeros((p, p))
     for Ab, gather, G in zip(problem.A, problem._gathers, Gs):
         n = G.shape[0]
-        step = max(1, CHUNK_BYTES // (8 * n * n))
+        bounds = _chunk_bounds(p, n)
         if not isinstance(Ab, OneHot):
             svec_positions, svec_weights = _svec_pattern(n)
             B = np.empty((p, len(svec_positions)))
-            for lo in range(0, p, step):
-                rows = _rows(Ab, n, lo, min(lo + step, p))
-                H = np.matmul(np.matmul(G.T, rows), G)
-                H = H.reshape(-1, n * n)
-                np.take(H, svec_positions, axis=1, out=B[lo : lo + step])
+            for lo, hi in bounds:
+                H = np.matmul(np.matmul(G.T, _rows(Ab, n, lo, hi)), G)
+                np.take(H.reshape(-1, n * n), svec_positions, axis=1, out=B[lo:hi])
             B *= svec_weights
             M += B @ B.T
             del B  # so that no two blocks' B are held together
@@ -792,15 +802,14 @@ def _schur_matrix(problem: SdpProblem, Gs: List[np.ndarray]) -> np.ndarray:
         # some constraint has no entry in the block
         columns = slice(None) if len(owners) == p else owners
         # zero outside the entries a chunk writes, which it clears again
-        WA = np.zeros((min(step, p), n, n))
-        for lo in range(0, p, step):
-            hi = min(lo + step, p)
+        WA = np.zeros((max(hi - lo for lo, hi in bounds), n, n))
+        for lo, hi in bounds:
             WA_chunk = WA[: hi - lo]
             (i, row, col), value = Ab.entries(lo, hi)
             WA_chunk[i, :, col] = W_cols[row] * value[:, None]
-            TW = np.matmul(WA_chunk, W).reshape(hi - lo, -1)
+            # W A_i W is dropped once its gather is taken
+            gathered = np.matmul(WA_chunk, W).reshape(hi - lo, -1)[:, positions]
             WA_chunk[i, :, col] = 0.0
-            gathered = TW[:, positions]
             gathered *= weights
             M[lo:hi, columns] += np.add.reduceat(gathered, starts, axis=1)
     M += M.T

@@ -37,7 +37,6 @@ from .poly import (
 from .sdp import (
     SdpProblem,
     SdpStatus,
-    SolverOptions,
     _entry_pattern,
     min_eigenvalue,
     solve,
@@ -168,7 +167,6 @@ def _gram_constraint_index(
 def sos_decompose(
     p: Polynomial,
     basis: Optional[Sequence[Monomial]] = None,
-    options: Optional[SolverOptions] = None,
 ) -> SosDecomposition:
     """Search a PSD Gram matrix for p; minimum-trace solution.
 
@@ -200,17 +198,14 @@ def sos_decompose(
     # <E_alpha, G> is the alpha-coefficient of z'Gz and the dual slack
     # of an infeasibility ray is itself a moment matrix. E is exactly
     # symmetric and one-hot, so it is stored as its entries, unless the
-    # basis repeats a monomial
+    # basis repeats a monomial and E is stored as a stack
     upper = (group * k + rows) * k + cols
     lower = ((group * k + cols) * k + rows)[rows != cols]
     flat = np.r_[upper, lower]
     E = _entry_pattern(q, k, flat, np.ones(len(flat)))
-    if E is None:
-        E = np.zeros((q, k, k))
-        E.reshape(-1)[flat] = 1.0
     target = np.array([p.coeff(alpha) for alpha in monomials], dtype=float)
     problem = SdpProblem((k,), (np.eye(k),), (E,), target)
-    sol = solve(problem, options)
+    sol = solve(problem)
 
     if sol.status is SdpStatus.OPTIMAL:
         G = 0.5 * (sol.X[0] + sol.X[0].T)
@@ -299,9 +294,7 @@ def _w_linear_basis(n: int, x_degree: int) -> List[Monomial]:
     return out
 
 
-def is_sos_convex(
-    f: Polynomial, options: Optional[SolverOptions] = None
-) -> SosConvexity:
+def is_sos_convex(f: Polynomial) -> SosConvexity:
     """Decide W' Hess f(X) W in Sigma^2[X,W], equivalent to Hess f = L L'.
     For deg f <= 2 the witness is the constant Hessian, zero for affine f."""
     n = f.n
@@ -326,7 +319,7 @@ def is_sos_convex(
 
     h = scalarize_hessian(f)
     basis = _w_linear_basis(n, (deg - 2) // 2)
-    dec = sos_decompose(h, basis=basis, options=options)
+    dec = sos_decompose(h, basis=basis)
     if dec.status == "sos":
         return SosConvexity(
             status="sos_convex", witness=dec.witness, accuracy=dec.accuracy

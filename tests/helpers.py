@@ -7,7 +7,7 @@ import numpy as np
 from momentsos.hierarchy import PolyOptProblem
 from momentsos.moments import _moment_pattern
 from momentsos.poly import Monomial, Polynomial, SemialgebraicSet
-from momentsos.sdp import SdpProblem, _entry_pattern
+from momentsos.sdp import OneHot, SdpProblem, _entry_pattern
 
 
 def one_hot_record(stack: np.ndarray):
@@ -15,7 +15,8 @@ def one_hot_record(stack: np.ndarray):
     nonzeros through `_entry_pattern`, or None when it is not one-hot."""
     p, n, _ = stack.shape
     flat = np.flatnonzero(stack)
-    return _entry_pattern(p, n, flat, stack.reshape(-1)[flat])
+    stored = _entry_pattern(p, n, flat, stack.reshape(-1)[flat])
+    return stored if isinstance(stored, OneHot) else None
 
 
 def ray_moment_matrix(

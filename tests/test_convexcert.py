@@ -13,6 +13,7 @@ from helpers import (
     unit_disk,
 )
 
+from momentsos import sdp
 from momentsos.convexcert import (
     ConvexityCertificate,
     SdrRepresentation,
@@ -109,7 +110,14 @@ def test_gradient_pairing_vanishes_on_diagonal(seed):
 def test_quadratic_part_matrix():
     g = Polynomial.make(2, {(2, 0): 2.0, (1, 1): 3.0, (1, 0): 5.0, (0, 0): -1.0})
     Q = _quadratic_part(g)
-    assert Q == pytest.approx(np.array([[2.0, 1.5], [1.5, 0.0]]))
+    assert np.array_equal(Q, [[2.0, 1.5], [1.5, 0.0]])
+    # certify_convexity reads Q of every g before its degree check, and
+    # terms of degree 3 or more add nothing: the cube's
+    # (1 - x1^2 + x2^2)^3 has quadratic part 3 (-x1^2 + x2^2)
+    cube = example_degenerate_cube().constraints[0]
+    assert np.array_equal(_quadratic_part(cube), np.diag([-3.0, 3.0]))
+    cubic = Polynomial.make(2, {(3, 0): 7.0, (1, 2): -2.0, (1, 1): 4.0})
+    assert np.array_equal(_quadratic_part(cubic), [[0.0, 2.0], [2.0, 0.0]])
 
 
 # ---- rho program structure ----------------------------------------------------
@@ -252,11 +260,13 @@ def test_certify_lens_unpinned_closes_at_two():
     assert abs(cert.records[0].rho_j) <= 1e-6
 
 
-def test_certify_does_not_close_on_stall_band_solves():
-    # tolerances below what double precision reaches: every rho solve is
-    # accepted from the stall band, and no record may close on one
+def test_certify_does_not_close_on_stall_band_solves(monkeypatch):
+    # tolerances below what double precision reaches, as the solver's
+    # defaults: every rho solve is accepted from the stall band, and no
+    # record may close on one
     tight = SolverOptions(feas_tol=1e-30, gap_tol=1e-30)
-    cert = certify_convexity(example_hyperbola_disk(), d_max=2, solver=tight)
+    monkeypatch.setattr(sdp, "SolverOptions", lambda: tight)
+    cert = certify_convexity(example_hyperbola_disk(), d_max=2)
     assert cert.status != "certified_numerically"
     rec = cert.records[0]
     assert not rec.closed and rec.d_j == 2
@@ -297,10 +307,27 @@ def test_certify_thin_slab_needs_witness_or_waiver():
         certify_convexity(slab)
     with pytest.raises(PreconditionFailure):
         certify_convexity(slab, witness_point=[1.0])  # not in K
+    with pytest.raises(PreconditionFailure, match="every g_j > 0"):
+        certify_convexity(slab, witness_point=[0.0])  # on {x1 = 0}
     cert = certify_convexity(slab, witness_point=[5e-10])
     assert cert.status == "certified_numerically"  # affine => shortcut
     cert2 = certify_convexity(slab, slater_waiver=True)
     assert cert2.status == "certified_numerically"
+
+
+def test_certify_rejects_a_witness_point_without_interior():
+    # {x : x^2 - 1 >= 0, 1 - x^2 >= 0} is {-1, 1}: x = 1 lies in K with
+    # both g_j at zero, so it is no Slater point
+    two_points = SemialgebraicSet(
+        1,
+        (
+            Polynomial.make(1, {(2,): 1.0, (0,): -1.0}),
+            Polynomial.make(1, {(0,): 1.0, (2,): -1.0}),
+        ),
+    )
+    assert two_points.contains(np.array([1.0]))
+    with pytest.raises(PreconditionFailure, match="every g_j > 0"):
+        certify_convexity(two_points, witness_point=[1.0])
 
 
 def test_certify_branch_pair_refuted():
@@ -418,19 +445,14 @@ def test_samplers_pinned_on_fixtures(name):
         assert sample_supporting_hyperplane(K, seed=seed) is None
 
 
-def test_probe_validates_samples():
-    with pytest.raises(PreconditionFailure):
-        nondegeneracy_probe(unit_disk(), samples=0)
-
-
 # ---- sampled soundness and the Slater heuristic --------------------------------
 
 
 def test_no_sampled_hyperplane_violation_on_certified_sets():
-    # 2000 pairs (x, y), x in K, y near {g_j = 0}:
+    # 2000 pairs (x, y) per g_j, x in K, y near {g_j = 0}:
     # <grad g_j(y), x - y> >= -1e-4 (1 + |grad|) throughout
-    assert sample_supporting_hyperplane(example_hyperbola_disk(), pairs=2000) is None
-    assert sample_supporting_hyperplane(unit_disk(), pairs=2000) is None
+    assert sample_supporting_hyperplane(example_hyperbola_disk()) is None
+    assert sample_supporting_hyperplane(unit_disk()) is None
 
 
 def test_slater_heuristic_finds_interior_point():

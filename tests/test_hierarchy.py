@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from momentsos import sdp
 from momentsos.hierarchy import (
     HierarchyOptions,
     PolyOptProblem,
@@ -265,19 +266,18 @@ class TestSolveHierarchy:
         assert qr
         assert abs(qr[-1].lower_bound - (-0.25)) <= 1e-6
 
-    def test_no_exactness_on_stall_band_solves(self):
-        # tolerances below what double precision reaches: every solve is
-        # accepted from the stall band, and none may grant an exactness tag
-        # (at target accuracy the disk stops single-shot at Q-hat and the
-        # double well is flat at r = 2)
-        tight = HierarchyOptions(
-            solver=SolverOptions(feas_tol=1e-30, gap_tol=1e-30)
-        )
+    def test_no_exactness_on_stall_band_solves(self, monkeypatch):
+        # tolerances below what double precision reaches, as the solver's
+        # defaults: every solve is accepted from the stall band, and none
+        # may grant an exactness tag (at target accuracy the disk stops
+        # single-shot at Q-hat and the double well is flat at r = 2)
+        tight = SolverOptions(feas_tol=1e-30, gap_tol=1e-30)
+        monkeypatch.setattr(sdp, "SolverOptions", lambda: tight)
         double_well = PolyOptProblem(
             poly1([0.0, 0.3, -1.0, 0.0, 1.0]), interval_set()
         )
         for prob, count in ((disk_problem(), 4), (double_well, 3)):
-            results = solve_hierarchy(prob, r_max=3, options=tight)
+            results = solve_hierarchy(prob, r_max=3)
             assert len(results) == count
             for res in results:
                 assert res.status == "optimal"

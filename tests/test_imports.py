@@ -1,6 +1,6 @@
-"""No module of the package imports a name it never uses or defines a
-top-level name that no entry point reaches, and the package needs numpy
-alone."""
+"""No module of the package or of its tests imports a name it never
+uses, no module of the package defines a top-level name that no entry
+point reaches, and the package needs numpy alone."""
 
 import ast
 import os
@@ -8,7 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "momentsos"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "momentsos"
 
 # unused in hierarchy itself: the benchmark's layer trace patches it there
 EXCEPTIONS = {"hierarchy.moment_matrix"}
@@ -36,7 +37,7 @@ def unused_imports(path: Path) -> list:
 def test_no_unused_imports():
     found = {
         f"{path.stem}.{name}"
-        for path in sorted(PACKAGE.glob("*.py"))
+        for path in sorted([*PACKAGE.glob("*.py"), *TESTS.glob("*.py")])
         for name in unused_imports(path)
     }
     assert sorted(found - EXCEPTIONS) == []

@@ -15,7 +15,6 @@ from helpers import (
     kkt_residuals,
     make_strictly_feasible_sdp,
     one_hot_record,
-    random_psd,
     unit_disk,
 )
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from helpers import one_hot_record, ray_moment_matrix
 
 from momentsos import sdp, sos
-from momentsos.moments import MomentVector, mean_point, moment_matrix, riesz
+from momentsos.moments import MomentVector, moment_matrix
 from momentsos.poly import Polynomial, PreconditionFailure, monomial_basis
 from momentsos.sdp import min_eigenvalue
 from momentsos.sos import (
@@ -92,12 +92,13 @@ class TestSosDecompose:
         # the Gram problem is built without SdpProblem.make: its pattern
         # must be the record read off the nonzeros of the dense stack E
         # (`one_hot_record`), entry for entry, or there is none for a basis
-        # that repeats a monomial, and then the stored stack is E
+        # that repeats a monomial, and then the stored stack is E with
+        # -0.0 zeros, as `_entry_pattern` builds every stack
         problems = []
 
-        def recording(problem, options=None):
+        def recording(problem):
             problems.append(problem)
-            return sdp.solve(problem, options)
+            return sdp.solve(problem)
 
         monkeypatch.setattr(sos, "solve", recording)
         p = random_sos_polynomial(np.random.default_rng(3), 2, 2)
@@ -117,7 +118,7 @@ class TestSosDecompose:
             patterns.append(one_hot)
             if not one_hot:
                 assert record is None
-                assert stored.tobytes() == E.tobytes()
+                assert stored.tobytes() == np.where(E != 0, E, -0.0).tobytes()
                 continue
             assert isinstance(record, sdp.OneHot)
             for a, b in zip(stored, record):
