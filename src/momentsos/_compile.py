@@ -35,6 +35,23 @@ and `moment_program` adds the normalization z_0 = 1 to every program and,
 for an ideal (h, m) such as the rho_j programs' (g_j(Y), the monomials of
 degree <= 2(d_j - r_j)), the rows L_z(h m_i) = 0.
 
+A program may carry a group of signed permutations of its variables that
+maps it to itself (`Symmetry`; the rho_j programs of a symmetric K do).
+An invariant program has an invariant optimum, so `MomentSdp.solve`
+solves the reduced program (`MomentSdp._reduced`), itself a `MomentSdp`
+compiled by its own `to_sdp`, in two steps. First z is taken in orbit
+coordinates w, z = R w, with zero for the moments a flip negates, and
+the rows and objective are restricted to them, E R and R'c, before the
+SVD. Then each block is split into one block per isotypic component
+(`Symmetry.split`): over the parity classes of its basis rows under sign
+flips, or over the columns b + s(b) and b - s(b) under a swap s, with
+layers that index orbit ids and stay symmetric. For rho_1 of the lens at
+d_1 = 5 that takes p from 505 to 255 and the blocks 91/55/55/55 to
+47 + 44 and 3 x (29 + 26). The solve is mapped back to the full program:
+z = R w, and each block's Gram is sum_c U_c G_c U_c' over its own basis,
+so the value, the stationarity residual, `certificate` and
+`moment_vector` read the program as built.
+
 Every certificate of a solved program is read off here, by
 `MomentSdp.certificate`: each block keeps the basis and weight it was
 built from, so its Gram matrix is the Gram term weight * z' G z of the
@@ -45,7 +62,7 @@ the ideal's rows give its free term.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -78,6 +95,83 @@ _MOMENT_SIDE = {
 }
 
 
+class Symmetry(NamedTuple):
+    """A group of signed permutations of the n variables that maps a moment
+    program to itself, in one of the two forms whose real irreducible
+    representations all have dimension one. Either the sign flips spanned
+    over GF(2) by the rows of `flips`, x_i -> -x_i for each i with
+    flips[r, i] = 1, with `swap` None; or the identity and one coordinate
+    involution x_i -> x_swap[i], with `flips` of no rows."""
+
+    flips: np.ndarray  # (k, n) of 0 and 1
+    swap: Optional[np.ndarray] = None  # (n,), swap[swap] the identity
+
+    @property
+    def order(self) -> int:
+        return 2 if self.swap is not None else 2 ** len(self.flips)
+
+    def orbits(self, exponents: np.ndarray) -> np.ndarray:
+        """Per row of `exponents`, all of N^n_D in graded-lex order, the id
+        of its orbit, numbered by first row, or -1 where every invariant
+        moment vector is zero: a monomial that some flip negates. An
+        invariant z is then R w, z_alpha = w[orbit(alpha)] or 0."""
+        if self.swap is None:
+            live = ~((exponents @ self.flips.T) % 2).any(axis=1)
+            return np.where(live, np.cumsum(live) - 1, -1)
+        image = _grlex_index(exponents[:, self.swap])
+        first = np.minimum(np.arange(len(exponents)), image)
+        return np.unique(first, return_inverse=True)[1]
+
+    def split(
+        self, B: BlockSpec, orbit: np.ndarray
+    ) -> List[Tuple[BlockSpec, np.ndarray]]:
+        """Block B over the invariant moments: one block per isotypic
+        component c, each with its columns U_c over B's basis, so that for
+        z = R w the block S_c(w) is U_c' S_B(z) U_c and the Gram of B is
+        sum_c U_c G_c U_c'. Every layer indexes orbit ids and is symmetric,
+        so every stack built from them is exactly symmetric.
+
+        Under flips, c is a parity class of the basis rows and S_c the
+        principal submatrix on it. Under the swap s, the columns are
+        b + s(b) (2b when s fixes b) for the rows with b <= s(b), and
+        b - s(b) for those with b < s(b). With z invariant, entry (a, b)
+        of either block is 2 (S_B[a, b] +- S_B[a, s(b)]): per term t of
+        the weight, one layer for each of the two. The second is the
+        transpose of the second layer of term s(t), of the same
+        coefficient, so the entrywise min and max of the pair are
+        symmetric layers with the same sum."""
+        eye = np.eye(B.dim)
+        if self.swap is None:
+            parity = (B.basis @ self.flips.T) % 2
+            classes = np.unique(parity, axis=0, return_inverse=True)[1].ravel()
+            parts = [np.flatnonzero(classes == c) for c in range(classes.max() + 1)]
+            return [
+                (BlockSpec(B.label, orbit[B.index[:, r[:, None], r]], B.coef), eye[:, r])
+                for r in parts
+            ]
+        image = np.searchsorted(
+            _grlex_index(B.basis), _grlex_index(B.basis[:, self.swap])
+        )
+        term = {k: t for t, k in enumerate(_grlex_index(B.weight.exponents).tolist())}
+        partner = [term[k] for k in _grlex_index(B.weight.exponents[:, self.swap]).tolist()]
+        reps = np.flatnonzero(np.arange(B.dim) <= image)
+        cross = orbit[B.index[:, reps[:, None], image[reps]]]
+        first = (np.arange(len(partner)) < partner)[:, None, None]
+        cross = np.where(
+            first, np.minimum(cross, cross[partner]), np.maximum(cross, cross[partner])
+        )
+        layers = np.concatenate([orbit[B.index[:, reps[:, None], reps]], cross])
+        moved = np.flatnonzero(image[reps] != reps)
+        out = []
+        for sign, at in ((1.0, np.arange(len(reps))), (-1.0, moved)):
+            if len(at):
+                cols = reps[at]
+                coef = 2.0 * np.concatenate([B.coef, sign * B.coef])
+                U = eye[:, cols] + sign * eye[:, image[cols]]
+                out.append((BlockSpec(B.label, layers[:, at[:, None], at], coef), U))
+        return out
+
+
 @dataclass
 class MomentSolution:
     status: SdpStatus  # of the moment program
@@ -105,6 +199,9 @@ class MomentSdp:
     eq_rhs: np.ndarray  # (q,)
     # (h, m) when the rows after z_0 = 1 are L_z(h m_i) = 0 (`moment_program`)
     ideal: Optional[Tuple[Polynomial, np.ndarray]] = None
+    # a group that maps the program to itself; `solve` then solves it over
+    # the invariant moments (`_reduced`)
+    group: Optional[Symmetry] = None
 
     @property
     def num_moments(self) -> int:
@@ -113,6 +210,10 @@ class MomentSdp:
     @property
     def num_equalities(self) -> int:
         return int(self.eq_rows.shape[0])
+
+    @property
+    def group_order(self) -> int:
+        return 1 if self.group is None else self.group.order
 
     def block_dims(self) -> List[int]:
         return [B.dim for B in self.blocks]
@@ -166,6 +267,11 @@ class MomentSdp:
         other block's dense stack. Through N, no stack is built or held:
         each block is stored as its `sdp.Mapped` record, its layers and
         N' (a view of the decode map's N), one-hot or not.
+
+        This compiles the program as it stands, whatever its group: `solve`
+        calls it on the reduced program of `_reduced` instead, whose
+        moments are the orbit coordinates and whose blocks are the
+        isotypic parts, and whose rows, E R, go through the SVD.
         """
         fixed = self._unit_columns()
         if fixed is None:
@@ -187,10 +293,45 @@ class MomentSdp:
         problem = SdpProblem(tuple(self.block_dims()), tuple(Cs), tuple(As), b)
         return problem, decode
 
+    def _reduced(self) -> Tuple["MomentSdp", dict]:
+        """The program over the moments the group fixes, and its map back.
+
+        An invariant program has an invariant optimum, the average of any
+        optimum over the group, so restricting z to invariant vectors
+        z = R w keeps the value. The reduced program is in the orbit
+        coordinates w: its objective and rows are R'c and E R, the sums of
+        c and of each row over the orbits, and each block is split by
+        isotypic component (`Symmetry.split`). Its own `to_sdp` compiles
+        it; the map back holds the orbits and each block's columns U_c."""
+        orbit = self.group.orbits(_basis(self.n, 2 * self.order))
+        blocks, columns = [], []
+        for B in self.blocks:
+            parts = self.group.split(B, orbit)
+            columns.append([(len(blocks) + c, U) for c, (_, U) in enumerate(parts)])
+            blocks += [part for part, _ in parts]
+        # R'x: x summed over each orbit, on the last axis
+        cols = np.argsort(orbit, kind="stable")[np.count_nonzero(orbit < 0):]
+        starts = np.flatnonzero(np.diff(orbit[cols], prepend=-1))
+
+        def orbit_sums(x):
+            return np.add.reduceat(x[..., cols], starts, axis=-1)
+
+        reduced = MomentSdp(
+            self.n, self.order, orbit_sums(self.objective), blocks,
+            orbit_sums(self.eq_rows), self.eq_rhs,
+        )
+        return reduced, {"orbit": orbit, "columns": columns}
+
     # ---- solving ------------------------------------------------------------
 
     def solve(self) -> MomentSolution:
-        problem, decode = self.to_sdp()
+        """Solve the compiled program. With a group, the reduced program
+        (`_reduced`) is compiled and solved instead, and its moments and
+        Grams are mapped back to this program's: z = R w, and each block's
+        Gram is sum_c U_c G_c U_c'. Value, stationarity residual and
+        multipliers are then those of this program."""
+        program, back = (self, None) if self.group is None else self._reduced()
+        problem, decode = program.to_sdp()
         sol = solve(problem)
         status = _MOMENT_SIDE.get(sol.status, sol.status)
         if sol.status is not SdpStatus.OPTIMAL:
@@ -209,9 +350,14 @@ class MomentSdp:
             )
 
         z = _decode(decode, sol.dual)
-        value = float(self.objective @ z)
-
         grams = [0.5 * (Xb + Xb.T) for Xb in sol.X]
+        if back is not None:
+            orbit = back["orbit"]
+            z = np.where(orbit >= 0, z[orbit], 0.0)
+            grams = [
+                sum(U @ grams[c] @ U.T for c, U in parts) for parts in back["columns"]
+            ]
+        value = float(self.objective @ z)
 
         # stationarity in coefficient space: c = A*(S) + E' mu
         adj = np.zeros(self.num_moments)

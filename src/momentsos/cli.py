@@ -40,6 +40,7 @@ from .hierarchy import (
 )
 from .poly import Polynomial, PreconditionFailure, SemialgebraicSet
 from .moments import MomentVector
+from .sdp import STALL_GAP_TOL
 from .sos import is_sos_convex, jensen_check, jensen_composed_check, sos_decompose
 
 
@@ -51,6 +52,14 @@ class CliError(Exception):
 
 def _fmt(v: float) -> str:
     return format(float(v), ".9g")
+
+
+def _stall_digits(v: float) -> int:
+    """The significant digits of a stall-band value v that the stall band
+    determines, at least one: its gap may be STALL_GAP_TOL of
+    1 + |p| + |d|, about 1 + 2|v|."""
+    bound = STALL_GAP_TOL * (1.0 + 2.0 * abs(v))
+    return max(1, int(np.floor(np.log10(abs(v) / bound)))) if v else 1
 
 
 def _emit(args, artifact: dict) -> None:
@@ -270,8 +279,9 @@ def cmd_certify(args) -> int:
             # rounding noise that changes with the BLAS thread count
             rho = f"|rho|<={cert.tolerance:g}"
         elif rec.note.startswith("stall-band solve"):
-            # the stall band (2e-6) determines about six digits
-            rho = format(float(rec.rho_j), ".6g")
+            # printed to the digits the stall band determines, five for
+            # |rho| >= 1/2, so that they do not change with the BLAS threads
+            rho = format(float(rec.rho_j), f".{_stall_digits(rec.rho_j)}g")
         else:
             rho = _fmt(rec.rho_j)
         print(

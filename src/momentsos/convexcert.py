@@ -33,6 +33,23 @@ kernel vectors have distinct leading monomials in the graded order of the
 basis, so each block is deflated by dropping those coordinates: a principal
 submatrix, PSD iff the whole block is (partial facial reduction).
 
+A signed permutation P of the variables that fixes every g_k, term by
+term, maps rho_j to itself under (X, Y) -> (PX, PY), its objective too,
+since grad g_j(Py) = P grad g_j(y). An invariant program has an invariant
+optimum, the average of any optimum over the group, so restricting rho_j
+to invariant moments keeps its value (Gatermann & Parrilo, J. Pure Appl.
+Algebra 192, 2004; Riener, Theobald, Jansson Andren & Lasserre, Math.
+Oper. Res. 38, 2013). `symmetry_group` finds the group from K alone: the
+sign flips from the exponent parities, as a null space over GF(2), and
+otherwise a coordinate involution by enumeration in at most
+PERMUTATION_VARS variables, kept only when it maps every block's kept
+basis onto itself (the lens swap fixes the lead Y1 Y2 of g_1(Y); a lead
+Y2^2 would go to Y1^2). `rho_program` attaches the group to the program
+it builds, and `MomentSdp.solve` solves the reduced program, with
+z in orbit coordinates and every block split by isotypic component,
+and maps z and the Grams back over the original bases. Each record
+keeps the group order (`group_order`, 1 without symmetry).
+
 A certified set gets the explicit lift
 
     Omega = {(x, y) : M_d(y) >= 0, M_{d-r_j}(g_j y) >= 0,
@@ -45,6 +62,7 @@ single SDP solves.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -52,6 +70,7 @@ import numpy as np
 from ._compile import (
     BlockSpec,
     MomentSdp,
+    Symmetry,
     _pattern_block,
     coefficient_row,
     moment_program,
@@ -104,6 +123,75 @@ def _quadratic_part(g: Polynomial) -> np.ndarray:
     return 0.5 * g.hessian_at(np.zeros((1, g.n)))[0]
 
 
+# ---- symmetries of K ----------------------------------------------------------
+
+# coordinate permutations are looked for by enumeration in at most this many
+# variables
+PERMUTATION_VARS = 4
+
+
+def _gf2_null_space(A: np.ndarray) -> np.ndarray:
+    """The rows of a basis of {f in GF(2)^n : A f = 0} for an integer
+    matrix A read mod 2, by Gauss-Jordan elimination; (0, n) when only
+    f = 0 solves it."""
+    A = A % 2
+    pivots: List[int] = []
+    for col in range(A.shape[1]):
+        r = len(pivots)
+        hit = r + np.flatnonzero(A[r:, col])
+        if not len(hit):
+            continue
+        A[[r, hit[0]]] = A[[hit[0], r]]
+        others = np.flatnonzero(A[:, col])
+        A[others[others != r]] ^= A[r]
+        pivots.append(col)
+    free = [c for c in range(A.shape[1]) if c not in pivots]
+    basis = np.zeros((len(free), A.shape[1]), dtype=int)
+    for k, c in enumerate(free):
+        basis[k, c] = 1
+        basis[k, pivots] = A[: len(pivots), c]
+    return basis
+
+
+def symmetry_group(
+    polys: Sequence[Polynomial], n: int, copies: int = 1, bases: Sequence = ()
+) -> Optional[Symmetry]:
+    """A group of signed permutations that fix every polynomial of `polys`
+    in n variables, compared term by term, acting alike on `copies` copies
+    of the variables (the rho_j programs' X and Y), or None.
+
+    The sign flips come first: a flip of the variables in a set fixes a
+    polynomial iff each of its exponents has an even sum over the set, so
+    the flips that fix all of `polys` are the null space over GF(2) of
+    their exponent parities. When only the identity is left, the
+    coordinate involutions other than the identity are tried in
+    enumeration order, in at most PERMUTATION_VARS variables, and the
+    first that fixes every polynomial and maps each exponent array of
+    `bases` onto itself is taken. Any subgroup of the symmetries is exact;
+    these two forms are the ones `Symmetry` solves over."""
+    parities = np.concatenate([np.zeros((0, n), dtype=int)] + [g.exponents for g in polys])
+    flips = _gf2_null_space(parities)
+    if len(flips):
+        return Symmetry(np.tile(flips, copies))
+    if n > PERMUTATION_VARS:
+        return None
+    identity = np.arange(n)
+    for perm in map(np.array, permutations(identity)):
+        if np.array_equal(perm, identity) or not np.array_equal(perm[perm], identity):
+            continue
+        if any(Polynomial(n, g.exponents[:, perm], g.coefficients) != g for g in polys):
+            continue
+        swap = np.concatenate([perm + k * n for k in range(copies)])
+        if all(
+            np.array_equal(
+                np.sort(_grlex_index(basis[:, swap])), np.sort(_grlex_index(basis))
+            )
+            for basis in bases
+        ):
+            return Symmetry(np.zeros((0, copies * n), dtype=int), swap)
+    return None
+
+
 # ---- the rho_j test program --------------------------------------------------
 
 
@@ -152,7 +240,10 @@ def rho_program(K: SemialgebraicSet, j: int, d_j: int) -> MomentSdp:
     M_{d_j - r_j}(g_j(Y) z) = 0 is the program's ideal (g_j(Y), the
     monomials m of degree at most 2(d_j - r_j)), from which
     `moment_program` builds one row L_z(g_j(Y) m) = 0 per m, and every PSD
-    block is cut to the principal submatrix of `_rho_blocks`."""
+    block is cut to the principal submatrix of `_rho_blocks`. The program
+    carries the group of `symmetry_group` over X and Y, whose elements map
+    each block's kept basis onto itself, and `MomentSdp.solve` solves it
+    over the invariant moments (see the module docstring)."""
     m = K.m
     if not 1 <= j <= m:
         raise PreconditionFailure("1 <= j <= m", f"j = {j}, m = {m}")
@@ -170,7 +261,9 @@ def rho_program(K: SemialgebraicSet, j: int, d_j: int) -> MomentSdp:
     blocks = _rho_blocks(K, j, d_j)
     ideal = (lift_to_xy(g_j, "y"), _basis(n2, 2 * (d_j - half[j - 1])))
     c = coefficient_row(n2, d_j, objective)
-    return moment_program(n2, d_j, c, blocks, ideal)
+    program = moment_program(n2, d_j, c, blocks, ideal)
+    program.group = symmetry_group(K.constraints, n, 2, [B.basis for B in blocks])
+    return program
 
 
 # ---- certificates ------------------------------------------------------------
@@ -185,6 +278,9 @@ class ConstraintRecord:
     closed: bool
     weights: Optional[GramIdentity] = None
     note: str = ""
+    # the order of the group the last rho_j program was solved over; 1 when
+    # no symmetry was used
+    group_order: int = 1
 
     def to_json(self) -> dict:
         out = {
@@ -193,6 +289,7 @@ class ConstraintRecord:
             "rho_j": self.rho_j,
             "method": self.method,
             "closed": self.closed,
+            "group_order": self.group_order,
         }
         if self.note:
             out["note"] = self.note
@@ -498,6 +595,7 @@ def certify_convexity(
             prog = rho_program(K, j, d)
             sol = prog.solve()
             rec.d_j = d
+            rec.group_order = prog.group_order
             if not sol.is_optimal:
                 status = sol.status.value
                 if sol.sdp_solution.message == "no progress":

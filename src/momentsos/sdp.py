@@ -791,7 +791,9 @@ def _schur_matrix(problem: SdpProblem, Gs: List[np.ndarray]) -> np.ndarray:
                 np.take(H.reshape(-1, n * n), svec_positions, axis=1, out=B[lo:hi])
             B *= svec_weights
             M += B @ B.T
-            del B  # so that no two blocks' B are held together
+            # so that no two blocks' B, nor a block's last H, are held
+            # into the next block or through M += M.T
+            B = H = None
             continue
         positions, weights, starts, owners = gather
         if not len(positions):
@@ -812,6 +814,8 @@ def _schur_matrix(problem: SdpProblem, Gs: List[np.ndarray]) -> np.ndarray:
             WA_chunk[i, :, col] = 0.0
             gathered *= weights
             M[lo:hi, columns] += np.add.reduceat(gathered, starts, axis=1)
+        # the last chunk's temporaries go with the block's term
+        WA = WA_chunk = gathered = None
     M += M.T
     M *= 0.5
     return M

@@ -136,3 +136,20 @@ def test_import_leaves_scipy_unloaded():
         check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_import_loads_neither_scipy_nor_sympy():
+    # both may be installed; the package promises numpy alone, and importing
+    # scipy.linalg alone costs more than half a second of every start
+    code = (
+        "import sys, momentsos, momentsos.cli; "
+        "print(sorted({'scipy', 'sympy'} & {m.split('.')[0] for m in sys.modules}))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
